@@ -83,14 +83,9 @@ struct FaultInjector {
   std::function<double(std::size_t slave_id, std::size_t round)> stall_seconds;
 };
 
-/// The endpoints a slave needs, plus the stop/fault plumbing.
-///
-/// Wiring invariant: `inbox` is private to the slave, but every slave's
-/// `outbox` must alias ONE shared report mailbox — the master's rendezvous
-/// drains exactly that box (channels[0].outbox) for its P messages per
-/// round. run_master PTS_CHECKs the aliasing up front, so a caller that
-/// wires per-slave report boxes dies with a diagnostic instead of hanging
-/// the gather on messages nobody reads.
+/// The endpoints a slave needs, plus the stop/fault plumbing. `inbox` is
+/// private to the slave; every slave's `outbox` is the one report mailbox
+/// its master drains (MailboxMasterTransport::channels wires both).
 struct SlaveChannels {
   Mailbox<ToSlave>* inbox = nullptr;
   Mailbox<FromSlave>* outbox = nullptr;

@@ -51,23 +51,11 @@ snapshot::MasterCheckpoint make_checkpoint(const mkp::Instance& inst,
 
 }  // namespace
 
-MasterResult run_master(const mkp::Instance& inst,
-                        const std::vector<SlaveChannels>& channels,
+MasterResult run_master(const mkp::Instance& inst, MasterTransport& links,
                         const MasterConfig& config, MasterTrace* trace) {
   PTS_CHECK(config.num_slaves >= 1);
-  PTS_CHECK(channels.size() == config.num_slaves);
+  PTS_CHECK(links.num_slaves() == config.num_slaves);
   PTS_CHECK(config.search_iterations >= 1);
-  for (const auto& ch : channels) PTS_CHECK(ch.inbox && ch.outbox);
-  // The gather below drains channels[0].outbox only: the protocol requires
-  // every slave to report into ONE shared mailbox (see SlaveChannels). A
-  // caller that wires per-slave report boxes would hang the rendezvous
-  // forever waiting for messages that sit in boxes nobody reads — fail
-  // loudly instead.
-  for (const auto& ch : channels) {
-    PTS_CHECK_MSG(ch.outbox == channels[0].outbox,
-                  "all SlaveChannels::outbox must alias one shared report "
-                  "mailbox; per-slave report boxes would hang the gather");
-  }
 
   Stopwatch watch;
   const auto deadline = config.time_limit_seconds > 0.0
@@ -232,16 +220,11 @@ MasterResult run_master(const mkp::Instance& inst,
         assignment.params.target_value = config.target_value;
         assignment.params.run_to_budget = true;
         assignment.params.cancel = config.cancel;
-        const bool sent = channels[i].inbox->send(std::move(assignment));
-        PTS_CHECK_MSG(sent, "slave inbox closed while the master is running");
+        const bool sent = links.send(i, std::move(assignment));
+        PTS_CHECK_MSG(sent, "slave link closed while the master is running");
       }
     }
     if (trace) trace->on_assignments_sent(round, assigned);
-    if (obs::tracer().enabled()) {
-      std::size_t backlog = 0;
-      for (const auto& ch : channels) backlog += ch.inbox->depth();
-      obs::tracer().sample("assign_backlog", static_cast<double>(backlog));
-    }
 
     // Gather: the synchronous rendezvous — one message per assigned slave,
     // where a message is either the round's Report or a SlaveFault. Faults
@@ -254,21 +237,17 @@ MasterResult run_master(const mkp::Instance& inst,
     {
       obs::SpanScope gather_span("gather", {{"round", static_cast<double>(round)}});
       for (std::size_t k = 0; k < assigned; ++k) {
-        auto message = channels[0].outbox->receive(config.cancel);
+        auto message = links.receive(config.cancel);
         if (!message) {
           // Either the cancel token fired mid-wait or the harness closed the
-          // report box. The former is an orderly wind-down; the latter is
-          // still a wiring bug.
+          // links. The former is an orderly wind-down; the latter is still a
+          // wiring bug.
           PTS_CHECK_MSG(config.cancel.stop_requested(),
-                        "report mailbox closed prematurely");
+                        "slave links closed prematurely");
           result.cancelled = true;
           break;
         }
         if (!first_report_at) first_report_at = watch.elapsed_seconds();
-        if (obs::tracer().enabled()) {
-          obs::tracer().sample("report_backlog",
-                               static_cast<double>(channels[0].outbox->depth()));
-        }
         if (const auto* fault = std::get_if<SlaveFault>(&*message)) {
           PTS_CHECK(fault->slave_id < config.num_slaves);
           faulted[fault->slave_id] = true;
@@ -503,11 +482,11 @@ MasterResult run_master(const mkp::Instance& inst,
     write_checkpoint(result.rounds_completed);
   }
 
-  for (const auto& ch : channels) {
-    // A closed inbox here means the harness tore the slave down first (an
+  for (std::size_t i = 0; i < config.num_slaves; ++i) {
+    // A closed link here means the harness tore the slave down first (an
     // orderly wind-down races the broadcast); the Stop is redundant for that
     // slave, but the drop is counted, never silently ignored.
-    if (!ch.inbox->send(Stop{})) {
+    if (!links.send(i, Stop{})) {
       ++result.dropped_messages;
       if (telemetry_on) ++result.counters[obs::Counter::kDroppedMessages];
       if (obs::tracer().enabled()) {

@@ -21,6 +21,7 @@
 #include "parallel/init_gen.hpp"
 #include "parallel/snapshot.hpp"
 #include "parallel/strategy_gen.hpp"
+#include "parallel/transport.hpp"
 #include "tabu/strategy.hpp"
 
 namespace pts::parallel {
@@ -192,11 +193,10 @@ class MasterTrace {
   virtual void on_reports_gathered(std::size_t /*round*/, std::size_t /*count*/) {}
 };
 
-/// Drives one full run over already-connected slave channels. channels[i]
-/// must be wired to a live slave i. Sends Stop to every slave before
-/// returning.
-MasterResult run_master(const mkp::Instance& inst,
-                        const std::vector<SlaveChannels>& channels,
+/// Drives one full run over already-connected slave links: `links` must
+/// carry one live slave per config.num_slaves. Sends Stop to every slave
+/// before returning.
+MasterResult run_master(const mkp::Instance& inst, MasterTransport& links,
                         const MasterConfig& config, MasterTrace* trace = nullptr);
 
 }  // namespace pts::parallel

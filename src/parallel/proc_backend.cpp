@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -22,7 +24,6 @@
 #include "parallel/wire.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 extern char** environ;
 
@@ -66,7 +67,37 @@ std::uint32_t env_u32(const char* name) {
   return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
 }
 
+/// Chaos: flips one payload byte. The header stays valid, so the frame
+/// passes header checks and dies in the payload decoder — the hard case.
+void flip_payload_byte(std::vector<std::uint8_t>& frame, Rng& rng) {
+  if (frame.size() <= wire::kHeaderBytes) return;
+  frame[wire::kHeaderBytes + rng.index(frame.size() - wire::kHeaderBytes)] ^=
+      0x5A;
+}
+
+/// Chaos: writes a frame in 7-byte pieces 1 ms apart, so the reader has to
+/// reassemble it.
+Status send_trickled(FrameSocket& socket, std::span<const std::uint8_t> frame) {
+  while (!frame.empty()) {
+    const std::size_t n = std::min<std::size_t>(frame.size(), 7);
+    if (auto status = socket.send_frame(frame.first(n)); !status.ok()) {
+      return status;
+    }
+    frame = frame.subspan(n);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return Status{};
+}
+
 }  // namespace
+
+ChaosSchedule ChaosSchedule::from_env(const std::string& prefix) {
+  const auto read = [&prefix](const char* knob) {
+    return env_u32((prefix + knob).c_str());
+  };
+  return {read("CRASH_PPM"), read("CORRUPT_PPM"), read("STALL_MS"),
+          read("SLOW_WRITE") != 0};
+}
 
 std::string default_worker_path() {
   if (const char* env = std::getenv("PTS_WORKER_BIN"); env && *env) return env;
@@ -85,39 +116,29 @@ std::string default_worker_path() {
 
 ProcSupervisor::ProcSupervisor(const mkp::Instance& inst,
                                std::size_t num_slaves, std::uint64_t seed,
-                               ProcOptions options, CancelToken cancel)
+                               ProcOptions options)
     : inst_(inst),
       num_slaves_(num_slaves),
       seed_(seed),
       options_(resolve_options(std::move(options))),
-      cancel_(std::move(cancel)) {
+      heartbeat_(std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(options_.worker_timeout_seconds))),
+      master_chaos_(ChaosSchedule::from_env("PTS_CHAOS_MASTER_")),
+      slots_(num_slaves),
+      poll_fds_(num_slaves) {
   PTS_CHECK(num_slaves_ > 0);
-  master_chaos_.corrupt_ppm = env_u32("PTS_CHAOS_MASTER_CORRUPT_PPM");
-  master_chaos_.stall_ms = env_u32("PTS_CHAOS_MASTER_STALL_MS");
-  master_chaos_.slow_write = env_u32("PTS_CHAOS_MASTER_SLOW_WRITE") != 0;
-  reports_ = std::make_unique<Mailbox<FromSlave>>();
-  slots_.resize(num_slaves_);
-  inboxes_.reserve(num_slaves_);
-  channels_.reserve(num_slaves_);
   for (std::size_t i = 0; i < num_slaves_; ++i) {
-    inboxes_.push_back(std::make_unique<Mailbox<ToSlave>>());
-    channels_.push_back(
-        SlaveChannels{inboxes_[i].get(), reports_.get(), cancel_, nullptr});
+    // Separated from the worker-side chaos constant so the two schedules
+    // decorrelate.
+    slots_[i].chaos_rng = Rng(seed_ ^ 0x3A57E25C4A05ULL).derive(i);
   }
 }
 
-ProcSupervisor::~ProcSupervisor() { shutdown(); }
-
 void ProcSupervisor::shutdown() {
-  // Order matters: fire the teardown token first so a pump blocked in a
-  // heartbeat read aborts within one poll slice, then close the inboxes so
-  // idle pumps wake (a close still drains any queued Stop first), then join.
-  teardown_.request_cancel();
-  for (auto& inbox : inboxes_) inbox->close();
-  for (auto& pump : pumps_) {
-    if (pump.joinable()) pump.join();
+  for (std::size_t i = 0; i < num_slaves_; ++i) {
+    release_worker(i, /*orderly=*/!slots_[i].owed_round);
   }
-  reports_->close();
+  reap_released();
 }
 
 Status ProcSupervisor::start() {
@@ -129,27 +150,24 @@ Status ProcSupervisor::start() {
   }
   for (std::size_t i = 0; i < num_slaves_; ++i) {
     if (auto status = spawn_worker(i); !status.ok()) {
-      for (std::size_t k = 0; k < i; ++k) stop_worker(k, /*send_stop=*/true);
+      shutdown();
       return status;
     }
-  }
-  pumps_.reserve(num_slaves_);
-  for (std::size_t i = 0; i < num_slaves_; ++i) {
-    pumps_.emplace_back([this, i] { pump(i); });
   }
   started_ = true;
   return Status{};
 }
 
-ProcStats ProcSupervisor::stats() const {
-  std::scoped_lock lock(mutex_);
-  return stats_;
-}
-
 pid_t ProcSupervisor::worker_pid(std::size_t i) const {
   PTS_CHECK(i < num_slaves_);
-  std::scoped_lock lock(mutex_);
   return slots_[i].pid;
+}
+
+void ProcSupervisor::set_pid(std::size_t i, pid_t pid) {
+  slots_[i].pid = pid;
+  const auto alive = std::count_if(slots_.begin(), slots_.end(),
+                                   [](const WorkerSlot& s) { return s.pid > 0; });
+  obs::metrics().gauge("proc_workers_alive").set(static_cast<double>(alive));
 }
 
 Status ProcSupervisor::spawn_worker(std::size_t i) {
@@ -157,10 +175,10 @@ Status ProcSupervisor::spawn_worker(std::size_t i) {
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     return errno_status("socketpair");
   }
-  // Both ends carry CLOEXEC, so a respawn racing on another pump thread
-  // cannot leak this pair into its own child — a leaked parent end would
-  // mask the EOF that detects this worker's death. The dup2 below un-CLOEXECs
-  // only the child's end, only in the child.
+  // Both ends carry CLOEXEC, so a later spawn cannot leak this pair into its
+  // own child — a leaked parent end would mask the EOF that detects this
+  // worker's death. The dup2 below un-CLOEXECs only the child's end, only
+  // in the child.
   auto parent_fd = raise_fd(fds[0]);
   auto child_fd = raise_fd(fds[1]);
   if (!parent_fd || !child_fd) {
@@ -177,8 +195,9 @@ Status ProcSupervisor::spawn_worker(std::size_t i) {
   char* argv[] = {const_cast<char*>(options_.worker_path.c_str()),
                   fd_arg.data(), nullptr};
   pid_t pid = -1;
-  // posix_spawnp (not fork): safe no matter how many pump threads exist, and
-  // exec failure (missing binary) is reported here as an error code.
+  // posix_spawnp (not fork): safe however many threads the host process
+  // runs, and exec failure (missing binary) is reported here as an error
+  // code.
   const int rc = ::posix_spawnp(&pid, options_.worker_path.c_str(), &actions,
                                 nullptr, argv, environ);
   posix_spawn_file_actions_destroy(&actions);
@@ -206,69 +225,60 @@ Status ProcSupervisor::spawn_worker(std::size_t i) {
   }
 
   obs::metrics().counter("proc_workers_spawned_total").add();
-  std::scoped_lock lock(mutex_);
   slots_[i].socket = std::move(socket);
-  slots_[i].pid = pid;
   ++stats_.workers_spawned;
-  update_workers_alive_locked();
+  set_pid(i, pid);
   return Status{};
 }
 
-void ProcSupervisor::update_workers_alive_locked() {
-  std::size_t alive = 0;
-  for (const auto& slot : slots_) {
-    if (slot.pid > 0) ++alive;
-  }
-  obs::metrics().gauge("proc_workers_alive").set(static_cast<double>(alive));
-}
-
-void ProcSupervisor::stop_worker(std::size_t i, bool send_stop) {
-  pid_t pid = -1;
-  {
-    std::scoped_lock lock(mutex_);
-    pid = slots_[i].pid;
-    slots_[i].pid = -1;
-    update_workers_alive_locked();
-  }
-  auto& socket = slots_[i].socket;
-  if (send_stop && socket.valid() && pid > 0) {
-    (void)socket.send_frame(wire::encode_to_slave(Stop{}));
-  }
-  socket.close();  // a worker blocked in read sees EOF even if Stop raced
+void ProcSupervisor::release_worker(std::size_t i, bool orderly) {
+  auto& slot = slots_[i];
+  const pid_t pid = slot.pid;
   if (pid <= 0) return;
-  // Short grace for an orderly exit, then SIGKILL. An idle worker exits on
-  // Stop/EOF within milliseconds; only a wedged one eats the kill.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  for (;;) {
-    const pid_t reaped = ::waitpid(pid, nullptr, WNOHANG);
-    if (reaped == pid || (reaped < 0 && errno == ECHILD)) return;
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  set_pid(i, -1);
+  if (orderly) {
+    (void)slot.socket.send_frame(wire::encode_to_slave(Stop{}));
+  } else {
+    // It failed us, or it is mid-round in a cancelled run: its reply is
+    // moot, so it does not get to finish.
+    ::kill(pid, SIGKILL);
   }
-  ::kill(pid, SIGKILL);
-  ::waitpid(pid, nullptr, 0);
+  slot.socket.close();  // a worker blocked in read sees EOF even if Stop raced
+  slot.owed_round.reset();
+  released_.push_back(pid);
 }
 
-void ProcSupervisor::record_fault(std::size_t i, std::size_t round,
-                                  const std::string& why) {
+void ProcSupervisor::reap_released() {
+  // Short grace for an orderly exit, then SIGKILL. An idle worker exits on
+  // Stop/EOF within milliseconds; only a wedged one eats the kill. The
+  // grace is shared, so stopping P workers costs one wait, not P.
+  const auto deadline = Clock::now() + std::chrono::seconds(2);
+  for (;;) {
+    std::erase_if(released_, [](pid_t pid) {
+      const pid_t reaped = ::waitpid(pid, nullptr, WNOHANG);
+      return reaped == pid || (reaped < 0 && errno == ECHILD);
+    });
+    if (released_.empty()) return;
+    if (Clock::now() >= deadline) {
+      for (const pid_t pid : released_) ::kill(pid, SIGKILL);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+SlaveFault ProcSupervisor::record_fault(std::size_t i, std::size_t round,
+                                        const std::string& why) {
   if (obs::tracer().enabled()) {
     obs::tracer().instant("worker_fault",
                           {{"slave", static_cast<double>(i)},
                            {"round", static_cast<double>(round)}});
   }
   obs::metrics().counter("proc_worker_faults_total").add();
-  stop_worker(i, /*send_stop=*/false);  // it already failed us: kill + reap
-  // The fault message is what keeps the master's rendezvous alive: one
-  // message per (slave, round), dead worker or not.
-  if (!reports_->send(SlaveFault{i, round, why})) {
-    std::scoped_lock lock(mutex_);
-    ++stats_.dropped_messages;
-  }
-  // No respawn here — that is the policy change. The fault only schedules
-  // the earliest next attempt; the pump decides at the next assignment.
-  const auto now = std::chrono::steady_clock::now();
-  std::scoped_lock lock(mutex_);
+  release_worker(i, /*orderly=*/false);  // it already failed us: kill + reap
+  reap_released();
+  // No respawn here — that is the policy. The fault only schedules the
+  // earliest next attempt; send() decides at the next assignment.
+  const auto now = Clock::now();
   auto& slot = slots_[i];
   const auto window = std::chrono::duration<double>(
       options_.breaker_window_seconds);
@@ -301,14 +311,14 @@ void ProcSupervisor::record_fault(std::size_t i, std::size_t round,
     delay += jitter01 * options_.respawn_backoff_base_seconds;
   }
   slot.respawn_not_before =
-      now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+      now + std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(delay));
 
   if (options_.breaker_threshold > 0 && !slot.breaker_open &&
       slot.consecutive_faults >= options_.breaker_threshold) {
     slot.breaker_open = true;
     slot.breaker_until =
-        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+        now + std::chrono::duration_cast<Clock::duration>(
                   std::chrono::duration<double>(
                       options_.breaker_cooloff_seconds));
     ++stats_.breaker_opens;
@@ -320,11 +330,13 @@ void ProcSupervisor::record_fault(std::size_t i, std::size_t round,
                               static_cast<double>(slot.consecutive_faults)}});
     }
   }
+  // The fault message is what keeps the master's rendezvous alive: one
+  // message per (slave, round), dead worker or not.
+  return SlaveFault{i, round, why};
 }
 
 bool ProcSupervisor::may_respawn_now(std::size_t i, std::string& reason) {
-  const auto now = std::chrono::steady_clock::now();
-  std::scoped_lock lock(mutex_);
+  const auto now = Clock::now();
   auto& slot = slots_[i];
   if (slot.respawns >= options_.max_respawns_per_slave) {
     reason = "worker process unavailable (respawn budget exhausted)";
@@ -338,7 +350,7 @@ bool ProcSupervisor::may_respawn_now(std::size_t i, std::string& reason) {
       return false;
     }
     // Half-open: one probe respawn is allowed; success closes the breaker
-    // only when the worker later completes a round (see pump).
+    // only when the worker later completes a round (see drain).
   }
   if (now < slot.respawn_not_before) {
     reason = "worker in respawn backoff";
@@ -349,9 +361,10 @@ bool ProcSupervisor::may_respawn_now(std::size_t i, std::string& reason) {
   return true;
 }
 
-Status ProcSupervisor::send_assignment(std::size_t i, Rng& chaos_rng,
+Status ProcSupervisor::send_assignment(std::size_t i,
                                        std::vector<std::uint8_t> frame) {
-  if (!master_chaos_.any()) return slots_[i].socket.send_frame(frame);
+  auto& slot = slots_[i];
+  if (!master_chaos_.any()) return slot.socket.send_frame(frame);
   bool injected = false;
   if (master_chaos_.stall_ms > 0) {
     injected = true;
@@ -359,42 +372,25 @@ Status ProcSupervisor::send_assignment(std::size_t i, Rng& chaos_rng,
         std::chrono::milliseconds(master_chaos_.stall_ms));
   }
   if (master_chaos_.corrupt_ppm > 0 &&
-      chaos_rng.next_below(1'000'000) < master_chaos_.corrupt_ppm &&
+      slot.chaos_rng.next_below(1'000'000) < master_chaos_.corrupt_ppm &&
       frame.size() > wire::kHeaderBytes) {
-    // Flip one payload byte; the header stays valid so the frame reaches the
-    // worker's payload decoder — the hard case. The worker's total decoder
-    // rejects it, the worker exits, the heartbeat read sees EOF, and the
-    // round completes degraded via SlaveFault + respawn.
+    // The worker's total decoder rejects the assignment, the worker exits,
+    // the gather sees EOF, and the round completes degraded via SlaveFault +
+    // respawn.
     injected = true;
-    const std::size_t at =
-        wire::kHeaderBytes +
-        chaos_rng.index(frame.size() - wire::kHeaderBytes);
-    frame[at] ^= 0x5A;
+    flip_payload_byte(frame, slot.chaos_rng);
   }
   if (injected || master_chaos_.slow_write) {
     obs::metrics().counter("proc_chaos_injections_total").add();
-    std::scoped_lock lock(mutex_);
     ++stats_.chaos_injections;
   }
-  if (!master_chaos_.slow_write) return slots_[i].socket.send_frame(frame);
-  std::span<const std::uint8_t> rest(frame);
-  while (!rest.empty()) {
-    const std::size_t n = std::min<std::size_t>(rest.size(), 7);
-    if (auto status = slots_[i].socket.send_frame(rest.first(n)); !status.ok()) {
-      return status;
-    }
-    rest = rest.subspan(n);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return Status{};
+  return master_chaos_.slow_write ? send_trickled(slot.socket, frame)
+                                  : slot.socket.send_frame(frame);
 }
 
 void ProcSupervisor::merge_telemetry_chunk(std::size_t i,
                                            const wire::TelemetryChunk& chunk) {
-  {
-    std::scoped_lock lock(mutex_);
-    ++stats_.telemetry_chunks;
-  }
+  ++stats_.telemetry_chunks;
   auto& registry = obs::metrics();
   registry.counter("proc_telemetry_chunks_total").add();
   for (const auto& [name, delta] : chunk.counter_deltas) {
@@ -403,16 +399,11 @@ void ProcSupervisor::merge_telemetry_chunk(std::size_t i,
   auto& tr = obs::tracer();
   if (!tr.enabled() || chunk.events.empty()) return;
   registry.counter("proc_telemetry_events_total").add(chunk.events.size());
-  bool name_now = false;
-  {
-    std::scoped_lock lock(mutex_);
-    if (!slots_[i].process_named) {
-      slots_[i].process_named = true;
-      name_now = true;
-    }
-  }
   const auto pid = static_cast<std::uint32_t>(2 + i);  // master keeps pid 1
-  if (name_now) tr.name_process(pid, "pts_worker " + std::to_string(i));
+  if (!slots_[i].process_named) {
+    slots_[i].process_named = true;
+    tr.name_process(pid, "pts_worker " + std::to_string(i));
+  }
   // Clock offset: the chunk carries the worker's tracer clock as of encode
   // time; sampling ours at merge time aligns the two timelines to within the
   // frame's transit latency (microseconds on a socketpair). Offsets are
@@ -440,171 +431,154 @@ void ProcSupervisor::merge_telemetry_chunk(std::size_t i,
   }
 }
 
-void ProcSupervisor::pump(std::size_t i) {
-  // Slot-local deterministic stream for the master chaos schedule, separated
-  // from the worker-side chaos constant so the two schedules decorrelate.
-  Rng chaos_rng = Rng(seed_ ^ 0x3A57E25C4A05ULL).derive(i);
+bool ProcSupervisor::send(std::size_t i, ToSlave message) {
+  PTS_CHECK(i < num_slaves_);
+  const auto* assignment = std::get_if<Assignment>(&message);
+  if (assignment == nullptr) {
+    // Stop. Reaping waits for shutdown(), so P workers exit concurrently.
+    release_worker(i, /*orderly=*/!slots_[i].owed_round);
+    return true;
+  }
+  auto& slot = slots_[i];
+  const std::size_t round = assignment->round;
+  PTS_CHECK_MSG(!slot.owed_round, "assignment to a worker that owes a reply");
+  if (slot.pid <= 0) {
+    // Dead slot: the recovery policy decides between respawning now and
+    // faulting fast. Either way the rendezvous never waits on a ghost —
+    // a backoff/breaker fault is immediate and burns no respawn budget.
+    std::string reason;
+    if (!may_respawn_now(i, reason)) {
+      ready_.push_back(SlaveFault{i, round, std::move(reason)});
+      return true;
+    }
+    if (auto status = spawn_worker(i); !status.ok()) {
+      ready_.push_back(
+          SlaveFault{i, round, "worker respawn failed: " + status.message()});
+      return true;
+    }
+    obs::metrics().counter("proc_worker_respawns_total").add();
+    ++slot.respawns;
+    ++stats_.worker_respawns;
+  }
+  slot.sent_at = Clock::now();
+  if (auto status = send_assignment(i, wire::encode_to_slave(message));
+      !status.ok()) {
+    ready_.push_back(record_fault(
+        i, round, "assignment write failed: " + status.message()));
+    return true;
+  }
+  slot.owed_round = round;
+  slot.heartbeat_deadline = Clock::now() + heartbeat_;
+  return true;
+}
+
+std::optional<FromSlave> ProcSupervisor::drain(std::size_t i) {
+  auto& slot = slots_[i];
+  const std::size_t round = *slot.owed_round;
+  // EOF here is a dead worker (kill -9 lands on this branch); a malformed
+  // frame is a corrupt one. Both map onto the same SlaveFault -> respawn
+  // path a throwing in-thread slave takes. TelemetryChunk frames precede
+  // the reply: each is folded into the master's tracer/registry.
   for (;;) {
-    auto message = inboxes_[i]->receive(cancel_);
-    if (!message || std::holds_alternative<Stop>(*message)) {
-      // Stop, a closed inbox, or a fired run token: orderly worker shutdown.
-      stop_worker(i, /*send_stop=*/true);
-      return;
-    }
-    const auto& assignment = std::get<Assignment>(*message);
-
-    bool alive = false;
-    {
-      std::scoped_lock lock(mutex_);
-      alive = slots_[i].pid > 0;
-    }
-    if (!alive) {
-      // Dead slot: the recovery policy decides between respawning now and
-      // faulting fast. Either way the rendezvous never waits on a ghost —
-      // a backoff/breaker fault is immediate and burns no respawn budget.
-      std::string reason;
-      if (!may_respawn_now(i, reason)) {
-        if (!reports_->send(SlaveFault{i, assignment.round, reason})) {
-          std::scoped_lock lock(mutex_);
-          ++stats_.dropped_messages;
-        }
-        continue;
-      }
-      if (auto status = spawn_worker(i); status.ok()) {
-        obs::metrics().counter("proc_worker_respawns_total").add();
-        std::scoped_lock lock(mutex_);
-        ++slots_[i].respawns;
-        ++stats_.worker_respawns;
-      } else {
-        if (!reports_->send(SlaveFault{i, assignment.round,
-                                       "worker respawn failed: " +
-                                           status.message()})) {
-          std::scoped_lock lock(mutex_);
-          ++stats_.dropped_messages;
-        }
-        continue;
-      }
-    }
-
-    const Stopwatch rtt_watch;
-    if (auto status =
-            send_assignment(i, chaos_rng, wire::encode_to_slave(*message));
-        !status.ok()) {
-      record_fault(i, assignment.round,
-                   "assignment write failed: " + status.message());
-      continue;
-    }
-
-    // The heartbeat: a worker owes its reply within worker_timeout_seconds.
-    // EOF here is a dead worker (kill -9 lands on this branch); timeout is a
-    // hung one; a malformed frame is a corrupt one. All three map onto the
-    // same SlaveFault -> respawn path a throwing in-thread slave takes.
-    // TelemetryChunk frames may precede the reply: each is folded into the
-    // master's tracer/registry, and the read continues for the real reply
-    // under the same per-read heartbeat bound.
-    auto frame = slots_[i].socket.read_frame(options_.worker_timeout_seconds,
-                                             teardown_.token());
-    bool chunk_fault = false;
-    while (frame && frame->type == wire::MessageType::kTelemetry) {
-      auto chunk = wire::decode_telemetry_chunk(frame->payload);
+    auto frame = slot.socket.poll_frame();
+    if (!frame) return record_fault(i, round, frame.status().message());
+    if (!*frame) return std::nullopt;  // the rest is still in flight
+    // A whole frame is a heartbeat.
+    slot.heartbeat_deadline = Clock::now() + heartbeat_;
+    if ((*frame)->type == wire::MessageType::kTelemetry) {
+      auto chunk = wire::decode_telemetry_chunk((*frame)->payload);
       if (!chunk) {
         // A corrupt chunk is a corrupt worker: same fault path as a corrupt
         // report, and crucially only ONE fault for the round.
-        record_fault(i, assignment.round,
-                     "telemetry chunk: " + chunk.status().message());
-        chunk_fault = true;
-        break;
+        return record_fault(i, round,
+                            "telemetry chunk: " + chunk.status().message());
       }
       merge_telemetry_chunk(i, *chunk);
-      frame = slots_[i].socket.read_frame(options_.worker_timeout_seconds,
-                                          teardown_.token());
-    }
-    if (chunk_fault) continue;
-    if (!frame) {
-      if (frame.status().code() == StatusCode::kCancelled) {
-        stop_worker(i, /*send_stop=*/false);  // destructor is unwinding
-        return;
-      }
-      record_fault(i, assignment.round, frame.status().message());
       continue;
     }
-    auto reply = wire::decode_from_slave(frame->type, frame->payload, inst_);
-    if (!reply) {
-      record_fault(i, assignment.round, reply.status().message());
-      continue;
-    }
+    auto reply = wire::decode_from_slave((*frame)->type, (*frame)->payload, inst_);
+    if (!reply) return record_fault(i, round, reply.status().message());
     // A frame that decodes but claims a foreign identity is still corruption
     // (a flipped byte lands in the slave_id/round fields as easily as in a
-    // payload double). Forwarding it would poison the master's rendezvous
+    // payload double). Handing it on would poison the master's rendezvous
     // accounting — or trip its slave_id range check — so it maps onto the
     // same fault path as a frame that fails to decode.
     const auto [claimed_slave, claimed_round] = std::visit(
         [](const auto& m) { return std::make_pair(m.slave_id, m.round); },
         *reply);
-    if (claimed_slave != i || claimed_round != assignment.round) {
-      record_fault(i, assignment.round,
-                   "frame claims foreign (slave, round) identity");
-      continue;
+    if (claimed_slave != i || claimed_round != round) {
+      return record_fault(i, round,
+                          "frame claims foreign (slave, round) identity");
     }
-    {
-      // A completed round is the real health signal: it clears the fault
-      // streak and closes a half-open breaker.
-      std::scoped_lock lock(mutex_);
-      slots_[i].consecutive_faults = 0;
-      slots_[i].breaker_open = false;
-    }
+    // A completed round is the real health signal: it clears the fault
+    // streak and closes a half-open breaker.
+    slot.owed_round.reset();
+    slot.consecutive_faults = 0;
+    slot.breaker_open = false;
     // Frame round trip: assignment write through reply decode. The gauge is
     // the freshness signal ("age of the newest heartbeat"); the histogram
     // is the distribution the efficiency accounting wants.
-    const double rtt = rtt_watch.elapsed_seconds();
+    const double rtt =
+        std::chrono::duration<double>(Clock::now() - slot.sent_at).count();
     obs::metrics().histogram("proc_frame_rtt_seconds").record(rtt);
     obs::metrics().gauge("proc_heartbeat_age_seconds").set(rtt);
-    if (!reports_->send(*std::move(reply))) {
-      std::scoped_lock lock(mutex_);
-      ++stats_.dropped_messages;
+    return *std::move(reply);
+  }
+}
+
+std::optional<FromSlave> ProcSupervisor::receive(const CancelToken& token) {
+  for (;;) {
+    if (!ready_.empty()) {
+      FromSlave message = std::move(ready_.front());
+      ready_.pop_front();
+      return message;
+    }
+    if (token.stop_requested()) return std::nullopt;
+
+    // One poll over every link that owes this round a reply (poll skips
+    // the negative fds of the others). The wait is cut at the earliest
+    // heartbeat deadline and at one slice, so neither a hung worker nor a
+    // fired token waits longer than it must.
+    const auto now = Clock::now();
+    auto wait = std::chrono::milliseconds(kPollSliceMs);
+    bool owed = false;
+    for (std::size_t i = 0; i < num_slaves_; ++i) {
+      const auto& slot = slots_[i];
+      poll_fds_[i] = {-1, POLLIN, 0};
+      if (!slot.owed_round) continue;
+      if (now >= slot.heartbeat_deadline) {
+        ready_.push_back(record_fault(
+            i, *slot.owed_round, "no whole frame within the heartbeat timeout"));
+        continue;
+      }
+      owed = true;
+      wait = std::min(wait, std::chrono::ceil<std::chrono::milliseconds>(
+                                slot.heartbeat_deadline - now));
+      poll_fds_[i].fd = slot.socket.fd();
+    }
+    if (!ready_.empty()) continue;
+    PTS_CHECK_MSG(owed, "gather waits on a round no worker owes a reply to");
+    if (::poll(poll_fds_.data(), poll_fds_.size(), static_cast<int>(wait.count())) < 0) {
+      PTS_CHECK_MSG(errno == EINTR, "poll over the worker links failed");
+      continue;
+    }
+    for (std::size_t i = 0; i < num_slaves_; ++i) {
+      if (poll_fds_[i].revents == 0) continue;
+      if (auto message = drain(i)) ready_.push_back(*std::move(message));
     }
   }
 }
 
 namespace {
 
-/// Worker-side chaos schedule, parsed from the environment so the chaos
-/// harness (tests/dist, bench/soak_chaos) can misbehave a real pts_worker
-/// without a special build. All off by default; see DESIGN.md §9.
-struct ChaosSettings {
-  std::uint32_t crash_ppm = 0;    ///< P(_exit(9) on assignment) * 1e6
-  std::uint32_t corrupt_ppm = 0;  ///< P(flip a report payload byte) * 1e6
-  std::uint32_t stall_ms = 0;     ///< sleep before every report
-  bool slow_write = false;        ///< trickle report frames in small chunks
-
-  [[nodiscard]] bool any() const {
-    return crash_ppm > 0 || corrupt_ppm > 0 || stall_ms > 0 || slow_write;
-  }
-
-  static std::uint32_t env_u32(const char* name) {
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0') return 0;
-    return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
-  }
-
-  static ChaosSettings from_env() {
-    ChaosSettings s;
-    s.crash_ppm = env_u32("PTS_CHAOS_CRASH_PPM");
-    s.corrupt_ppm = env_u32("PTS_CHAOS_CORRUPT_PPM");
-    s.stall_ms = env_u32("PTS_CHAOS_STALL_MS");
-    s.slow_write = env_u32("PTS_CHAOS_SLOW_WRITE") != 0;
-    return s;
-  }
-};
-
 /// Decorates the worker's transport with scheduled misbehavior. Every fault
 /// mode lands on a supervisor path the production code must already handle:
 /// crash -> EOF, corrupt frame -> decode failure, stall -> heartbeat
-/// timeout, slow write -> framed read reassembly.
+/// timeout, slow write -> incremental frame reassembly in the gather.
 class ChaosTransport final : public Transport {
  public:
   ChaosTransport(SocketTransport inner, FrameSocket& socket,
-                 ChaosSettings settings, Rng rng)
+                 ChaosSchedule settings, Rng rng)
       : inner_(inner), socket_(&socket), settings_(settings), rng_(rng) {}
 
   [[nodiscard]] std::optional<ToSlave> receive(const CancelToken& token) override {
@@ -625,23 +599,10 @@ class ChaosTransport final : public Transport {
     const bool corrupt = roll(settings_.corrupt_ppm);
     if (!corrupt && !settings_.slow_write) return inner_.send(std::move(message));
     auto frame = wire::encode_from_slave(message);
-    if (corrupt && frame.size() > wire::kHeaderBytes) {
-      // Flip one payload byte; the header stays valid so the frame passes
-      // header checks and dies in the payload decoder (the hard case).
-      const std::size_t at =
-          wire::kHeaderBytes +
-          static_cast<std::size_t>(rng_.index(frame.size() - wire::kHeaderBytes));
-      frame[at] ^= 0x5A;
-    }
-    if (!settings_.slow_write) return socket_->send_frame(frame).ok();
-    std::span<const std::uint8_t> rest(frame);
-    while (!rest.empty()) {
-      const std::size_t n = std::min<std::size_t>(rest.size(), 7);
-      if (!socket_->send_frame(rest.first(n)).ok()) return false;
-      rest = rest.subspan(n);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return true;
+    if (corrupt) flip_payload_byte(frame, rng_);
+    return (settings_.slow_write ? send_trickled(*socket_, frame)
+                                 : socket_->send_frame(frame))
+        .ok();
   }
 
  private:
@@ -652,7 +613,7 @@ class ChaosTransport final : public Transport {
 
   SocketTransport inner_;
   FrameSocket* socket_;
-  ChaosSettings settings_;
+  ChaosSchedule settings_;
   Rng rng_;
 };
 
@@ -732,28 +693,23 @@ int run_worker(int fd) {
   const bool want_metrics = (hello->flags & wire::kHelloFlagMetrics) != 0;
   obs::set_telemetry_enabled(want_metrics || want_trace);
   if (want_trace) obs::tracer().set_enabled(true);
-  SocketTransport transport(socket, hello->instance);
+  // Decorators stack inside out: chaos on the socket, telemetry outermost.
+  SocketTransport socket_transport(socket, hello->instance);
+  Transport* transport = &socket_transport;
+  std::optional<ChaosTransport> chaotic;
+  if (const auto chaos = ChaosSchedule::from_env("PTS_CHAOS_"); chaos.any()) {
+    chaotic.emplace(socket_transport, socket, chaos,
+                    Rng(hello->seed ^ 0xC4A05C4A05ULL).derive(hello->slave_id));
+    transport = &*chaotic;
+  }
+  std::optional<TelemetryChunkTransport> shipping;
+  if (want_trace || want_metrics) {
+    shipping.emplace(*transport, socket, hello->slave_id);
+    transport = &*shipping;
+  }
   // Drops counted by the loop have nowhere to go from a dying link; the
   // supervisor observes the same event from its side of the socket.
-  const auto chaos = ChaosSettings::from_env();
-  if (chaos.any()) {
-    ChaosTransport chaotic(transport, socket, chaos,
-                           Rng(hello->seed ^ 0xC4A05C4A05ULL)
-                               .derive(hello->slave_id));
-    if (want_trace || want_metrics) {
-      TelemetryChunkTransport shipping(chaotic, socket, hello->slave_id);
-      (void)slave_loop(hello->instance, hello->slave_id, hello->seed, shipping);
-    } else {
-      (void)slave_loop(hello->instance, hello->slave_id, hello->seed, chaotic);
-    }
-    return 0;
-  }
-  if (want_trace || want_metrics) {
-    TelemetryChunkTransport shipping(transport, socket, hello->slave_id);
-    (void)slave_loop(hello->instance, hello->slave_id, hello->seed, shipping);
-    return 0;
-  }
-  (void)slave_loop(hello->instance, hello->slave_id, hello->seed, transport);
+  (void)slave_loop(hello->instance, hello->slave_id, hello->seed, *transport);
   return 0;
 }
 

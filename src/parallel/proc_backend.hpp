@@ -1,43 +1,45 @@
 #pragma once
 // The multi-process backend (`--backend=proc`): the paper's PVM farm, for
-// real. The master keeps running the unchanged run_master() over mailboxes;
-// underneath, a ProcSupervisor spawns one pts_worker process per slave over
-// a Unix socketpair and bridges each mailbox pair onto wire.hpp frames.
+// real. A ProcSupervisor spawns one pts_worker process per slave over a Unix
+// socketpair and is itself run_master's MasterTransport, so the master thread
+// drives every link: it writes each assignment onto the worker's socket and
+// gathers by polling the sockets that still owe a reply. P workers add P
+// processes and no threads. Per worker slot:
 //
-// Per worker the supervisor runs one pump thread:
-//
-//   idle ──Assignment──▶ deliver frame ──▶ await reply (heartbeat-bounded)
-//     ▲                       │                   │
-//     │                    write fails        reply / timeout / EOF / corrupt
-//     │                       ▼                   │
-//     │                 ┌───────────────◀─────────┘ (non-reply outcomes)
-//     └──reply──────────┤ fault: SlaveFault into the report box,
-//        forwarded      │ SIGKILL + reap, deferred respawn (jittered
-//                       └──▶ idle          exponential backoff + breaker)
+//   idle ──Assignment──▶ write frame ──▶ owes reply (heartbeat-bounded)
+//     ▲   (dead slot: respawn   │                │
+//     │    or fault fast)    write fails   reply / timeout / EOF /
+//     │                         ▼           corrupt / foreign identity
+//     │                ┌────────◀────────────────┘ (non-reply outcomes)
+//     └──reply─────────┤ fault: SIGKILL + reap, SlaveFault to the gather,
+//        to the gather │ deferred respawn (jittered exponential backoff +
+//                      └──▶ idle          breaker)
 //
 // Fault mapping is the point: a worker that is killed (EOF), hangs past the
 // heartbeat timeout, or emits garbage becomes a SlaveFault for exactly the
 // round it owed — the same message a throwing in-thread slave produces — so
-// the master's rendezvous completes with P-1 reports and its existing
-// respawn path reseeds the record, while the supervisor respawns the
-// process. Determinism: each round's search derives its rng from
-// (seed, slave, round) and doubles travel bit-exact, so a fault-free proc
-// run reproduces the thread backend's results on a fixed seed.
+// the rendezvous completes with P-1 reports and the master reseeds the
+// record, while the supervisor respawns the process. The heartbeat bounds
+// whole frames, and each link reassembles its frames from non-blocking reads,
+// so a worker that stalls or trickles mid-frame never hangs the round nor
+// delays the other links. Determinism: each round's search derives its rng
+// from (seed, slave, round) and doubles travel bit-exact, so a fault-free
+// proc run reproduces the thread backend's results on a fixed seed.
 
+#include <poll.h>
 #include <sys/types.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <deque>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mkp/instance.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/transport.hpp"
-#include "util/cancel.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -47,12 +49,28 @@ namespace wire {
 struct TelemetryChunk;
 }  // namespace wire
 
+/// A chaos schedule read from <prefix>CRASH_PPM, CORRUPT_PPM, STALL_MS and
+/// SLOW_WRITE, so the chaos harness can misbehave either end of a real worker
+/// link without a special build (DESIGN.md §9). All off by default.
+struct ChaosSchedule {
+  std::uint32_t crash_ppm = 0;    ///< P(_exit(9)) per assignment * 1e6; workers
+  std::uint32_t corrupt_ppm = 0;  ///< P(flip one payload byte) per frame * 1e6
+  std::uint32_t stall_ms = 0;     ///< sleep before every frame sent
+  bool slow_write = false;        ///< trickle frames in 7-byte pieces
+
+  [[nodiscard]] static ChaosSchedule from_env(const std::string& prefix);
+  [[nodiscard]] bool any() const {
+    return crash_ppm > 0 || corrupt_ppm > 0 || stall_ms > 0 || slow_write;
+  }
+};
+
 struct ProcOptions {
   /// pts_worker binary to exec; empty means default_worker_path().
   std::string worker_path;
-  /// Heartbeat bound: a worker that holds an assignment longer than this
-  /// without replying is declared hung, killed, and mapped to a SlaveFault.
-  /// Size it well above the per-round work budget.
+  /// Heartbeat bound: a worker that owes a reply and completes no frame for
+  /// this long (a half-written frame does not count) is declared hung,
+  /// killed, and mapped to a SlaveFault. Size it well above the per-round
+  /// work budget.
   double worker_timeout_seconds = 120.0;
   /// Respawn budget per slave slot; a slot that exhausts it stays dead and
   /// faults every subsequent round (the master keeps degrading to P-1).
@@ -84,13 +102,11 @@ struct ProcOptions {
 struct ProcStats {
   std::size_t workers_spawned = 0;   ///< initial spawns + respawns
   std::size_t worker_respawns = 0;   ///< replacements after a fault
-  std::uint64_t dropped_messages = 0;///< forwards lost on a closed report box
   /// Assignments faulted fast because the slot was in backoff or breaker
   /// cooloff — rounds that did NOT consume respawn budget.
   std::size_t respawn_backoff_skips = 0;
   std::size_t breaker_opens = 0;     ///< circuit-breaker trips
-  /// Master-side chaos schedule activations (stall/corrupt/slow-write on the
-  /// supervisor's assignment sends; see PTS_CHAOS_MASTER_* below).
+  /// Master-side chaos schedule activations (PTS_CHAOS_MASTER_*).
   std::size_t chaos_injections = 0;
   /// TelemetryChunk frames folded into the master's tracer/registry.
   std::size_t telemetry_chunks = 0;
@@ -100,104 +116,105 @@ struct ProcStats {
 /// executable (/proc/self/exe), then "pts_worker" on PATH.
 [[nodiscard]] std::string default_worker_path();
 
-/// Owns the worker processes and the mailbox facade run_master drives.
-/// Lifecycle: construct → start() → run_master(channels()) → destroy (joins
-/// pumps, stops workers; a hung worker is SIGKILLed after a short grace).
-class ProcSupervisor {
+/// Owns the worker processes and is run_master's transport to them.
+/// Lifecycle: construct → start() → run_master(*this) → shutdown() or
+/// destroy, which reaps every worker (one still mid-round, as a cancelled run
+/// leaves it, is SIGKILLed). Only the thread running run_master may call the
+/// members, except worker_pid().
+class ProcSupervisor final : public MasterTransport {
  public:
   ProcSupervisor(const mkp::Instance& inst, std::size_t num_slaves,
-                 std::uint64_t seed, ProcOptions options, CancelToken cancel);
-  ~ProcSupervisor();
+                 std::uint64_t seed, ProcOptions options);
+  ~ProcSupervisor() override { shutdown(); }
 
   ProcSupervisor(const ProcSupervisor&) = delete;
   ProcSupervisor& operator=(const ProcSupervisor&) = delete;
 
-  /// Spawns every worker, performs the Hello handshake, starts the pumps.
-  /// On error the supervisor is left stopped (safe to destroy).
+  /// Spawns every worker and performs the Hello handshake. On error the
+  /// supervisor is left stopped (safe to destroy).
   [[nodiscard]] Status start();
 
-  /// Joins the pumps and stops the workers (what the destructor does), so a
-  /// caller can read final stats() before the object goes away. Idempotent.
+  /// Stops and reaps every worker, so a caller can read final stats()
+  /// before the object goes away. Idempotent.
   void shutdown();
 
-  /// Mailbox endpoints for run_master: one private inbox per slave, one
-  /// shared report box — the wiring invariant SlaveChannels documents.
-  [[nodiscard]] const std::vector<SlaveChannels>& channels() const {
-    return channels_;
-  }
+  [[nodiscard]] ProcStats stats() const { return stats_; }
 
-  [[nodiscard]] ProcStats stats() const;
-
-  /// Test hook (kill -9 fault injection): pid of slave i's current worker,
-  /// -1 while dead/respawning.
+  /// Test hook (kill -9 fault injection), callable from any thread: pid of
+  /// slave i's current worker, -1 while dead/respawning.
   [[nodiscard]] pid_t worker_pid(std::size_t i) const;
 
+  [[nodiscard]] std::size_t num_slaves() const override { return num_slaves_; }
+  /// Assignment: respawns a dead slot under the recovery policy and writes
+  /// the frame; an outcome that is not a write becomes the round's
+  /// SlaveFault for receive(). Stop: Stop frame for an idle worker, SIGKILL
+  /// for one still mid-round.
+  [[nodiscard]] bool send(std::size_t slave, ToSlave message) override;
+  /// One poll() over the sockets that owe a reply, folding telemetry chunks
+  /// inline; wakes every kPollSliceMs at most to check `token`.
+  [[nodiscard]] std::optional<FromSlave> receive(const CancelToken& token) override;
+
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct WorkerSlot {
     FrameSocket socket;
-    pid_t pid = -1;
+    std::atomic<pid_t> pid{-1};  ///< atomic: the worker_pid hook reads it
     std::size_t respawns = 0;
     bool process_named = false;  ///< merged pid labelled in the trace yet?
-    // Recovery-policy bookkeeping (guarded by mutex_).
+    Rng chaos_rng;               ///< master chaos schedule, slot-local stream
+    std::optional<std::size_t> owed_round;  ///< the reply in flight
+    Clock::time_point sent_at{};             ///< its assignment write
+    Clock::time_point heartbeat_deadline{};  ///< next whole frame due
+    // Recovery-policy bookkeeping.
     std::size_t consecutive_faults = 0;  ///< reset by a completed round
     std::size_t fault_serial = 0;        ///< total faults (jitter stream index)
-    std::chrono::steady_clock::time_point last_fault_at{};
-    std::chrono::steady_clock::time_point respawn_not_before{};
+    Clock::time_point last_fault_at{};
+    Clock::time_point respawn_not_before{};
     bool breaker_open = false;
-    std::chrono::steady_clock::time_point breaker_until{};
-  };
-
-  /// Master-side chaos schedule (the mirror of the worker-side PTS_CHAOS_*
-  /// knobs, applied to the supervisor's own assignment sends):
-  ///   PTS_CHAOS_MASTER_CORRUPT_PPM  flip one payload byte of an assignment
-  ///   PTS_CHAOS_MASTER_STALL_MS     sleep before each assignment send
-  ///   PTS_CHAOS_MASTER_SLOW_WRITE   trickle assignment frames in 7-byte
-  ///                                 chunks
-  /// A corrupted assignment fails the worker's total decoder; the worker
-  /// exits cleanly, the heartbeat read sees EOF, and the round completes
-  /// degraded via the normal SlaveFault + respawn path.
-  struct MasterChaos {
-    std::uint32_t corrupt_ppm = 0;
-    std::uint32_t stall_ms = 0;
-    bool slow_write = false;
-    [[nodiscard]] bool any() const {
-      return corrupt_ppm > 0 || stall_ms > 0 || slow_write;
-    }
+    Clock::time_point breaker_until{};
   };
 
   [[nodiscard]] Status spawn_worker(std::size_t i);
-  void stop_worker(std::size_t i, bool send_stop);
-  void record_fault(std::size_t i, std::size_t round, const std::string& why);
+  /// Publishes slot i's pid (the worker_pid hook) and the alive gauge.
+  void set_pid(std::size_t i, pid_t pid);
+  /// Closes slot i's link after a Stop frame (orderly) or a SIGKILL, and
+  /// leaves the process to reap_released().
+  void release_worker(std::size_t i, bool orderly);
+  /// Reaps every released worker under one short grace, then SIGKILLs.
+  void reap_released();
+  /// Kills and reaps slot i's worker, schedules its respawn, and returns the
+  /// SlaveFault the gather hands to the master for `round`.
+  [[nodiscard]] SlaveFault record_fault(std::size_t i, std::size_t round,
+                                        const std::string& why);
   /// Dead-slot policy decision at assignment time: respawn now (half-open
   /// probe / backoff elapsed), or fault fast with `reason` set.
   [[nodiscard]] bool may_respawn_now(std::size_t i, std::string& reason);
-  void pump(std::size_t i);
-  /// Assignment send with the master chaos schedule applied. `chaos_rng` is
-  /// the pump's slot-local deterministic stream.
-  [[nodiscard]] Status send_assignment(std::size_t i, Rng& chaos_rng,
+  /// Assignment send with the master chaos schedule applied.
+  [[nodiscard]] Status send_assignment(std::size_t i,
                                        std::vector<std::uint8_t> frame);
+  /// Reads slot i's socket: folds telemetry chunks and returns the round's
+  /// reply or fault once decided (nullopt: a frame is still incomplete).
+  [[nodiscard]] std::optional<FromSlave> drain(std::size_t i);
   /// Folds one worker TelemetryChunk into the master's tracer (pid/tid remap
   /// + clock offset) and metrics registry (counter deltas).
   void merge_telemetry_chunk(std::size_t i, const wire::TelemetryChunk& chunk);
-  void update_workers_alive_locked();
 
   const mkp::Instance& inst_;
   const std::size_t num_slaves_;
   const std::uint64_t seed_;
   const ProcOptions options_;
-  const CancelToken cancel_;     ///< the run's token (idle-pump unblock)
-  CancelSource teardown_;        ///< fired by the destructor (hung-read abort)
+  const Clock::duration heartbeat_;  ///< options_.worker_timeout_seconds
+  /// PTS_CHAOS_MASTER_*: the worker-side knobs applied to assignment sends.
+  /// A corrupted assignment fails the worker's decoder, the worker exits,
+  /// and the round completes degraded via the SlaveFault + respawn path.
+  const ChaosSchedule master_chaos_;
 
-  std::vector<std::unique_ptr<Mailbox<ToSlave>>> inboxes_;
-  std::unique_ptr<Mailbox<FromSlave>> reports_;
-  std::vector<SlaveChannels> channels_;
-
-  mutable std::mutex mutex_;  ///< guards slots_ pids/respawns and stats_
-  std::vector<WorkerSlot> slots_;
+  std::vector<WorkerSlot> slots_;  ///< sized once: WorkerSlot cannot move
+  std::deque<FromSlave> ready_;   ///< decided messages receive() hands out
+  std::vector<pid_t> released_;   ///< stopped workers not yet reaped
+  std::vector<pollfd> poll_fds_;  ///< receive() scratch, one per slot
   ProcStats stats_;
-  MasterChaos master_chaos_;  ///< parsed once from the environment
-
-  std::vector<std::thread> pumps_;
   bool started_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "parallel/runner.hpp"
 
 #include <atomic>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -102,6 +101,22 @@ ParallelResult run_sequential(const mkp::Instance& inst, const ParallelConfig& c
   return result;
 }
 
+/// A run that could not start at all (bad checkpoint, dead backend): default
+/// solve fields over `inst`, the failure in `status`.
+ParallelResult failed_result(const mkp::Instance& inst,
+                             const ParallelConfig& config, Status status) {
+  ParallelResult failed{config.mode,
+                        mkp::Solution(inst),
+                        0.0,
+                        0,
+                        0.0,
+                        false,
+                        false,
+                        MasterResult{mkp::Solution(inst)}};
+  failed.status = std::move(status);
+  return failed;
+}
+
 /// The master-driven modes (ITS/CTS1/CTS2) over whichever instance the
 /// caller resolved — full or core. Everything above the backend choice is
 /// mode-independent wiring of MasterConfig.
@@ -134,44 +149,22 @@ ParallelResult run_parallel_impl(const mkp::Instance& inst,
   MasterResult master_result{mkp::Solution(inst)};
   ProcStats proc_stats;
   if (config.backend == Backend::kProcess) {
-    // Proc backend: the supervisor owns the mailbox facade and the worker
-    // processes; run_master drives it exactly as it would drive threads.
-    ProcSupervisor supervisor(inst, config.num_slaves, config.seed,
-                              config.proc, config.cancel);
+    // Proc backend: the supervisor is the master's transport — run_master
+    // writes assignments onto the worker sockets and polls them for the
+    // replies from this very thread, so the farm adds no threads at all.
+    ProcSupervisor supervisor(inst, config.num_slaves, config.seed, config.proc);
     if (auto status = supervisor.start(); !status.ok()) {
-      ParallelResult failed{config.mode,
-                            mkp::Solution(inst),
-                            0.0,
-                            0,
-                            watch.elapsed_seconds(),
-                            false,
-                            false,
-                            MasterResult{mkp::Solution(inst)}};
-      failed.status = std::move(status);
-      return failed;
+      return failed_result(inst, config, std::move(status));
     }
-    master_result =
-        run_master(inst, supervisor.channels(), master_config, config.observer);
-    // Join the pumps (and stop the workers) before sampling the stats so
-    // respawn/drop counts are final.
+    master_result = run_master(inst, supervisor, master_config, config.observer);
+    // Reap the workers before sampling the stats so spawn counts are final.
     supervisor.shutdown();
     proc_stats = supervisor.stats();
-    master_result.dropped_messages += proc_stats.dropped_messages;
   } else {
-    // Thread backend. Wire the mailboxes: one inbox per slave, one shared
-    // report box. Every channel carries the run's cancel token (so idle
-    // slaves unblock without waiting for Stop) and the test-only fault
-    // injector.
-    std::vector<std::unique_ptr<Mailbox<ToSlave>>> inboxes;
-    inboxes.reserve(config.num_slaves);
-    auto reports = std::make_unique<Mailbox<FromSlave>>();
-    std::vector<SlaveChannels> channels(config.num_slaves);
-    for (std::size_t i = 0; i < config.num_slaves; ++i) {
-      inboxes.push_back(std::make_unique<Mailbox<ToSlave>>());
-      channels[i] = SlaveChannels{inboxes.back().get(), reports.get(),
-                                  config.cancel, config.fault_injector};
-    }
-
+    // Thread backend: one inbox per slave and one shared report box. Every
+    // slave's channels carry the run's cancel token (so idle slaves unblock
+    // without waiting for Stop) and the test-only fault injector.
+    MailboxMasterTransport links(config.num_slaves);
     std::atomic<std::uint64_t> slave_drops{0};
     {
       // jthreads join on scope exit; run_master sends Stop to every slave
@@ -181,12 +174,14 @@ ParallelResult run_parallel_impl(const mkp::Instance& inst,
       slaves.reserve(config.num_slaves);
       for (std::size_t i = 0; i < config.num_slaves; ++i) {
         slaves.emplace_back(
-            [&inst, i, seed = config.seed, ch = channels[i], &slave_drops] {
+            [&inst, i, seed = config.seed,
+             ch = links.channels(i, config.cancel, config.fault_injector),
+             &slave_drops] {
               slave_drops.fetch_add(slave_loop(inst, i, seed, ch).dropped_messages,
                                     std::memory_order_relaxed);
             });
       }
-      master_result = run_master(inst, channels, master_config, config.observer);
+      master_result = run_master(inst, links, master_config, config.observer);
     }
     // Slaves are joined: fold their counted drops into the master's tally
     // (see MasterResult::dropped_messages).
@@ -208,22 +203,6 @@ ParallelResult run_parallel_impl(const mkp::Instance& inst,
                         std::move(master_result)};
   result.proc = proc_stats;
   return result;
-}
-
-/// A run that could not start at all (bad checkpoint, dead backend): default
-/// solve fields over `inst`, the failure in `status`.
-ParallelResult failed_result(const mkp::Instance& inst,
-                             const ParallelConfig& config, Status status) {
-  ParallelResult failed{config.mode,
-                        mkp::Solution(inst),
-                        0.0,
-                        0,
-                        0.0,
-                        false,
-                        false,
-                        MasterResult{mkp::Solution(inst)}};
-  failed.status = std::move(status);
-  return failed;
 }
 
 /// Resolves ParallelConfig::resume_from_path (when set) into a loaded and

@@ -1,19 +1,22 @@
 #include "parallel/transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/timer.hpp"
+
 namespace pts::parallel {
 
 namespace {
 
-/// Poll slice while waiting for readability: short enough that a fired
-/// cancel token is honoured promptly, long enough not to spin.
-constexpr int kPollSliceMs = 50;
+/// Smallest recv() a read asks for.
+constexpr std::size_t kMinRead = 4096;
 
 Status errno_status(const char* op) {
   return Status::unavailable(std::string(op) + " failed: " +
@@ -25,8 +28,8 @@ Status errno_status(const char* op) {
 FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
+    rx_ = std::move(other.rx_);
   }
   return *this;
 }
@@ -36,6 +39,7 @@ void FrameSocket::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  rx_.clear();
 }
 
 Status FrameSocket::send_frame(std::span<const std::uint8_t> frame) {
@@ -55,62 +59,63 @@ Status FrameSocket::send_frame(std::span<const std::uint8_t> frame) {
   return Status{};
 }
 
-Status FrameSocket::read_exact(std::vector<std::uint8_t>& out, std::size_t n) {
-  out.resize(n);
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd_, out.data() + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return errno_status("read");
-    }
-    if (r == 0) return Status::unavailable("peer closed the connection");
-    got += static_cast<std::size_t>(r);
+Expected<std::optional<wire::Frame>> FrameSocket::pop_frame() {
+  if (rx_.size() < wire::kHeaderBytes) return std::optional<wire::Frame>{};
+  auto header = wire::decode_header({rx_.data(), wire::kHeaderBytes});
+  if (!header) return header.status();
+  const std::size_t size = wire::kHeaderBytes + header->payload_size;
+  if (rx_.size() < size) return std::optional<wire::Frame>{};
+  const auto begin = rx_.begin();
+  wire::Frame frame{header->type, {begin + wire::kHeaderBytes, begin + size}};
+  rx_.erase(begin, begin + size);
+  return std::optional<wire::Frame>{std::move(frame)};
+}
+
+Expected<std::optional<wire::Frame>> FrameSocket::poll_frame() {
+  if (fd_ < 0) return Status::unavailable("read on a closed socket");
+  if (auto frame = pop_frame(); !frame || *frame) return frame;
+  // The buffer grows geometrically, so a large frame (a Hello carrying the
+  // instance) arrives in a handful of reads.
+  const std::size_t have = rx_.size();
+  rx_.resize(have + std::max(kMinRead, have));
+  ssize_t n = 0;
+  do {
+    n = ::recv(fd_, rx_.data() + have, rx_.size() - have, MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  const int recv_errno = errno;
+  rx_.resize(have + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
+  if (n > 0) return pop_frame();
+  if (n == 0) return Status::unavailable("peer closed the connection");
+  if (recv_errno == EAGAIN || recv_errno == EWOULDBLOCK) {
+    return std::optional<wire::Frame>{};
   }
-  return Status{};
+  errno = recv_errno;
+  return errno_status("recv");
 }
 
 Expected<wire::Frame> FrameSocket::read_frame(std::optional<double> timeout_seconds,
                                               const CancelToken& cancel) {
-  if (fd_ < 0) return Status::unavailable("read on a closed socket");
-
-  // Wait for the first byte under the heartbeat bound. Once a header has
-  // started arriving the rest is read blocking: a live peer writes a whole
-  // frame promptly, and a dead one hits EOF.
-  double waited = 0.0;
+  // The heartbeat bound runs from the call to the LAST byte of the frame:
+  // a peer that stalls mid-header or mid-payload times out like a silent one.
+  const auto deadline = timeout_seconds ? Deadline::after_seconds(*timeout_seconds)
+                                        : Deadline::unbounded();
   for (;;) {
+    // A fired token wins even over bytes already waiting: a draining server
+    // must not pick up a request after its stop.
     if (cancel.stop_requested()) {
       return Status::cancelled("cancelled while waiting for a frame");
     }
+    auto frame = poll_frame();
+    if (!frame) return frame.status();
+    if (*frame) return std::move(**frame);
+    if (deadline.expired()) {
+      return Status::deadline_exceeded("no whole frame within the heartbeat timeout");
+    }
     pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollSliceMs);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
+    if (::poll(&pfd, 1, kPollSliceMs) < 0 && errno != EINTR) {
       return errno_status("poll");
     }
-    if (rc > 0) break;  // readable (or HUP — the read below will surface it)
-    waited += kPollSliceMs / 1000.0;
-    if (timeout_seconds && waited >= *timeout_seconds) {
-      return Status::deadline_exceeded("no frame within the heartbeat timeout");
-    }
   }
-
-  std::vector<std::uint8_t> header_bytes;
-  if (auto status = read_exact(header_bytes, wire::kHeaderBytes); !status.ok()) {
-    return status;
-  }
-  auto header = wire::decode_header(header_bytes);
-  if (!header) return header.status();
-
-  wire::Frame frame;
-  frame.type = header->type;
-  if (header->payload_size > 0) {
-    if (auto status = read_exact(frame.payload, header->payload_size);
-        !status.ok()) {
-      return status;
-    }
-  }
-  return frame;
 }
 
 std::optional<ToSlave> SocketTransport::receive(const CancelToken& token) {

@@ -96,7 +96,7 @@ TEST(Chaos, ScheduledWorkerCrashesDegradeButEveryRoundCompletes) {
   options.max_respawns_per_slave = 4;
   options.respawn_backoff_base_seconds = 0.05;
   options.respawn_backoff_cap_seconds = 0.2;
-  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/9, options, {});
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/9, options);
   ASSERT_TRUE(supervisor.start().ok());
 
   MasterConfig master_config;
@@ -106,7 +106,7 @@ TEST(Chaos, ScheduledWorkerCrashesDegradeButEveryRoundCompletes) {
   master_config.seed = 9;
 
   const auto result =
-      run_master(inst, supervisor.channels(), master_config, nullptr);
+      run_master(inst, supervisor, master_config, nullptr);
   supervisor.shutdown();
 
   EXPECT_EQ(result.rounds_completed, 8U);
@@ -118,7 +118,7 @@ TEST(Chaos, ScheduledWorkerCrashesDegradeButEveryRoundCompletes) {
 
 TEST(Chaos, CorruptAndTrickledFramesNeverHangTheRendezvous) {
   // Three failure modes at once: flipped report-payload bytes (decode
-  // failures on the supervisor's pump), a per-report stall, and frames
+  // failures in the master's gather), a per-report stall, and frames
   // trickled seven bytes at a time (framed-read reassembly). None of them
   // may hang a rendezvous or lose a round.
   EnvGuard chaos({{"PTS_CHAOS_CORRUPT_PPM", "300000"},
@@ -128,7 +128,7 @@ TEST(Chaos, CorruptAndTrickledFramesNeverHangTheRendezvous) {
 
   ProcOptions options;
   options.worker_path = kWorkerBin;
-  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/17, options, {});
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/17, options);
   ASSERT_TRUE(supervisor.start().ok());
 
   MasterConfig master_config;
@@ -138,11 +138,43 @@ TEST(Chaos, CorruptAndTrickledFramesNeverHangTheRendezvous) {
   master_config.seed = 17;
 
   const auto result =
-      run_master(inst, supervisor.channels(), master_config, nullptr);
+      run_master(inst, supervisor, master_config, nullptr);
   supervisor.shutdown();
 
   EXPECT_EQ(result.rounds_completed, 5U);
   EXPECT_GT(result.best_value, 0.0);
+}
+
+TEST(Chaos, StalledWorkersTripTheHeartbeatAndEveryRoundCompletes) {
+  // Every worker sleeps far past the heartbeat before each report. The
+  // gather must fault each one when its deadline passes — not wait out the
+  // stall — kill it, and let the round complete on the fault messages.
+  EnvGuard chaos({{"PTS_CHAOS_STALL_MS", "20000"}});
+  const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 4}, 19);
+
+  ProcOptions options;
+  options.worker_path = kWorkerBin;
+  options.worker_timeout_seconds = 0.3;
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/29, options);
+  ASSERT_TRUE(supervisor.start().ok());
+
+  MasterConfig master_config;
+  master_config.num_slaves = 3;
+  master_config.search_iterations = 2;
+  master_config.work_per_slave_round = 300;
+  master_config.seed = 29;
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = run_master(inst, supervisor, master_config, nullptr);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  supervisor.shutdown();
+
+  EXPECT_EQ(result.rounds_completed, 2U);
+  EXPECT_EQ(result.slave_faults, 6U);  // every worker, every round
+  EXPECT_LT(seconds, 10.0);            // the 20 s stalls were never waited out
+  EXPECT_GT(result.best_value, 0.0);   // the initial solutions survive
 }
 
 TEST(Chaos, MasterSideScheduleCorruptsAssignmentsYetEveryRoundCompletes) {
@@ -160,7 +192,7 @@ TEST(Chaos, MasterSideScheduleCorruptsAssignmentsYetEveryRoundCompletes) {
   options.respawn_backoff_base_seconds = 0.05;
   options.respawn_backoff_cap_seconds = 0.2;
   // The schedule is parsed from the environment at construction time.
-  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/23, options, {});
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/23, options);
   ASSERT_TRUE(supervisor.start().ok());
 
   MasterConfig master_config;
@@ -170,7 +202,7 @@ TEST(Chaos, MasterSideScheduleCorruptsAssignmentsYetEveryRoundCompletes) {
   master_config.seed = 23;
 
   const auto result =
-      run_master(inst, supervisor.channels(), master_config, nullptr);
+      run_master(inst, supervisor, master_config, nullptr);
   supervisor.shutdown();
 
   EXPECT_EQ(result.rounds_completed, 8U);

@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <filesystem>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "mkp/generator.hpp"
 #include "parallel/master.hpp"
@@ -69,7 +74,7 @@ TEST(ProcBackend, KillNineMidRoundStillCompletesWithRespawn) {
 
   ProcOptions options;
   options.worker_path = kWorkerBin;
-  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/9, options, {});
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/9, options);
   ASSERT_TRUE(supervisor.start().ok());
 
   struct Killer : MasterTrace {
@@ -92,7 +97,7 @@ TEST(ProcBackend, KillNineMidRoundStillCompletesWithRespawn) {
   master_config.seed = 9;
 
   const auto result =
-      run_master(inst, supervisor.channels(), master_config, &killer);
+      run_master(inst, supervisor, master_config, &killer);
   supervisor.shutdown();
 
   EXPECT_TRUE(killer.fired.load());
@@ -119,7 +124,7 @@ TEST(ProcBackend, RapidDeathBurstDoesNotBurnRespawnBudget) {
   options.respawn_backoff_base_seconds = 0.25;
   options.respawn_backoff_cap_seconds = 1.0;
   options.breaker_threshold = 0;  // isolate the backoff from the breaker
-  ProcSupervisor supervisor(inst, /*num_slaves=*/2, /*seed=*/13, options, {});
+  ProcSupervisor supervisor(inst, /*num_slaves=*/2, /*seed=*/13, options);
   ASSERT_TRUE(supervisor.start().ok());
 
   // Kill worker 0 the moment it exists, continuously — every respawned
@@ -140,7 +145,7 @@ TEST(ProcBackend, RapidDeathBurstDoesNotBurnRespawnBudget) {
   master_config.seed = 13;
 
   const auto result =
-      run_master(inst, supervisor.channels(), master_config, nullptr);
+      run_master(inst, supervisor, master_config, nullptr);
   done.store(true);
   killer.join();
   supervisor.shutdown();
@@ -156,6 +161,98 @@ TEST(ProcBackend, RapidDeathBurstDoesNotBurnRespawnBudget) {
   EXPECT_LT(stats.worker_respawns, options.max_respawns_per_slave);
   EXPECT_LT(stats.worker_respawns, result.slave_faults);
   EXPECT_GE(stats.respawn_backoff_skips, 1U);
+}
+
+TEST(ProcBackend, CancelMidRoundReturnsAndReapsEveryWorker) {
+  // The gather polls the worker sockets in kPollSliceMs slices, so a cancel
+  // fired while every worker is deep in a long round must end the run
+  // within about one slice — and every worker process, all of them still
+  // mid-round, must be reaped rather than left a zombie.
+  const auto inst = mkp::generate_gk({.num_items = 60, .num_constraints = 5}, 4);
+
+  ProcOptions options;
+  options.worker_path = kWorkerBin;
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/31, options);
+  ASSERT_TRUE(supervisor.start().ok());
+
+  CancelSource cancel;
+  struct PidRecorder : MasterTrace {
+    ProcSupervisor* supervisor = nullptr;
+    std::vector<pid_t> pids;
+    void on_assignments_sent(std::size_t, std::size_t) override {
+      for (std::size_t i = 0; i < 3; ++i) pids.push_back(supervisor->worker_pid(i));
+    }
+  } recorder;
+  recorder.supervisor = &supervisor;
+
+  MasterConfig master_config;
+  master_config.num_slaves = 3;
+  master_config.search_iterations = 4;
+  master_config.work_per_slave_round = 4'000'000'000ULL;  // minutes per round
+  master_config.seed = 31;
+  master_config.cancel = cancel.token();
+
+  std::jthread firer([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    cancel.request_cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto result = run_master(inst, supervisor, master_config, &recorder);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  supervisor.shutdown();
+
+  EXPECT_TRUE(result.cancelled);
+  EXPECT_EQ(result.rounds_completed, 0U);
+  EXPECT_LT(seconds, 5.0);
+  ASSERT_EQ(recorder.pids.size(), 3U);
+  for (const pid_t pid : recorder.pids) {
+    ASSERT_GT(pid, 0);
+    // Reaped: no longer our child at all (a zombie would still be waitable).
+    errno = 0;
+    EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1) << "pid " << pid;
+    EXPECT_EQ(errno, ECHILD) << "pid " << pid;
+  }
+}
+
+TEST(ProcBackend, FarmAddsNoThreads) {
+  // The master thread drives every worker link itself: a proc farm is P
+  // processes and zero extra threads in the master's process.
+  const auto count_threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    return n;
+  };
+  const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 4}, 6);
+
+  ProcOptions options;
+  options.worker_path = kWorkerBin;
+  ProcSupervisor supervisor(inst, /*num_slaves=*/3, /*seed=*/3, options);
+  const std::size_t before = count_threads();
+  ASSERT_TRUE(supervisor.start().ok());
+
+  struct ThreadSampler : MasterTrace {
+    std::function<std::size_t()> count;
+    std::vector<std::size_t> samples;
+    void on_round_start(std::size_t) override { samples.push_back(count()); }
+  } sampler;
+  sampler.count = count_threads;
+
+  MasterConfig master_config;
+  master_config.num_slaves = 3;
+  master_config.search_iterations = 3;
+  master_config.work_per_slave_round = 500;
+  master_config.seed = 3;
+  const auto result = run_master(inst, supervisor, master_config, &sampler);
+  supervisor.shutdown();
+
+  EXPECT_EQ(result.rounds_completed, 3U);
+  ASSERT_EQ(sampler.samples.size(), 3U);
+  for (const std::size_t during : sampler.samples) EXPECT_LE(during, before);
 }
 
 TEST(ProcBackend, MissingWorkerBinaryIsACleanStatus) {

@@ -1,11 +1,13 @@
 // FrameSocket / SocketTransport behaviour over a real socketpair: framed
-// round trips, the heartbeat timeout, EOF-as-dead-peer, and cancel.
+// round trips, the heartbeat timeout (over whole frames), incremental
+// reassembly, EOF-as-dead-peer, and cancel.
 #include "parallel/transport.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <chrono>
 #include <thread>
 #include <variant>
 
@@ -46,7 +48,7 @@ TEST(FrameSocket, LargePayloadArrivesWhole) {
   auto [a, b] = make_pair_sockets();
   const auto sent = wire::encode_hello({1, 2, inst});
   // Writer thread: a large frame can exceed the socketpair buffer, so the
-  // write must be concurrent with the read (exactly the pump's situation).
+  // write must be concurrent with the read, as in a worker handshake.
   std::jthread writer([&a, &sent] { ASSERT_TRUE(a.send_frame(sent).ok()); });
   auto frame = b.read_frame(10.0);
   ASSERT_TRUE(frame) << frame.status().to_string();
@@ -61,6 +63,82 @@ TEST(FrameSocket, TimeoutIsDeadlineExceeded) {
   const auto frame = b.read_frame(/*timeout_seconds=*/0.15);
   ASSERT_FALSE(frame);
   EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+/// Seconds a read_frame call took, with its result.
+template <typename Read>
+std::pair<Expected<wire::Frame>, double> timed_read(Read read) {
+  const auto start = std::chrono::steady_clock::now();
+  auto frame = read();
+  return {std::move(frame), std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count()};
+}
+
+TEST(FrameSocket, StallMidHeaderTimesOutWithinTheBound) {
+  // Regression: the timeout used to bound only the wait for the FIRST byte,
+  // after which the read blocked without limit — a peer that wrote half a
+  // header and went silent hung the reader forever. The bound now covers
+  // the whole frame.
+  auto [a, b] = make_pair_sockets();
+  const auto full = wire::encode_to_slave(Stop{});
+  ASSERT_TRUE(a.send_frame({full.data(), wire::kHeaderBytes / 2}).ok());
+  const auto [frame, waited] = timed_read([&b] { return b.read_frame(0.2); });
+  ASSERT_FALSE(frame);
+  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(waited, 0.19);
+  EXPECT_LT(waited, 0.2 + 10 * kPollSliceMs / 1000.0);
+}
+
+TEST(FrameSocket, StallMidPayloadTimesOutWithinTheBound) {
+  auto [a, b] = make_pair_sockets();
+  const auto full = wire::encode_from_slave(SlaveFault{0, 1, "stalled words"});
+  ASSERT_TRUE(a.send_frame({full.data(), wire::kHeaderBytes + 3}).ok());
+  const auto [frame, waited] = timed_read([&b] { return b.read_frame(0.2); });
+  ASSERT_FALSE(frame);
+  EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(waited, 0.2 + 10 * kPollSliceMs / 1000.0);
+}
+
+TEST(FrameSocket, PollFrameReassemblesAFrameSentByteByByte) {
+  auto [a, b] = make_pair_sockets();
+  const auto full = wire::encode_from_slave(SlaveFault{2, 7, "piecewise"});
+  for (std::size_t k = 0; k + 1 < full.size(); ++k) {
+    ASSERT_TRUE(a.send_frame({&full[k], 1}).ok());
+    const auto partial = b.poll_frame();  // never blocks on the missing rest
+    ASSERT_TRUE(partial) << partial.status().to_string();
+    EXPECT_FALSE(partial->has_value()) << "frame complete after " << k + 1;
+  }
+  ASSERT_TRUE(a.send_frame({&full.back(), 1}).ok());
+  auto frame = b.poll_frame();
+  ASSERT_TRUE(frame);
+  ASSERT_TRUE(frame->has_value());
+  const auto inst = make_instance();
+  const auto decoded =
+      wire::decode_from_slave((*frame)->type, (*frame)->payload, inst);
+  ASSERT_TRUE(decoded);
+  const auto& fault = std::get<SlaveFault>(*decoded);
+  EXPECT_EQ(fault.slave_id, 2U);
+  EXPECT_EQ(fault.round, 7U);
+  EXPECT_EQ(fault.what, "piecewise");
+}
+
+TEST(FrameSocket, PollFrameSplitsBackToBackFrames) {
+  auto [a, b] = make_pair_sockets();
+  auto both = wire::encode_to_slave(Stop{});
+  const auto second = wire::encode_from_slave(SlaveFault{1, 3, "second"});
+  both.insert(both.end(), second.begin(), second.end());
+  ASSERT_TRUE(a.send_frame(both).ok());
+  auto first = b.poll_frame();
+  ASSERT_TRUE(first && first->has_value());
+  EXPECT_EQ((*first)->type, wire::MessageType::kStop);
+  a.close();  // the second frame is already buffered: EOF must not shadow it
+  auto next = b.poll_frame();
+  ASSERT_TRUE(next && next->has_value()) << next.status().to_string();
+  EXPECT_EQ((*next)->type, wire::MessageType::kFault);
+  const auto eof = b.poll_frame();
+  ASSERT_FALSE(eof);
+  EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
 }
 
 TEST(FrameSocket, PeerCloseIsUnavailable) {

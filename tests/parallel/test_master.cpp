@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 
 #include "mkp/generator.hpp"
@@ -13,26 +12,21 @@ namespace {
 
 struct Harness {
   explicit Harness(const mkp::Instance& instance, std::size_t num_slaves)
-      : inst(instance), reports(std::make_unique<Mailbox<FromSlave>>()) {
+      : inst(instance), links(num_slaves) {
     for (std::size_t i = 0; i < num_slaves; ++i) {
-      inboxes.push_back(std::make_unique<Mailbox<ToSlave>>());
-      channels.push_back(SlaveChannels{inboxes.back().get(), reports.get()});
-    }
-    for (std::size_t i = 0; i < num_slaves; ++i) {
-      slaves.emplace_back([this, i] { slave_loop(inst, i, 13, channels[i]); });
+      slaves.emplace_back(
+          [this, i, ch = links.channels(i)] { slave_loop(inst, i, 13, ch); });
     }
   }
 
   ~Harness() {
     // Wake any slave still blocked on its inbox so the jthread joins cannot
     // hang (e.g. when a death test aborts before run_master sends Stop).
-    for (auto& box : inboxes) box->close();
+    links.close_inboxes();
   }
 
   const mkp::Instance& inst;
-  std::vector<std::unique_ptr<Mailbox<ToSlave>>> inboxes;
-  std::unique_ptr<Mailbox<FromSlave>> reports;
-  std::vector<SlaveChannels> channels;
+  MailboxMasterTransport links;
   std::vector<std::jthread> slaves;
 };
 
@@ -48,7 +42,7 @@ MasterConfig quick_config(std::size_t slaves, std::size_t rounds) {
 TEST(Master, CompletesAllRoundsWithFullTimeline) {
   const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 5}, 1);
   Harness harness(inst, 3);
-  const auto result = run_master(inst, harness.channels, quick_config(3, 4));
+  const auto result = run_master(inst, harness.links, quick_config(3, 4));
   EXPECT_EQ(result.rounds_completed, 4U);
   EXPECT_EQ(result.timeline.size(), 12U);
   EXPECT_TRUE(result.best.is_feasible());
@@ -59,7 +53,7 @@ TEST(Master, CompletesAllRoundsWithFullTimeline) {
 TEST(Master, BestDominatesEveryReportedValue) {
   const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 5}, 2);
   Harness harness(inst, 2);
-  const auto result = run_master(inst, harness.channels, quick_config(2, 3));
+  const auto result = run_master(inst, harness.links, quick_config(2, 3));
   for (const auto& log : result.timeline) {
     EXPECT_GE(result.best_value, log.final_value);
   }
@@ -72,7 +66,7 @@ TEST(Master, WorkBalancingInvertsNbDrop) {
   Harness harness(inst, 4);
   auto config = quick_config(4, 2);
   config.work_per_slave_round = 1200;
-  const auto result = run_master(inst, harness.channels, config);
+  const auto result = run_master(inst, harness.links, config);
   for (const auto& log : result.timeline) {
     const auto expected = 1200U / log.strategy.nb_drop;
     EXPECT_EQ(log.moves, expected)
@@ -86,7 +80,7 @@ TEST(Master, IndependentModeNeverRetunesNorInjects) {
   auto config = quick_config(3, 4);
   config.share_solutions = false;
   config.adapt_strategies = false;
-  const auto result = run_master(inst, harness.channels, config);
+  const auto result = run_master(inst, harness.links, config);
   EXPECT_EQ(result.strategy_retunes, 0U);
   EXPECT_EQ(result.global_best_injections, 0U);
   EXPECT_EQ(result.random_restarts, 0U);
@@ -100,7 +94,7 @@ TEST(Master, PoolModeSharesButKeepsStrategies) {
   Harness harness(inst, 3);
   auto config = quick_config(3, 5);
   config.adapt_strategies = false;
-  const auto result = run_master(inst, harness.channels, config);
+  const auto result = run_master(inst, harness.links, config);
   EXPECT_EQ(result.strategy_retunes, 0U);
   // Strategies must stay at their initial draw across the run.
   for (std::size_t i = 0; i < 3; ++i) {
@@ -123,7 +117,7 @@ TEST(Master, TargetValueShortCircuitsRounds) {
   Harness harness(inst, 2);
   auto config = quick_config(2, 50);
   config.target_value = 1.0;
-  const auto result = run_master(inst, harness.channels, config);
+  const auto result = run_master(inst, harness.links, config);
   EXPECT_TRUE(result.reached_target);
   EXPECT_LT(result.rounds_completed, 50U);
 }
@@ -132,7 +126,7 @@ TEST(Master, DeterministicDecisionsGivenSeed) {
   const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 5}, 7);
   auto run_once = [&] {
     Harness harness(inst, 3);
-    return run_master(inst, harness.channels, quick_config(3, 3));
+    return run_master(inst, harness.links, quick_config(3, 3));
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -167,7 +161,7 @@ TEST(MasterFigure2, ScatterGatherOrderingPerRound) {
   const auto inst = mkp::generate_gk({.num_items = 30, .num_constraints = 4}, 8);
   Harness harness(inst, 2);
   Fig2Trace trace;
-  (void)run_master(inst, harness.channels, quick_config(2, 3), &trace);
+  (void)run_master(inst, harness.links, quick_config(2, 3), &trace);
   const std::vector<std::string> expected{
       "round:0", "scatter:0:2", "gather:0:2",
       "round:1", "scatter:1:2", "gather:1:2",
@@ -180,7 +174,7 @@ TEST(MasterDeath, ChannelCountMustMatch) {
   const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 9);
   Harness harness(inst, 2);
   auto config = quick_config(3, 1);  // claims 3 slaves, only 2 channels
-  EXPECT_DEATH((void)run_master(inst, harness.channels, config), "");
+  EXPECT_DEATH((void)run_master(inst, harness.links, config), "");
 }
 
 }  // namespace

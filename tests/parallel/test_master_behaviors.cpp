@@ -154,9 +154,9 @@ TEST(MasterBehavior, StopBroadcastDropIsCountedNeverSilent) {
   // Play a slave that answers round 0 and then closes its inbox BEFORE
   // reporting, so the master's Stop lands on a closed box deterministically.
   const auto inst = mkp::generate_gk({.num_items = 30, .num_constraints = 4}, 12);
-  Mailbox<ToSlave> inbox;
-  Mailbox<FromSlave> reports;
-  std::vector<SlaveChannels> channels{SlaveChannels{&inbox, &reports}};
+  MailboxMasterTransport links(1);
+  Mailbox<ToSlave>& inbox = *links.channels(0).inbox;
+  Mailbox<FromSlave>& reports = *links.channels(0).outbox;
 
   std::jthread helper([&] {
     auto message = inbox.receive();
@@ -172,7 +172,7 @@ TEST(MasterBehavior, StopBroadcastDropIsCountedNeverSilent) {
   config.search_iterations = 1;
   config.work_per_slave_round = 300;
   config.seed = 12;
-  const auto result = run_master(inst, channels, config);
+  const auto result = run_master(inst, links, config);
 
   EXPECT_EQ(result.dropped_messages, 1U);
   if (obs::telemetry_enabled()) {
@@ -180,19 +180,18 @@ TEST(MasterBehavior, StopBroadcastDropIsCountedNeverSilent) {
   }
 }
 
-TEST(MasterBehaviorDeath, PerSlaveReportBoxesAreRejectedUpFront) {
-  // The gather drains channels[0].outbox only; wiring per-slave report boxes
-  // would hang it forever on messages nobody reads. run_master must die with
-  // a diagnostic instead (see SlaveChannels' wiring invariant).
-  const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 1);
-  Mailbox<ToSlave> inbox0, inbox1;
-  Mailbox<FromSlave> reports0, reports1;
-  std::vector<SlaveChannels> channels{SlaveChannels{&inbox0, &reports0},
-                                      SlaveChannels{&inbox1, &reports1}};
-  MasterConfig config;
-  config.num_slaves = 2;
-  config.search_iterations = 1;
-  EXPECT_DEATH((void)run_master(inst, channels, config), "alias");
+TEST(MasterBehavior, EverySlaveOutboxIsTheOneReportBox) {
+  // The gather drains one report box. MailboxMasterTransport wires every
+  // slave's outbox to it by construction, so no caller can hand run_master
+  // per-slave report boxes that nobody reads.
+  MailboxMasterTransport links(3);
+  const auto* shared = links.channels(0).outbox;
+  EXPECT_EQ(links.channels(1).outbox, shared);
+  EXPECT_EQ(links.channels(2).outbox, shared);
+  ASSERT_TRUE(links.channels(2).outbox->send(SlaveFault{2, 0, "gathered"}));
+  const auto message = links.receive({});
+  ASSERT_TRUE(message.has_value());
+  EXPECT_EQ(std::get<SlaveFault>(*message).slave_id, 2U);
 }
 
 }  // namespace
