@@ -3,10 +3,10 @@
 // and writes the measured numbers to BENCH_service.json (override with
 // --json=PATH):
 //
-//   bit_identical  a single-tenant, single-job submission through the new
-//                  SubmitRequest API produces the same trajectory (best value
-//                  AND move count) as the deprecated positional shim — the
-//                  redesign added machinery, not behavior, on the one-job path
+//   bit_identical  a single-tenant, single-job SubmitRequest produces the
+//                  same trajectory (best value AND move count) in two fresh
+//                  services — the service adds machinery, not behavior, on
+//                  the one-job path
 //   dedup_storm    N identical submissions from alternating tenants coalesce
 //                  into ONE solve: every future resolves with the same start
 //                  sequence and best value, and stats count N-1 dedup hits
@@ -66,7 +66,7 @@ double percentile(std::vector<double> values, double p) {
   return values[std::min(rank, values.size() - 1)];
 }
 
-// -- Phase 1: the one-job path is bit-identical across the two APIs. --------
+// -- Phase 1: the one-job path is bit-identical across two services. --------
 
 struct Trajectory {
   double best_value = 0.0;
@@ -74,7 +74,7 @@ struct Trajectory {
 };
 
 bool run_bit_identical(const std::shared_ptr<const mkp::Instance>& inst,
-                       Trajectory* legacy, Trajectory* fresh) {
+                       Trajectory* first, Trajectory* second) {
   // A wall-clock budget truncates the run at a load-dependent move, so the
   // comparison runs chase a probed target instead: both stop at the move
   // that reaches it, which is deterministic iff the trajectories match.
@@ -89,21 +89,7 @@ bool run_bit_identical(const std::shared_ptr<const mkp::Instance>& inst,
     if (!result.status.ok()) return false;
     options.target_value = result.best_value;
   }
-  {
-    service::SolverService server({.num_workers = 2});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    auto submission = server.submit(inst, options);
-#pragma GCC diagnostic pop
-    const auto result = submission.result.get();
-    if (!result.status.ok() || !result.reached_target) {
-      std::fprintf(stderr, "FAIL: legacy-shim run failed: %s\n",
-                   result.status.to_string().c_str());
-      return false;
-    }
-    *legacy = {result.best_value, result.total_moves};
-  }
-  {
+  for (Trajectory* out : {first, second}) {
     service::SolverService server({.num_workers = 2});
     auto handle = server.submit(make_request(inst, options));
     if (!handle) {
@@ -117,7 +103,7 @@ bool run_bit_identical(const std::shared_ptr<const mkp::Instance>& inst,
                    result.status.to_string().c_str());
       return false;
     }
-    *fresh = {result.best_value, result.total_moves};
+    *out = {result.best_value, result.total_moves};
   }
   return true;
 }
@@ -340,23 +326,23 @@ int main(int argc, char** argv) {
   const std::size_t jobs_per_tenant = quick ? 8 : 24;
 
   bool ok = true;
-  Trajectory legacy, fresh;
-  if (!run_bit_identical(inst, &legacy, &fresh)) ok = false;
-  const bool identical = legacy.best_value == fresh.best_value &&
-                         legacy.total_moves == fresh.total_moves;
+  Trajectory first, second;
+  if (!run_bit_identical(inst, &first, &second)) ok = false;
+  const bool identical = first.best_value == second.best_value &&
+                         first.total_moves == second.total_moves;
   if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: single-job trajectory diverged between the legacy "
-                 "shim (%.1f in %llu moves) and SubmitRequest (%.1f in %llu)\n",
-                 legacy.best_value,
-                 static_cast<unsigned long long>(legacy.total_moves),
-                 fresh.best_value,
-                 static_cast<unsigned long long>(fresh.total_moves));
+                 "FAIL: single-job trajectory diverged between two services "
+                 "(%.1f in %llu moves, then %.1f in %llu)\n",
+                 first.best_value,
+                 static_cast<unsigned long long>(first.total_moves),
+                 second.best_value,
+                 static_cast<unsigned long long>(second.total_moves));
     ok = false;
   }
-  std::printf("bit-identical: best %.1f in %llu moves through both APIs\n",
-              fresh.best_value,
-              static_cast<unsigned long long>(fresh.total_moves));
+  std::printf("bit-identical: best %.1f in %llu moves in both services\n",
+              second.best_value,
+              static_cast<unsigned long long>(second.total_moves));
 
   DedupOutcome dedup;
   if (!run_dedup_storm(inst, group, &dedup)) {
@@ -395,8 +381,8 @@ int main(int argc, char** argv) {
   std::snprintf(buffer, sizeof buffer,
                 "  \"bit_identical\": {\"best\": %.1f, \"moves\": %llu, "
                 "\"identical\": %s},\n",
-                fresh.best_value,
-                static_cast<unsigned long long>(fresh.total_moves),
+                second.best_value,
+                static_cast<unsigned long long>(second.total_moves),
                 identical ? "true" : "false");
   json += buffer;
   std::snprintf(buffer, sizeof buffer,

@@ -7,203 +7,117 @@
 
 namespace pts::cluster {
 
-namespace {
-
-using parallel::codec::Reader;
-using parallel::codec::Writer;
 using parallel::wire::MessageType;
 
-Status truncated(const char* what) {
-  return Status::invalid_argument(std::string("cluster: truncated or corrupt ") +
-                                  what + " payload");
-}
-
-std::vector<std::uint8_t> finish_frame(MessageType type, Writer payload_writer) {
-  auto payload = payload_writer.take();
-  PTS_CHECK_MSG(payload.size() <= parallel::wire::kMaxPayloadBytes,
-                "outgoing peer frame exceeds kMaxPayloadBytes");
-  Writer frame;
-  frame.u16(parallel::wire::kMagic);
-  frame.u8(parallel::wire::kVersion);
-  frame.u8(static_cast<std::uint8_t>(type));
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  auto out = frame.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-void put_record(Writer& w, const ReplicateRecord& record) {
-  w.u64(record.seq);
-  w.u8(static_cast<std::uint8_t>(record.kind));
-  w.u64(record.job_id);
-  switch (record.kind) {
+template <class V, parallel::codec::Of<ReplicateRecord> M>
+void fields(V& v, M& m) {
+  v.u64(m.seq);
+  v.enumeration(m.kind, ReplicateRecord::Kind::kSubmitted,
+                ReplicateRecord::Kind::kDedup);
+  v.u64(m.job_id);
+  switch (m.kind) {
     case ReplicateRecord::Kind::kSubmitted:
-      PTS_CHECK_MSG(record.instance.has_value(),
-                    "a kSubmitted replicate record needs its instance");
-      parallel::wire::put_instance(w, *record.instance);
-      service::journal::put_job_options(w, record.options);
-      w.str(record.tenant);
-      w.u8(static_cast<std::uint8_t>(record.warm_start));
+      service::journal::submission_fields(v, v.required(m.instance), m.options,
+                                          m.tenant, m.warm_start);
       break;
     case ReplicateRecord::Kind::kDedup:
-      w.u64(record.dedup_primary);
+      v.u64(m.dedup_primary);
       break;
     case ReplicateRecord::Kind::kResolved:
       break;
   }
 }
 
-[[nodiscard]] Expected<ReplicateRecord> get_record(Reader& r) {
-  ReplicateRecord record;
-  record.seq = r.u64();
-  const auto kind = r.u8();
-  record.job_id = r.u64();
-  if (!r.ok() || kind < static_cast<std::uint8_t>(ReplicateRecord::Kind::kSubmitted) ||
-      kind > static_cast<std::uint8_t>(ReplicateRecord::Kind::kDedup)) {
-    return truncated("replicate record");
-  }
-  record.kind = static_cast<ReplicateRecord::Kind>(kind);
-  switch (record.kind) {
-    case ReplicateRecord::Kind::kSubmitted: {
-      auto instance = parallel::wire::get_instance(r);
-      if (!instance) return instance.status();
-      record.instance = std::move(*instance);
-      auto options = service::journal::get_job_options(r);
-      if (!options) return options.status();
-      record.options = std::move(*options);
-      record.tenant = r.str(/*max_len=*/256);
-      const auto warm = r.u8();
-      if (!r.ok() ||
-          warm > static_cast<std::uint8_t>(service::WarmStartPolicy::kSimilar)) {
-        return truncated("replicate record");
-      }
-      record.warm_start = static_cast<service::WarmStartPolicy>(warm);
-      break;
-    }
-    case ReplicateRecord::Kind::kDedup:
-      record.dedup_primary = r.u64();
-      if (!r.ok()) return truncated("replicate record");
-      break;
-    case ReplicateRecord::Kind::kResolved:
-      break;
-  }
-  return record;
+template <class V, parallel::codec::Of<PeerHello> M>
+void fields(V& v, M& m) {
+  v.str(m.cluster_name, /*max_len=*/256);
+  v.u64(m.coordinator_epoch);
 }
 
-}  // namespace
+template <class V, parallel::codec::Of<PeerWelcome> M>
+void fields(V& v, M& m) {
+  v.str(m.node_name, /*max_len=*/256);
+  v.u64(m.last_applied_seq);
+  v.u32(m.num_workers);
+}
+
+template <class V, parallel::codec::Of<PeerPing> M>
+void fields(V& v, M& m) {
+  v.u64(m.seq);
+}
+
+template <class V, parallel::codec::Of<PeerPong> M>
+void fields(V& v, M& m) {
+  v.u64(m.seq);
+  v.u32(m.running_jobs);
+  v.u32(m.queued_jobs);
+  v.u64(m.last_applied_seq);
+}
+
+template <class V, parallel::codec::Of<PeerReplicate> M>
+void fields(V& v, M& m) {
+  // 17 bytes is the smallest record (seq + kind + job id); the explicit cap
+  // keeps one frame's decode allocation bounded independent of the payload
+  // ceiling.
+  v.seq(m.records, /*min_bytes=*/17, kMaxReplicateRecordsPerFrame);
+}
+
+template <class V, parallel::codec::Of<PeerReplicateAck> M>
+void fields(V& v, M& m) {
+  v.u64(m.last_applied_seq);
+}
 
 std::vector<std::uint8_t> encode_peer_hello(const PeerHello& m) {
-  Writer w;
-  w.str(m.cluster_name);
-  w.u64(m.coordinator_epoch);
-  return finish_frame(MessageType::kPeerHello, std::move(w));
+  return parallel::wire::frame(MessageType::kPeerHello, m);
 }
 
 Expected<PeerHello> decode_peer_hello(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  PeerHello m;
-  m.cluster_name = r.str(/*max_len=*/256);
-  m.coordinator_epoch = r.u64();
-  if (!r.done()) return truncated("peer-hello");
-  return m;
+  return parallel::codec::decode(payload, PeerHello{}, "peer-hello");
 }
 
 std::vector<std::uint8_t> encode_peer_welcome(const PeerWelcome& m) {
-  Writer w;
-  w.str(m.node_name);
-  w.u64(m.last_applied_seq);
-  w.u32(m.num_workers);
-  return finish_frame(MessageType::kPeerWelcome, std::move(w));
+  return parallel::wire::frame(MessageType::kPeerWelcome, m);
 }
 
 Expected<PeerWelcome> decode_peer_welcome(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  PeerWelcome m;
-  m.node_name = r.str(/*max_len=*/256);
-  m.last_applied_seq = r.u64();
-  m.num_workers = r.u32();
-  if (!r.done()) return truncated("peer-welcome");
-  return m;
+  return parallel::codec::decode(payload, PeerWelcome{}, "peer-welcome");
 }
 
 std::vector<std::uint8_t> encode_peer_ping(const PeerPing& m) {
-  Writer w;
-  w.u64(m.seq);
-  return finish_frame(MessageType::kPeerPing, std::move(w));
+  return parallel::wire::frame(MessageType::kPeerPing, m);
 }
 
 Expected<PeerPing> decode_peer_ping(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  PeerPing m;
-  m.seq = r.u64();
-  if (!r.done()) return truncated("peer-ping");
-  return m;
+  return parallel::codec::decode(payload, PeerPing{}, "peer-ping");
 }
 
 std::vector<std::uint8_t> encode_peer_pong(const PeerPong& m) {
-  Writer w;
-  w.u64(m.seq);
-  w.u32(m.running_jobs);
-  w.u32(m.queued_jobs);
-  w.u64(m.last_applied_seq);
-  return finish_frame(MessageType::kPeerPong, std::move(w));
+  return parallel::wire::frame(MessageType::kPeerPong, m);
 }
 
 Expected<PeerPong> decode_peer_pong(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  PeerPong m;
-  m.seq = r.u64();
-  m.running_jobs = r.u32();
-  m.queued_jobs = r.u32();
-  m.last_applied_seq = r.u64();
-  if (!r.done()) return truncated("peer-pong");
-  return m;
+  return parallel::codec::decode(payload, PeerPong{}, "peer-pong");
 }
 
 std::vector<std::uint8_t> encode_peer_replicate(const PeerReplicate& m) {
   PTS_CHECK_MSG(m.records.size() <= kMaxReplicateRecordsPerFrame,
                 "replicate batch exceeds the per-frame record ceiling");
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(m.records.size()));
-  for (const auto& record : m.records) put_record(w, record);
-  return finish_frame(MessageType::kPeerReplicate, std::move(w));
+  return parallel::wire::frame(MessageType::kPeerReplicate, m);
 }
 
 Expected<PeerReplicate> decode_peer_replicate(
     std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const auto count = r.u32();
-  // 17 bytes is the smallest record (seq + kind + job id); the explicit cap
-  // keeps one frame's decode allocation bounded independent of the payload
-  // ceiling.
-  if (!r.ok() || count > kMaxReplicateRecordsPerFrame ||
-      !r.plausible_count(count, 17)) {
-    return truncated("peer-replicate");
-  }
-  PeerReplicate m;
-  m.records.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    auto record = get_record(r);
-    if (!record) return record.status();
-    m.records.push_back(std::move(*record));
-  }
-  if (!r.done()) return truncated("peer-replicate");
-  return m;
+  return parallel::codec::decode(payload, PeerReplicate{}, "peer-replicate");
 }
 
 std::vector<std::uint8_t> encode_peer_replicate_ack(const PeerReplicateAck& m) {
-  Writer w;
-  w.u64(m.last_applied_seq);
-  return finish_frame(MessageType::kPeerReplicateAck, std::move(w));
+  return parallel::wire::frame(MessageType::kPeerReplicateAck, m);
 }
 
 Expected<PeerReplicateAck> decode_peer_replicate_ack(
     std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  PeerReplicateAck m;
-  m.last_applied_seq = r.u64();
-  if (!r.done()) return truncated("peer-replicate-ack");
-  return m;
+  return parallel::codec::decode(payload, PeerReplicateAck{},
+                                 "peer-replicate-ack");
 }
 
 }  // namespace pts::cluster

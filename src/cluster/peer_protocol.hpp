@@ -11,7 +11,8 @@
 // payloads, absurd counts, unknown enum bytes and over-long strings come
 // back as a Status — never a crash, never an unbounded allocation. Peer
 // frames cross a machine boundary, so neither side trusts the other's
-// bytes; tests/cluster/test_peer_protocol.cpp fuzzes every frame.
+// bytes; the codec harness (tests/codec/test_codec_harness.cpp) fuzzes
+// every frame.
 
 #include <cstdint>
 #include <optional>

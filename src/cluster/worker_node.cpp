@@ -3,25 +3,15 @@
 #include <csignal>
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "cluster/peer_protocol.hpp"
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace pts::cluster {
-
-namespace {
-
-std::uint32_t env_u32(const char* name, std::uint32_t fallback = 0) {
-  const char* value = std::getenv(name);
-  if (!value || !*value) return fallback;
-  return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
-}
-
-}  // namespace
 
 WorkerNode::WorkerNode(WorkerNodeConfig config)
     : config_(std::move(config)),

@@ -1,243 +1,145 @@
 #include "net/protocol.hpp"
 
+#include <type_traits>
+
 #include "parallel/codec.hpp"
 #include "service/journal.hpp"
 #include "util/check.hpp"
 
-namespace pts::net {
-
-namespace {
-
-using parallel::codec::Reader;
-using parallel::codec::Writer;
-using parallel::wire::MessageType;
-
-Status truncated(const char* what) {
-  return Status::invalid_argument(std::string("net: truncated or corrupt ") +
-                                  what + " payload");
-}
-
-std::vector<std::uint8_t> finish_frame(MessageType type, Writer payload_writer) {
-  auto payload = payload_writer.take();
-  PTS_CHECK_MSG(payload.size() <= parallel::wire::kMaxPayloadBytes,
-                "outgoing net frame exceeds kMaxPayloadBytes");
-  Writer frame;
-  frame.u16(parallel::wire::kMagic);
-  frame.u8(parallel::wire::kVersion);
-  frame.u8(static_cast<std::uint8_t>(type));
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  auto out = frame.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
+namespace pts {
 
 /// Status on the wire: code byte + message. The code byte is validated on
 /// the way in — an unknown code is a corrupt frame, not a new enumerator.
-void put_status(Writer& w, const Status& status) {
-  w.u8(static_cast<std::uint8_t>(status.code()));
-  w.str(status.message());
+/// Status is built through its constructor, so the list reads the parts and
+/// the decoder assembles them.
+template <class V, parallel::codec::Of<Status> M>
+void fields(V& v, M& status) {
+  StatusCode code = status.code();
+  std::string message = status.message();
+  v.enumeration(code, StatusCode::kOk, StatusCode::kInternal);
+  v.str(message, /*max_len=*/4096);
+  if constexpr (!std::is_const_v<M>) status = Status(code, std::move(message));
 }
 
-[[nodiscard]] bool get_status(Reader& r, Status& out) {
-  const auto code = r.u8();
-  auto message = r.str(/*max_len=*/4096);
-  if (!r.ok() || code > static_cast<std::uint8_t>(StatusCode::kInternal)) {
-    return false;
-  }
-  out = Status(static_cast<StatusCode>(code), std::move(message));
-  return true;
+}  // namespace pts
+
+namespace pts::net {
+
+using parallel::wire::MessageType;
+
+template <class V, parallel::codec::Of<SubmitJob> M>
+void fields(V& v, M& m) {
+  v.u64(m.request_id);
+  v.str(m.tenant, /*max_len=*/256);
+  v.i32(m.priority);
+  v.optional_f64(m.deadline_seconds);
+  v.enumeration(m.warm_start, service::WarmStartPolicy::kDisabled,
+                service::WarmStartPolicy::kSimilar);
+  v.flag(m.allow_dedup);
+  fields(v, m.options);
+  fields(v, m.instance);
 }
 
-}  // namespace
+template <class V, parallel::codec::Of<SubmitAck> M>
+void fields(V& v, M& m) {
+  v.u64(m.request_id);
+  fields(v, m.status);
+  v.u64(m.job_id);
+  v.u64(m.content_hash);
+  v.flag(m.deduplicated);
+}
+
+template <class V, parallel::codec::Of<JobEvent> M>
+void fields(V& v, M& m) {
+  v.u64(m.request_id);
+  // One event kind today; any other byte is corruption.
+  v.enumeration(m.kind, JobEvent::Kind::kAnytimeChunk,
+                JobEvent::Kind::kAnytimeChunk);
+  // The explicit cap keeps one frame's decode allocation bounded
+  // independent of the payload ceiling.
+  v.seq(m.anytime, obs::kAnytimeSampleBytes, kMaxAnytimeSamplesPerEvent);
+}
+
+template <class V, parallel::codec::Of<JobResultFrame> M>
+void fields(V& v, M& m) {
+  v.u64(m.request_id);
+  fields(v, m.status);
+  v.enumeration(m.origin, service::JobOrigin::kFresh,
+                service::JobOrigin::kResumed);
+  v.f64(m.best_value);
+  v.optional(m.best);
+  v.u64(m.total_moves);
+  v.flag(m.reached_target);
+  v.u64(m.slave_faults);
+  v.f64(m.queue_seconds);
+  v.f64(m.run_seconds);
+  v.u64(m.start_sequence);
+  v.str(m.tenant, /*max_len=*/256);
+  v.u64(m.content_hash);
+  v.flag(m.deduplicated);
+  v.flag(m.warm_started);
+}
+
+template <class V, parallel::codec::Of<CancelJob> M>
+void fields(V& v, M& m) {
+  v.u64(m.request_id);
+}
+
+template <class V, parallel::codec::Of<Goodbye> M>
+void fields(V& v, M& m) {
+  v.str(m.reason, /*max_len=*/4096);
+}
 
 std::vector<std::uint8_t> encode_submit_job(const SubmitJob& m) {
-  Writer w;
-  w.u64(m.request_id);
-  w.str(m.tenant);
-  w.i32(m.priority);
-  w.u8(m.deadline_seconds.has_value() ? 1 : 0);
-  w.f64(m.deadline_seconds.value_or(0.0));
-  w.u8(static_cast<std::uint8_t>(m.warm_start));
-  w.u8(m.allow_dedup ? 1 : 0);
-  service::journal::put_job_options(w, m.options);
-  parallel::wire::put_instance(w, m.instance);
-  return finish_frame(MessageType::kSubmitJob, std::move(w));
+  return parallel::wire::frame(MessageType::kSubmitJob, m);
 }
 
 Expected<SubmitJob> decode_submit_job(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const auto request_id = r.u64();
-  auto tenant = r.str(/*max_len=*/256);
-  const auto priority = r.i32();
-  const bool has_deadline = r.u8() != 0;
-  const double deadline = r.f64();
-  const auto warm = r.u8();
-  const bool allow_dedup = r.u8() != 0;
-  if (!r.ok() ||
-      warm > static_cast<std::uint8_t>(service::WarmStartPolicy::kSimilar)) {
-    return truncated("submit-job");
-  }
-  auto options = service::journal::get_job_options(r);
-  if (!options) return options.status();
-  auto instance = parallel::wire::get_instance(r);
-  if (!instance) return instance.status();
-  if (!r.done()) return truncated("submit-job");
-  SubmitJob m{request_id,
-              std::move(tenant),
-              priority,
-              has_deadline ? std::optional<double>(deadline) : std::nullopt,
-              static_cast<service::WarmStartPolicy>(warm),
-              allow_dedup,
-              std::move(*options),
-              std::move(*instance)};
-  return m;
+  SubmitJob blank{.instance = parallel::codec::blank_instance()};
+  return parallel::codec::decode(payload, std::move(blank), "submit-job");
 }
 
 std::vector<std::uint8_t> encode_submit_ack(const SubmitAck& m) {
-  Writer w;
-  w.u64(m.request_id);
-  put_status(w, m.status);
-  w.u64(m.job_id);
-  w.u64(m.content_hash);
-  w.u8(m.deduplicated ? 1 : 0);
-  return finish_frame(MessageType::kSubmitAck, std::move(w));
+  return parallel::wire::frame(MessageType::kSubmitAck, m);
 }
 
 Expected<SubmitAck> decode_submit_ack(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  SubmitAck m;
-  m.request_id = r.u64();
-  if (!get_status(r, m.status)) return truncated("submit-ack status");
-  m.job_id = r.u64();
-  m.content_hash = r.u64();
-  m.deduplicated = r.u8() != 0;
-  if (!r.done()) return truncated("submit-ack");
-  return m;
+  return parallel::codec::decode(payload, SubmitAck{}, "submit-ack");
 }
 
 std::vector<std::uint8_t> encode_job_event(const JobEvent& m) {
   PTS_CHECK_MSG(m.anytime.size() <= kMaxAnytimeSamplesPerEvent,
                 "job event exceeds the per-frame sample ceiling");
-  Writer w;
-  w.u64(m.request_id);
-  w.u8(static_cast<std::uint8_t>(m.kind));
-  w.u32(static_cast<std::uint32_t>(m.anytime.size()));
-  for (const auto& sample : m.anytime) {
-    w.i32(sample.source);
-    w.f64(sample.seconds);
-    w.u64(sample.work_units);
-    w.f64(sample.value);
-  }
-  return finish_frame(MessageType::kJobEvent, std::move(w));
+  return parallel::wire::frame(MessageType::kJobEvent, m);
 }
 
 Expected<JobEvent> decode_job_event(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  JobEvent m;
-  m.request_id = r.u64();
-  const auto kind = r.u8();
-  const auto count = r.u32();
-  if (!r.ok() || kind != static_cast<std::uint8_t>(JobEvent::Kind::kAnytimeChunk)) {
-    return truncated("job-event");
-  }
-  // 28 bytes per serialized sample; the explicit cap keeps one frame's
-  // decode allocation bounded independent of the payload ceiling.
-  if (count > kMaxAnytimeSamplesPerEvent || !r.plausible_count(count, 28)) {
-    return truncated("job-event samples");
-  }
-  m.anytime.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    obs::AnytimeSample sample;
-    sample.source = r.i32();
-    sample.seconds = r.f64();
-    sample.work_units = r.u64();
-    sample.value = r.f64();
-    m.anytime.push_back(sample);
-  }
-  if (!r.done()) return truncated("job-event");
-  return m;
+  return parallel::codec::decode(payload, JobEvent{}, "job-event");
 }
 
 std::vector<std::uint8_t> encode_job_result(const JobResultFrame& m) {
-  Writer w;
-  w.u64(m.request_id);
-  put_status(w, m.status);
-  w.u8(static_cast<std::uint8_t>(m.origin));
-  w.f64(m.best_value);
-  w.u8(m.best.has_value() ? 1 : 0);
-  if (m.best) parallel::wire::put_solution(w, *m.best);
-  w.u64(m.total_moves);
-  w.u8(m.reached_target ? 1 : 0);
-  w.u64(m.slave_faults);
-  w.f64(m.queue_seconds);
-  w.f64(m.run_seconds);
-  w.u64(m.start_sequence);
-  w.str(m.tenant);
-  w.u64(m.content_hash);
-  w.u8(m.deduplicated ? 1 : 0);
-  w.u8(m.warm_started ? 1 : 0);
-  return finish_frame(MessageType::kJobResult, std::move(w));
+  return parallel::wire::frame(MessageType::kJobResult, m);
 }
 
 Expected<JobResultFrame> decode_job_result(std::span<const std::uint8_t> payload,
                                            const mkp::Instance& inst) {
-  Reader r(payload);
-  JobResultFrame m;
-  m.request_id = r.u64();
-  if (!get_status(r, m.status)) return truncated("job-result status");
-  const auto origin = r.u8();
-  m.best_value = r.f64();
-  const auto has_best = r.u8();
-  if (!r.ok() ||
-      origin > static_cast<std::uint8_t>(service::JobOrigin::kResumed)) {
-    return truncated("job-result");
-  }
-  m.origin = static_cast<service::JobOrigin>(origin);
-  if (has_best != 0) {
-    auto solution = parallel::wire::get_solution(r, inst);
-    if (!solution) return solution.status();
-    m.best = std::move(*solution);
-  }
-  m.total_moves = r.u64();
-  m.reached_target = r.u8() != 0;
-  m.slave_faults = r.u64();
-  m.queue_seconds = r.f64();
-  m.run_seconds = r.f64();
-  m.start_sequence = r.u64();
-  m.tenant = r.str(/*max_len=*/256);
-  m.content_hash = r.u64();
-  m.deduplicated = r.u8() != 0;
-  m.warm_started = r.u8() != 0;
-  if (!r.done()) return truncated("job-result");
-  return m;
+  return parallel::codec::decode(payload, JobResultFrame{}, "job-result", &inst);
 }
 
 std::vector<std::uint8_t> encode_cancel_job(const CancelJob& m) {
-  Writer w;
-  w.u64(m.request_id);
-  return finish_frame(MessageType::kCancelJob, std::move(w));
+  return parallel::wire::frame(MessageType::kCancelJob, m);
 }
 
 Expected<CancelJob> decode_cancel_job(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  CancelJob m;
-  m.request_id = r.u64();
-  if (!r.done()) return truncated("cancel-job");
-  return m;
+  return parallel::codec::decode(payload, CancelJob{}, "cancel-job");
 }
 
 std::vector<std::uint8_t> encode_goodbye(const Goodbye& m) {
-  Writer w;
-  w.str(m.reason);
-  return finish_frame(MessageType::kGoodbye, std::move(w));
+  return parallel::wire::frame(MessageType::kGoodbye, m);
 }
 
 Expected<Goodbye> decode_goodbye(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  Goodbye m;
-  m.reason = r.str(/*max_len=*/4096);
-  if (!r.done()) return truncated("goodbye");
-  return m;
+  return parallel::codec::decode(payload, Goodbye{}, "goodbye");
 }
 
 }  // namespace pts::net

@@ -8,13 +8,13 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/transport.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -22,12 +22,6 @@
 namespace pts::net {
 
 namespace {
-
-std::uint32_t env_u32(const char* name) {
-  const char* value = std::getenv(name);
-  if (!value || !*value) return 0;
-  return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
-}
 
 Status errno_status(const char* what) {
   return Status::unavailable(std::string("net: ") + what + ": " +

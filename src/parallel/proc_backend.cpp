@@ -23,6 +23,7 @@
 #include "parallel/slave.hpp"
 #include "parallel/wire.hpp"
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/rng.hpp"
 
 extern char** environ;
@@ -59,12 +60,6 @@ Expected<int> raise_fd(int fd) {
 ProcOptions resolve_options(ProcOptions options) {
   if (options.worker_path.empty()) options.worker_path = default_worker_path();
   return options;
-}
-
-std::uint32_t env_u32(const char* name) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return 0;
-  return static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
 }
 
 /// Chaos: flips one payload byte. The header stays valid, so the frame

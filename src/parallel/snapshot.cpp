@@ -26,102 +26,83 @@ Status corrupt(const char* what) {
                                   what);
 }
 
-void put_optional_solution(Writer& w, const std::optional<mkp::Solution>& s) {
-  w.u8(s.has_value() ? 1 : 0);
-  if (s) wire::put_solution(w, *s);
+}  // namespace
+
+// -- Field lists of the checkpoint body. A v1 body ends before the core
+//    section. --
+
+template <class V, codec::Of<SlaveState> M>
+void fields(V& v, M& s) {
+  fields(v, s.strategy);
+  v.i32(s.score);
+  v.optional(s.initial);
+  v.seq(s.b_best, wire::solution_min_bytes(v));
+  v.u64(s.rounds_unchanged);
+  v.u64(s.moves_before_round);
+  v.u64(s.consecutive_faults);
+  v.flag(s.active);
 }
 
-Expected<std::optional<mkp::Solution>> get_optional_solution(
-    Reader& r, const mkp::Instance& inst) {
-  const bool present = r.u8() != 0;
-  if (!r.ok()) return corrupt("solution flag");
-  if (!present) return std::optional<mkp::Solution>{};
-  auto solution = wire::get_solution(r, inst);
-  if (!solution) return solution.status();
-  return std::optional<mkp::Solution>{*std::move(solution)};
+template <class V, codec::Of<CoreSection> M>
+void fields(V& v, M& core) {
+  // A disengaged run writes the single 0 flag byte.
+  bool engaged = core.engaged();
+  v.flag(engaged);
+  if (!engaged) return;
+  v.u32(core.full_instance_fingerprint);
+  v.seq(core.status, /*min_bytes=*/1);
+  // engaged() is defined by non-emptiness: an engaged-but-empty section is
+  // self-contradictory.
+  v.check(!core.status.empty(), "snapshot core section is engaged but empty");
 }
 
-void put_slave(Writer& w, const SlaveState& s) {
-  wire::put_strategy(w, s.strategy);
-  w.i32(s.score);
-  put_optional_solution(w, s.initial);
-  w.u32(static_cast<std::uint32_t>(s.b_best.size()));
-  for (const auto& solution : s.b_best) wire::put_solution(w, solution);
-  w.u64(s.rounds_unchanged);
-  w.u64(s.moves_before_round);
-  w.u64(s.consecutive_faults);
-  w.u8(s.active ? 1 : 0);
+/// The identity block, decoded (and checked against the instance) before any
+/// solution bits are trusted.
+template <class V, codec::Of<MasterCheckpoint> M>
+void identity_fields(V& v, M& cp) {
+  v.u32(cp.instance_fingerprint);
+  v.u64(cp.seed);
+  v.u32(cp.num_slaves);
+  v.flag(cp.share_solutions);
+  v.flag(cp.adapt_strategies);
+  v.u64(cp.next_round);
 }
 
-Expected<SlaveState> get_slave(Reader& r, const mkp::Instance& inst) {
-  SlaveState s;
-  s.strategy = wire::get_strategy(r);
-  s.score = r.i32();
-  if (!r.ok()) return corrupt("slave record");
-  auto initial = get_optional_solution(r, inst);
-  if (!initial) return initial.status();
-  s.initial = *std::move(initial);
-  const auto b_count = r.u32();
-  // A serialized solution costs at least its bitvec words.
-  if (!r.plausible_count(b_count, 8 + inst.num_items() / 8)) {
-    return corrupt("slave elite pool");
-  }
-  s.b_best.reserve(b_count);
-  for (std::uint32_t k = 0; k < b_count; ++k) {
-    auto solution = wire::get_solution(r, inst);
-    if (!solution) return solution.status();
-    s.b_best.push_back(*std::move(solution));
-  }
-  s.rounds_unchanged = static_cast<std::size_t>(r.u64());
-  s.moves_before_round = r.u64();
-  s.consecutive_faults = static_cast<std::size_t>(r.u64());
-  s.active = r.u8() != 0;
-  if (!r.ok()) return corrupt("slave record");
-  return s;
+template <class V, codec::Of<MasterCheckpoint> M>
+void state_fields(V& v, M& cp) {
+  fields(v, cp.best);
+  for (auto& word : cp.master_rng_state) v.u64(word);
+  // Each slave record costs at least strategy + score + flags.
+  v.seq(cp.slaves, /*min_bytes=*/4 * 8 + 4);
+  v.check(cp.slaves.size() == cp.num_slaves,
+          "snapshot slave table count disagrees with its header");
+  v.u64(cp.total_moves);
+  v.f64(cp.elapsed_seconds);
+  v.u64(cp.rounds_completed);
+  v.u64(cp.strategy_retunes);
+  v.u64(cp.global_best_injections);
+  v.u64(cp.random_restarts);
+  v.u64(cp.relink_improvements);
+  v.u64(cp.slave_faults);
+  v.u64(cp.slave_respawns);
+  if (v.since(2)) fields(v, cp.core);
 }
+
+namespace {
 
 std::vector<std::uint8_t> encode_body(const MasterCheckpoint& cp) {
   Writer w;
-  w.u32(cp.instance_fingerprint);
-  w.u64(cp.seed);
-  w.u32(cp.num_slaves);
-  w.u8(cp.share_solutions ? 1 : 0);
-  w.u8(cp.adapt_strategies ? 1 : 0);
-  w.u64(cp.next_round);
-  wire::put_solution(w, cp.best);
-  for (const auto word : cp.master_rng_state) w.u64(word);
-  w.u32(static_cast<std::uint32_t>(cp.slaves.size()));
-  for (const auto& slave : cp.slaves) put_slave(w, slave);
-  w.u64(cp.total_moves);
-  w.f64(cp.elapsed_seconds);
-  w.u64(cp.rounds_completed);
-  w.u64(cp.strategy_retunes);
-  w.u64(cp.global_best_injections);
-  w.u64(cp.random_restarts);
-  w.u64(cp.relink_improvements);
-  w.u64(cp.slave_faults);
-  w.u64(cp.slave_respawns);
-  // v2 core-reduction section. Always written (we always emit version 2);
-  // a disengaged run writes the single 0 flag byte.
-  w.u8(cp.core.engaged() ? 1 : 0);
-  if (cp.core.engaged()) {
-    w.u32(cp.core.full_instance_fingerprint);
-    wire::put_fixed_status(w, cp.core.status);
-  }
+  identity_fields(w, cp);
+  state_fields(w, cp);
   return w.take();
 }
 
 Expected<MasterCheckpoint> decode_body(std::span<const std::uint8_t> body,
                                        std::uint8_t version,
                                        const mkp::Instance& inst) {
-  Reader r(body);
+  Reader r(body, &inst, version);
   MasterCheckpoint cp(inst);
-  cp.instance_fingerprint = r.u32();
-  cp.seed = r.u64();
-  cp.num_slaves = r.u32();
-  cp.share_solutions = r.u8() != 0;
-  cp.adapt_strategies = r.u8() != 0;
-  cp.next_round = r.u64();
+  identity_fields(r, cp);
   if (!r.ok()) return corrupt("checkpoint header fields");
   // Reject a foreign file before trusting any solution bits against `inst` —
   // a checkpoint of another instance would otherwise fail with a confusing
@@ -131,46 +112,8 @@ Expected<MasterCheckpoint> decode_body(std::span<const std::uint8_t> body,
         "snapshot: checkpoint was written for a different instance "
         "(fingerprint mismatch)");
   }
-  auto best = wire::get_solution(r, inst);
-  if (!best) return best.status();
-  cp.best = *std::move(best);
-  for (auto& word : cp.master_rng_state) word = r.u64();
-  const auto slave_count = r.u32();
-  // Each slave record costs at least strategy + score + flags.
-  if (!r.plausible_count(slave_count, 4 * 8 + 4)) {
-    return corrupt("slave table");
-  }
-  if (slave_count != cp.num_slaves) {
-    return corrupt("slave table (count disagrees with header)");
-  }
-  cp.slaves.reserve(slave_count);
-  for (std::uint32_t k = 0; k < slave_count; ++k) {
-    auto slave = get_slave(r, inst);
-    if (!slave) return slave.status();
-    cp.slaves.push_back(*std::move(slave));
-  }
-  cp.total_moves = r.u64();
-  cp.elapsed_seconds = r.f64();
-  cp.rounds_completed = r.u64();
-  cp.strategy_retunes = r.u64();
-  cp.global_best_injections = r.u64();
-  cp.random_restarts = r.u64();
-  cp.relink_improvements = r.u64();
-  cp.slave_faults = r.u64();
-  cp.slave_respawns = r.u64();
-  if (version >= 2) {
-    const bool engaged = r.u8() != 0;
-    if (!r.ok()) return corrupt("core section flag");
-    if (engaged) {
-      cp.core.full_instance_fingerprint = r.u32();
-      if (!r.ok()) return corrupt("core section fingerprint");
-      auto status = wire::get_fixed_status(r);
-      if (!status) return status.status();
-      if (status->empty()) return corrupt("core section (engaged but empty)");
-      cp.core.status = *std::move(status);
-    }
-  }
-  if (!r.done()) return corrupt("checkpoint tail");
+  state_fields(r, cp);
+  if (auto status = r.finish("checkpoint body"); !status.ok()) return status;
   return cp;
 }
 

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 
 namespace pts::parallel::wire {
 
-// Byte-level primitives live in parallel/codec.hpp, shared with the on-disk
-// snapshot and journal formats so the fuzz tests here pin all three down.
 using codec::Reader;
 using codec::Writer;
 
@@ -19,22 +16,11 @@ Status truncated(const char* what) {
                                   what + " payload");
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Sub-codecs. put_* appends into an open Writer; get_* consumes from a
-// Reader (failures latch in the reader; callers check once).
-// ---------------------------------------------------------------------------
-
-void put_solution(Writer& w, const mkp::Solution& solution) {
-  w.u32(static_cast<std::uint32_t>(solution.num_items()));
-  const auto& words = solution.bits().words();
-  w.u32(static_cast<std::uint32_t>(words.size()));
-  for (const auto word : words) w.u64(word);
-  w.f64(solution.value());
-}
-
-Expected<mkp::Solution> get_solution(Reader& r, const mkp::Instance& inst) {
+/// Reads a solution's bits into `solution`, which must be empty (the
+/// decoder's blank over the expected instance).
+Status read_solution(Reader& r, mkp::Solution& solution) {
+  PTS_DCHECK(solution.cardinality() == 0);
+  const auto& inst = solution.instance();
   const auto n_bits = r.u32();
   const auto n_words = r.u32();
   if (!r.ok()) return truncated("solution");
@@ -46,7 +32,6 @@ Expected<mkp::Solution> get_solution(Reader& r, const mkp::Instance& inst) {
   if (n_words != (n_bits + 63) / 64 || !r.plausible_count(n_words, 8)) {
     return truncated("solution bitvec");
   }
-  mkp::Solution solution(inst);
   for (std::uint32_t k = 0; k < n_words; ++k) {
     std::uint64_t word = r.u64();
     if (!r.ok()) return truncated("solution bitvec");
@@ -71,36 +56,37 @@ Expected<mkp::Solution> get_solution(Reader& r, const mkp::Instance& inst) {
   if (!(std::abs(claimed - rebuilt) <= tol)) {
     return Status::invalid_argument("wire: solution value does not match its bits");
   }
+  return Status{};
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Open-stream sub-codecs: thin shells over the field lists.
+// ---------------------------------------------------------------------------
+
+void put_solution(Writer& w, const mkp::Solution& solution) {
+  fields(w, solution);
+}
+
+Expected<mkp::Solution> get_solution(Reader& r, const mkp::Instance& inst) {
+  mkp::Solution solution(inst);
+  if (auto status = read_solution(r, solution); !status.ok()) return status;
   return solution;
 }
 
-void put_strategy(Writer& w, const tabu::Strategy& s) {
-  w.u64(s.tabu_tenure);
-  w.u64(s.nb_drop);
-  w.u64(s.nb_local);
-  w.u64(s.nb_candidates);
+void put_strategy(Writer& w, const tabu::Strategy& strategy) {
+  fields(w, strategy);
 }
 
 tabu::Strategy get_strategy(Reader& r) {
-  tabu::Strategy s;
-  s.tabu_tenure = static_cast<std::size_t>(r.u64());
-  s.nb_drop = static_cast<std::size_t>(r.u64());
-  s.nb_local = static_cast<std::size_t>(r.u64());
-  s.nb_candidates = static_cast<std::size_t>(r.u64());
-  return s;
+  tabu::Strategy strategy;
+  fields(r, strategy);
+  return strategy;
 }
 
 void put_instance(Writer& w, const mkp::Instance& inst) {
-  w.str(inst.name());
-  w.u32(static_cast<std::uint32_t>(inst.num_items()));
-  w.u32(static_cast<std::uint32_t>(inst.num_constraints()));
-  w.f64_span(inst.profits());
-  for (std::size_t i = 0; i < inst.num_constraints(); ++i) {
-    w.f64_span(inst.weights_row(i));
-  }
-  w.f64_span(inst.capacities());
-  w.u8(inst.known_optimum().has_value() ? 1 : 0);
-  w.f64(inst.known_optimum().value_or(0.0));
+  fields(w, inst);
 }
 
 Expected<mkp::Instance> get_instance(Reader& r) {
@@ -128,102 +114,189 @@ Expected<mkp::Instance> get_instance(Reader& r) {
 }
 
 void put_fixed_status(Writer& w, std::span<const bounds::FixedValue> status) {
-  w.u32(static_cast<std::uint32_t>(status.size()));
-  for (const auto value : status) w.u8(static_cast<std::uint8_t>(value));
+  w.seq(status, 1);
 }
 
 Expected<std::vector<bounds::FixedValue>> get_fixed_status(Reader& r) {
-  const auto count = r.u32();
-  if (!r.ok() || !r.plausible_count(count, 1)) {
-    return truncated("fixing status");
-  }
   std::vector<bounds::FixedValue> status;
-  status.reserve(count);
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const auto byte = r.u8();
-    if (byte > static_cast<std::uint8_t>(bounds::FixedValue::kOne)) {
-      return Status::invalid_argument(
-          "wire: fixing status byte is not a FixedValue");
-    }
-    status.push_back(static_cast<bounds::FixedValue>(byte));
-  }
-  if (!r.ok()) return truncated("fixing status");
+  r.seq(status, 1);
+  if (auto verdict = r.status("fixing status"); !verdict.ok()) return verdict;
   return status;
 }
 
-namespace {
+}  // namespace pts::parallel::wire
 
-void put_params(Writer& w, const tabu::TsParams& p) {
-  put_strategy(w, p.strategy);
-  w.u64(p.nb_div);
-  w.u64(p.nb_int);
-  w.u64(p.b_best);
-  w.u8(static_cast<std::uint8_t>(p.intensification));
-  w.u64(p.oscillation_depth);
-  w.u8(static_cast<std::uint8_t>(p.tenure_control));
-  w.f64(p.high_frequency);
-  w.f64(p.low_frequency);
-  w.u64(p.diversify_hold);
-  w.u64(p.max_moves);
-  w.f64(p.time_limit_seconds);
-  w.u8(p.target_value.has_value() ? 1 : 0);
-  w.f64(p.target_value.value_or(0.0));
-  w.u8(p.run_to_budget ? 1 : 0);
+namespace pts::parallel::codec {
+
+const mkp::Instance& blank_instance() {
+  static const mkp::Instance blank("", {0.0}, {0.0}, {0.0});
+  return blank;
+}
+
+}  // namespace pts::parallel::codec
+
+namespace pts::mkp {
+
+void fields(parallel::codec::Writer& w, const Solution& solution) {
+  w.u32(static_cast<std::uint32_t>(solution.num_items()));
+  const auto& words = solution.bits().words();
+  w.u32(static_cast<std::uint32_t>(words.size()));
+  for (const auto word : words) w.u64(word);
+  w.f64(solution.value());
+}
+
+void fields(parallel::codec::Reader& r, Solution& solution) {
+  if (!r.ok()) return;
+  if (auto status = parallel::wire::read_solution(r, solution); !status.ok()) {
+    r.fail(std::move(status));
+  }
+}
+
+void fields(parallel::codec::Writer& w, const Instance& inst) {
+  w.str(inst.name());
+  w.u32(static_cast<std::uint32_t>(inst.num_items()));
+  w.u32(static_cast<std::uint32_t>(inst.num_constraints()));
+  w.f64_span(inst.profits());
+  for (std::size_t i = 0; i < inst.num_constraints(); ++i) {
+    w.f64_span(inst.weights_row(i));
+  }
+  w.f64_span(inst.capacities());
+  w.u8(inst.known_optimum().has_value() ? 1 : 0);
+  w.f64(inst.known_optimum().value_or(0.0));
+}
+
+void fields(parallel::codec::Reader& r, Instance& inst) {
+  if (!r.ok()) return;
+  auto decoded = parallel::wire::get_instance(r);
+  if (!decoded) return r.fail(decoded.status());
+  inst = std::move(*decoded);
+}
+
+}  // namespace pts::mkp
+
+// ---------------------------------------------------------------------------
+// Field lists of the worker range (DESIGN.md §8).
+// ---------------------------------------------------------------------------
+
+namespace pts::tabu {
+
+template <class V, parallel::codec::Of<TsParams> M>
+void fields(V& v, M& p) {
+  fields(v, p.strategy);
+  v.u64(p.nb_div);
+  v.u64(p.nb_int);
+  v.u64(p.b_best);
+  v.enumeration(p.intensification, IntensificationKind::kNone,
+                IntensificationKind::kStrategicOscillation);
+  v.u64(p.oscillation_depth);
+  v.enumeration(p.tenure_control, TenureControl::kFixed,
+                TenureControl::kReactive);
+  v.f64(p.high_frequency);
+  v.f64(p.low_frequency);
+  v.u64(p.diversify_hold);
+  v.u64(p.max_moves);
+  v.f64(p.time_limit_seconds);
+  v.optional_f64(p.target_value);
+  v.flag(p.run_to_budget);
   // TsParams::cancel deliberately does not travel: a process boundary has no
   // shared stop flag. The proc backend stops workers via Stop frames and, in
   // the limit, SIGKILL (see proc_backend.hpp).
 }
 
-tabu::TsParams get_params(Reader& r) {
-  tabu::TsParams p;
-  p.strategy = get_strategy(r);
-  p.nb_div = static_cast<std::size_t>(r.u64());
-  p.nb_int = static_cast<std::size_t>(r.u64());
-  p.b_best = static_cast<std::size_t>(r.u64());
-  p.intensification = static_cast<tabu::IntensificationKind>(r.u8());
-  p.oscillation_depth = static_cast<std::size_t>(r.u64());
-  p.tenure_control = static_cast<tabu::TenureControl>(r.u8());
-  p.high_frequency = r.f64();
-  p.low_frequency = r.f64();
-  p.diversify_hold = static_cast<std::size_t>(r.u64());
-  p.max_moves = r.u64();
-  p.time_limit_seconds = r.f64();
-  const bool has_target = r.u8() != 0;
-  const double target = r.f64();
-  if (has_target) p.target_value = target;
-  p.run_to_budget = r.u8() != 0;
-  return p;
-}
+}  // namespace pts::tabu
 
-void put_counters(Writer& w, const obs::Counters& counters) {
-  w.u32(static_cast<std::uint32_t>(obs::kCounterCount));
-  for (const auto slot : counters.slots) w.u64(slot);
-}
+namespace pts::obs {
 
-bool get_counters(Reader& r, obs::Counters& counters) {
-  const auto count = r.u32();
+template <class V, parallel::codec::Of<Counters> M>
+void fields(V& v, M& counters) {
+  std::uint32_t count = kCounterCount;
+  v.u32(count);
   // Strict: both ends are built from the same taxonomy; a mismatch means a
   // version skew the header byte should have caught.
-  if (count != obs::kCounterCount || !r.plausible_count(count, 8)) return false;
-  for (auto& slot : counters.slots) slot = r.u64();
-  return r.ok();
+  v.check(count == kCounterCount, "counter block does not match the taxonomy");
+  for (auto& slot : counters.slots) v.u64(slot);
 }
 
-std::vector<std::uint8_t> finish_frame(MessageType type, Writer payload_writer) {
-  auto payload = payload_writer.take();
-  PTS_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
-                "outgoing frame exceeds kMaxPayloadBytes");
-  Writer frame;
-  frame.u16(kMagic);
-  frame.u8(kVersion);
-  frame.u8(static_cast<std::uint8_t>(type));
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  auto out = frame.take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+}  // namespace pts::obs
+
+namespace pts::parallel {
+
+template <class V, codec::Of<Stop> M>
+void fields(V& /*v*/, M& /*m*/) {}
+
+template <class V, codec::Of<Assignment> M>
+void fields(V& v, M& m) {
+  v.u64(m.round);
+  fields(v, m.initial);
+  fields(v, m.params);
 }
 
-}  // namespace
+template <class V, codec::Of<Report> M>
+void fields(V& v, M& m) {
+  v.u32(m.slave_id);
+  v.u64(m.round);
+  v.f64(m.initial_value);
+  v.f64(m.final_value);
+  v.seq(m.elite, wire::solution_min_bytes(v));
+  v.u64(m.moves);
+  v.f64(m.seconds);
+  v.flag(m.reached_target);
+  fields(v, m.counters);
+  v.seq(m.anytime, obs::kAnytimeSampleBytes);
+}
+
+template <class V, codec::Of<SlaveFault> M>
+void fields(V& v, M& m) {
+  v.u32(m.slave_id);
+  v.u64(m.round);
+  v.str(m.what, /*max_len=*/65536);
+}
+
+}  // namespace pts::parallel
+
+namespace pts::parallel::wire {
+
+template <class V, codec::Of<Hello> M>
+void fields(V& v, M& m) {
+  v.u32(m.slave_id);
+  v.u64(m.seed);
+  fields(v, m.instance);
+  v.u8(m.flags);
+}
+
+template <class V, codec::Of<ChunkEvent> M>
+void fields(V& v, M& e) {
+  v.str(e.name, /*max_len=*/256);
+  v.u8(e.phase);
+  // The tracer only ever emits these phases; anything else is corruption.
+  v.check(e.phase == 'X' || e.phase == 'i' || e.phase == 'C' || e.phase == 'M',
+          "telemetry event has unknown phase");
+  v.u32(e.tid);
+  v.u64(e.ts_us);
+  v.u64(e.dur_us);
+  v.seq(e.args, /*min_bytes=*/10, /*max_count=*/64, [](auto& sub, auto& arg) {
+    sub.str(arg.first, /*max_len=*/256);
+    sub.f64(arg.second);
+  });
+  v.flag(e.has_detail);
+  if (e.has_detail) {
+    v.str(e.detail_key, /*max_len=*/256);
+    v.str(e.detail, /*max_len=*/4096);
+  }
+}
+
+template <class V, codec::Of<TelemetryChunk> M>
+void fields(V& v, M& m) {
+  v.u32(m.slave_id);
+  v.u64(m.worker_now_us);
+  // A serialized event costs at least name-length + fixed fields.
+  v.seq(m.events, /*min_bytes=*/24);
+  v.seq(m.counter_deltas, /*min_bytes=*/10, codec::kUncapped,
+        [](auto& sub, auto& delta) {
+          sub.str(delta.first, /*max_len=*/256);
+          sub.u64(delta.second);
+        });
+}
 
 Expected<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
@@ -262,257 +335,91 @@ Expected<FrameHeader> decode_header(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_hello(const Hello& hello) {
-  Writer w;
-  w.u32(hello.slave_id);
-  w.u64(hello.seed);
-  put_instance(w, hello.instance);
-  w.u8(hello.flags);
-  return finish_frame(MessageType::kHello, std::move(w));
+  return frame(MessageType::kHello, hello);
 }
 
 Expected<Hello> decode_hello(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const auto slave_id = r.u32();
-  const auto seed = r.u64();
-  if (!r.ok()) return truncated("hello");
-  auto inst = get_instance(r);
-  if (!inst) return inst.status();
-  const auto flags = r.u8();
-  if (!r.ok() || !r.done()) return truncated("hello");
-  return Hello{slave_id, seed, *std::move(inst), flags};
+  return codec::decode(payload, Hello{0, 0, codec::blank_instance(), 0}, "hello");
 }
 
 std::vector<std::uint8_t> encode_telemetry_chunk(const TelemetryChunk& chunk) {
-  Writer w;
-  w.u32(chunk.slave_id);
-  w.u64(static_cast<std::uint64_t>(chunk.worker_now_us));
-  w.u32(static_cast<std::uint32_t>(chunk.events.size()));
-  for (const auto& event : chunk.events) {
-    w.str(event.name);
-    w.u8(static_cast<std::uint8_t>(event.phase));
-    w.u32(event.tid);
-    w.u64(static_cast<std::uint64_t>(event.ts_us));
-    w.u64(static_cast<std::uint64_t>(event.dur_us));
-    w.u32(static_cast<std::uint32_t>(event.args.size()));
-    for (const auto& [key, value] : event.args) {
-      w.str(key);
-      w.f64(value);
-    }
-    w.u8(event.has_detail ? 1 : 0);
-    if (event.has_detail) {
-      w.str(event.detail_key);
-      w.str(event.detail);
-    }
-  }
-  w.u32(static_cast<std::uint32_t>(chunk.counter_deltas.size()));
-  for (const auto& [name, delta] : chunk.counter_deltas) {
-    w.str(name);
-    w.u64(delta);
-  }
-  return finish_frame(MessageType::kTelemetry, std::move(w));
+  return frame(MessageType::kTelemetry, chunk);
 }
 
 Expected<TelemetryChunk> decode_telemetry_chunk(
     std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  TelemetryChunk chunk;
-  chunk.slave_id = r.u32();
-  chunk.worker_now_us = static_cast<std::int64_t>(r.u64());
-  const auto event_count = r.u32();
-  // A serialized event costs at least name-length + fixed fields.
-  if (!r.ok() || !r.plausible_count(event_count, 24)) {
-    return truncated("telemetry chunk");
-  }
-  chunk.events.reserve(event_count);
-  for (std::uint32_t k = 0; k < event_count; ++k) {
-    ChunkEvent event;
-    event.name = r.str(/*max_len=*/256);
-    const auto phase = r.u8();
-    // The tracer only ever emits these phases; anything else is corruption.
-    if (phase != 'X' && phase != 'i' && phase != 'C' && phase != 'M') {
-      return Status::invalid_argument("wire: telemetry event has unknown phase");
-    }
-    event.phase = static_cast<char>(phase);
-    event.tid = r.u32();
-    event.ts_us = static_cast<std::int64_t>(r.u64());
-    event.dur_us = static_cast<std::int64_t>(r.u64());
-    const auto arg_count = r.u32();
-    if (!r.ok() || arg_count > 64 || !r.plausible_count(arg_count, 10)) {
-      return truncated("telemetry event args");
-    }
-    event.args.reserve(arg_count);
-    for (std::uint32_t a = 0; a < arg_count; ++a) {
-      auto key = r.str(/*max_len=*/256);
-      const auto value = r.f64();
-      event.args.emplace_back(std::move(key), value);
-    }
-    event.has_detail = r.u8() != 0;
-    if (event.has_detail) {
-      event.detail_key = r.str(/*max_len=*/256);
-      event.detail = r.str(/*max_len=*/4096);
-    }
-    if (!r.ok()) return truncated("telemetry event");
-    chunk.events.push_back(std::move(event));
-  }
-  const auto delta_count = r.u32();
-  if (!r.ok() || !r.plausible_count(delta_count, 10)) {
-    return truncated("telemetry counter deltas");
-  }
-  chunk.counter_deltas.reserve(delta_count);
-  for (std::uint32_t k = 0; k < delta_count; ++k) {
-    auto name = r.str(/*max_len=*/256);
-    const auto delta = r.u64();
-    chunk.counter_deltas.emplace_back(std::move(name), delta);
-  }
-  if (!r.done()) return truncated("telemetry chunk");
-  return chunk;
+  return codec::decode(payload, TelemetryChunk{}, "telemetry chunk");
 }
 
 std::vector<std::uint8_t> encode_to_slave(const ToSlave& message) {
-  if (std::holds_alternative<Stop>(message)) {
-    return finish_frame(MessageType::kStop, Writer{});
+  if (const auto* a = std::get_if<Assignment>(&message)) {
+    return frame(MessageType::kAssignment, *a);
   }
-  const auto& a = std::get<Assignment>(message);
-  Writer w;
-  w.u64(a.round);
-  put_solution(w, a.initial);
-  put_params(w, a.params);
-  return finish_frame(MessageType::kAssignment, std::move(w));
+  return frame(MessageType::kStop, Stop{});
 }
+
+namespace {
+
+/// Decodes one alternative `M` of the message variant `Variant`.
+template <class Variant, class M>
+Expected<Variant> decode_as(std::span<const std::uint8_t> payload, M blank,
+                            const char* what, const mkp::Instance& inst) {
+  auto message = codec::decode(payload, std::move(blank), what, &inst);
+  if (!message) return message.status();
+  return Variant{std::move(*message)};
+}
+
+}  // namespace
 
 Expected<ToSlave> decode_to_slave(MessageType type,
                                   std::span<const std::uint8_t> payload,
                                   const mkp::Instance& inst) {
-  switch (type) {
-    case MessageType::kStop:
-      if (!payload.empty()) return truncated("stop");
-      return ToSlave{Stop{}};
-    case MessageType::kAssignment: {
-      Reader r(payload);
-      const auto round = static_cast<std::size_t>(r.u64());
-      if (!r.ok()) return truncated("assignment");
-      auto initial = get_solution(r, inst);
-      if (!initial) return initial.status();
-      auto params = get_params(r);
-      if (!r.done()) return truncated("assignment");
-      return ToSlave{Assignment{round, *std::move(initial), params}};
-    }
-    default:
-      return Status::invalid_argument("wire: unexpected master->slave type " +
-                                      std::to_string(static_cast<int>(type)));
+  if (type == MessageType::kStop) {
+    return decode_as<ToSlave>(payload, Stop{}, "stop", inst);
   }
+  if (type == MessageType::kAssignment) {
+    return decode_as<ToSlave>(payload, Assignment{0, mkp::Solution(inst), {}},
+                              "assignment", inst);
+  }
+  return Status::invalid_argument("wire: unexpected master->slave type " +
+                                  std::to_string(static_cast<int>(type)));
 }
 
 std::vector<std::uint8_t> encode_from_slave(const FromSlave& message) {
   if (const auto* fault = std::get_if<SlaveFault>(&message)) {
-    Writer w;
-    w.u32(static_cast<std::uint32_t>(fault->slave_id));
-    w.u64(fault->round);
-    w.str(fault->what);
-    return finish_frame(MessageType::kFault, std::move(w));
+    return frame(MessageType::kFault, *fault);
   }
-  const auto& report = std::get<Report>(message);
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(report.slave_id));
-  w.u64(report.round);
-  w.f64(report.initial_value);
-  w.f64(report.final_value);
-  w.u32(static_cast<std::uint32_t>(report.elite.size()));
-  for (const auto& solution : report.elite) put_solution(w, solution);
-  w.u64(report.moves);
-  w.f64(report.seconds);
-  w.u8(report.reached_target ? 1 : 0);
-  put_counters(w, report.counters);
-  w.u32(static_cast<std::uint32_t>(report.anytime.size()));
-  for (const auto& sample : report.anytime) {
-    w.i32(sample.source);
-    w.f64(sample.seconds);
-    w.u64(sample.work_units);
-    w.f64(sample.value);
-  }
-  return finish_frame(MessageType::kReport, std::move(w));
+  return frame(MessageType::kReport, std::get<Report>(message));
 }
 
 Expected<FromSlave> decode_from_slave(MessageType type,
                                       std::span<const std::uint8_t> payload,
                                       const mkp::Instance& inst) {
-  Reader r(payload);
-  switch (type) {
-    case MessageType::kFault: {
-      SlaveFault fault;
-      fault.slave_id = static_cast<std::size_t>(r.u32());
-      fault.round = static_cast<std::size_t>(r.u64());
-      fault.what = r.str(/*max_len=*/65536);
-      if (!r.done()) return truncated("fault");
-      return FromSlave{std::move(fault)};
-    }
-    case MessageType::kReport: {
-      Report report;
-      report.slave_id = static_cast<std::size_t>(r.u32());
-      report.round = static_cast<std::size_t>(r.u64());
-      report.initial_value = r.f64();
-      report.final_value = r.f64();
-      const auto elite_count = r.u32();
-      // A solution costs at least its bitvec words on the wire.
-      if (!r.plausible_count(elite_count, 8 + inst.num_items() / 8)) {
-        return truncated("report elite");
-      }
-      report.elite.reserve(elite_count);
-      for (std::uint32_t k = 0; k < elite_count; ++k) {
-        auto solution = get_solution(r, inst);
-        if (!solution) return solution.status();
-        report.elite.push_back(*std::move(solution));
-      }
-      report.moves = r.u64();
-      report.seconds = r.f64();
-      report.reached_target = r.u8() != 0;
-      if (!get_counters(r, report.counters)) return truncated("report counters");
-      const auto sample_count = r.u32();
-      if (!r.plausible_count(sample_count, 28)) return truncated("report anytime");
-      report.anytime.reserve(sample_count);
-      for (std::uint32_t k = 0; k < sample_count; ++k) {
-        obs::AnytimeSample sample;
-        sample.source = r.i32();
-        sample.seconds = r.f64();
-        sample.work_units = r.u64();
-        sample.value = r.f64();
-        report.anytime.push_back(sample);
-      }
-      if (!r.done()) return truncated("report");
-      return FromSlave{std::move(report)};
-    }
-    default:
-      return Status::invalid_argument("wire: unexpected slave->master type " +
-                                      std::to_string(static_cast<int>(type)));
+  if (type == MessageType::kFault) {
+    return decode_as<FromSlave>(payload, SlaveFault{}, "fault", inst);
   }
+  if (type == MessageType::kReport) {
+    return decode_as<FromSlave>(payload, Report{}, "report", inst);
+  }
+  return Status::invalid_argument("wire: unexpected slave->master type " +
+                                  std::to_string(static_cast<int>(type)));
 }
 
 std::vector<std::uint8_t> encode_solution(const mkp::Solution& solution) {
-  Writer w;
-  put_solution(w, solution);
-  return w.take();
+  return codec::encode(solution);
 }
 
 Expected<mkp::Solution> decode_solution(std::span<const std::uint8_t> bytes,
                                         const mkp::Instance& inst) {
-  Reader r(bytes);
-  auto solution = get_solution(r, inst);
-  if (!solution) return solution.status();
-  if (!r.done()) return truncated("solution");
-  return solution;
+  return codec::decode(bytes, mkp::Solution(inst), "solution", &inst);
 }
 
 std::vector<std::uint8_t> encode_strategy(const tabu::Strategy& strategy) {
-  Writer w;
-  put_strategy(w, strategy);
-  return w.take();
+  return codec::encode(strategy);
 }
 
 Expected<tabu::Strategy> decode_strategy(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  auto strategy = get_strategy(r);
-  if (!r.done()) return truncated("strategy");
-  return strategy;
+  return codec::decode(bytes, tabu::Strategy{}, "strategy");
 }
 
 }  // namespace pts::parallel::wire

@@ -145,6 +145,24 @@ struct TelemetryChunk {
 [[nodiscard]] Expected<FrameHeader> decode_header(
     std::span<const std::uint8_t> bytes);
 
+/// One frame: the header, then `message`'s field list (parallel/codec.hpp),
+/// then the payload size patched into the header. Every frame encoder of all
+/// three ranges is this call; one buffer, no copy.
+template <class M>
+[[nodiscard]] std::vector<std::uint8_t> frame(MessageType type, const M& message) {
+  codec::Writer w;
+  w.u16(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u32(0);  // payload size, patched below
+  fields(w, message);
+  const std::size_t payload = w.size() - kHeaderBytes;
+  PTS_CHECK_MSG(payload <= kMaxPayloadBytes,
+                "outgoing frame exceeds kMaxPayloadBytes");
+  w.patch_u32(4, static_cast<std::uint32_t>(payload));
+  return w.take();
+}
+
 // -- Encoders. Each returns a complete frame, header included. --
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const Hello& hello);
@@ -181,13 +199,10 @@ struct TelemetryChunk {
 [[nodiscard]] Expected<tabu::Strategy> decode_strategy(
     std::span<const std::uint8_t> bytes);
 
-// -- Open-stream sub-codecs over the shared codec (parallel/codec.hpp).
-//    The crash-safe snapshot (parallel/snapshot.cpp) and the job journal
-//    (service/journal.cpp) embed these mid-stream inside their own CRC-
-//    guarded containers; the frame encoders above wrap the same functions,
-//    so one set of byte layouts serves the socket and the disk. get_* latch
-//    failures in the reader (or return a Status where rebuilding needs an
-//    instance); callers check once, per the total-decoder convention. --
+// -- Open-stream sub-codecs over the shared codec (parallel/codec.hpp), for
+//    callers that hold a Writer/Reader mid-stream. get_* latch failures in
+//    the reader (or return a Status where rebuilding needs an instance);
+//    callers check once, per the total-decoder convention. --
 
 void put_solution(codec::Writer& w, const mkp::Solution& solution);
 [[nodiscard]] Expected<mkp::Solution> get_solution(codec::Reader& r,
@@ -212,4 +227,64 @@ void put_fixed_status(codec::Writer& w, std::span<const bounds::FixedValue> stat
 [[nodiscard]] Expected<std::vector<bounds::FixedValue>> get_fixed_status(
     codec::Reader& r);
 
+/// The fewest bytes one encoded solution can occupy (its bitvec words): the
+/// min_bytes annotation of every solution list. Writers never need it.
+inline std::size_t solution_min_bytes(const codec::Writer& /*w*/) { return 0; }
+inline std::size_t solution_min_bytes(const codec::Reader& r) {
+  return 8 + r.instance().num_items() / 8;
+}
+
 }  // namespace pts::parallel::wire
+
+// -- Field lists of the values every format nests (parallel/codec.hpp). Each
+//    lives in its type's namespace so `fields(v, x)` finds it by ADL. --
+
+namespace pts::mkp {
+
+// Solutions and instances are leaves: they are built through validating
+// constructors, and a solution's decode re-checks its value against its
+// bits, so both codecs are explicit code (wire.cpp). Layouts:
+//   Solution: u32 items | u32 words | words x u64 | f64 value
+//   Instance: str name | u32 n | u32 m | n profits | n*m weights (row-major)
+//             | m capacities | u8 has_optimum | f64 optimum
+void fields(parallel::codec::Writer& w, const Solution& solution);
+void fields(parallel::codec::Reader& r, Solution& solution);
+void fields(parallel::codec::Writer& w, const Instance& inst);
+void fields(parallel::codec::Reader& r, Instance& inst);
+
+}  // namespace pts::mkp
+
+namespace pts::tabu {
+
+template <class V, parallel::codec::Of<Strategy> M>
+void fields(V& v, M& s) {
+  v.u64(s.tabu_tenure);
+  v.u64(s.nb_drop);
+  v.u64(s.nb_local);
+  v.u64(s.nb_candidates);
+}
+
+}  // namespace pts::tabu
+
+namespace pts::obs {
+
+template <class V, parallel::codec::Of<AnytimeSample> M>
+void fields(V& v, M& s) {
+  v.i32(s.source);
+  v.f64(s.seconds);
+  v.u64(s.work_units);
+  v.f64(s.value);
+}
+/// Bytes per encoded AnytimeSample (the min_bytes of sample lists).
+inline constexpr std::size_t kAnytimeSampleBytes = 28;
+
+}  // namespace pts::obs
+
+namespace pts::bounds {
+
+template <class V, parallel::codec::Of<FixedValue> M>
+void fields(V& v, M& value) {
+  v.enumeration(value, FixedValue::kFree, FixedValue::kOne);
+}
+
+}  // namespace pts::bounds

@@ -21,9 +21,11 @@
 // instant between its run and the resolved-record fsync runs again after
 // restart, which is safe because solves are idempotent.
 //
-// The instance travels via wire::put_instance / get_instance and the options
-// via the codec conventions of parallel/codec.hpp, so the journal inherits
-// the bounds-checked total-decoder behavior the wire fuzz tests pin down.
+// Record bodies are field lists (parallel/codec.hpp): the instance is the
+// wire's Instance leaf and the options are JobOptions' list below, so the
+// journal inherits the bounds-checked total decoders the codec harness
+// fuzzes. Fields added by a later version sit behind since() and default
+// when an older file replays.
 
 #include <cstdint>
 #include <memory>
@@ -33,6 +35,7 @@
 
 #include "mkp/instance.hpp"
 #include "parallel/codec.hpp"
+#include "parallel/wire.hpp"
 #include "service/job.hpp"
 #include "util/status.hpp"
 
@@ -174,4 +177,48 @@ void put_job_options(parallel::codec::Writer& w, const JobOptions& options);
 [[nodiscard]] Expected<JobOptions> get_job_options(
     parallel::codec::Reader& r, std::uint8_t version = kJournalVersion);
 
+/// A submission's field list after its job id: the kSubmitted body, and
+/// verbatim the cluster's kSubmitted replicate record (cluster/
+/// peer_protocol.cpp), so a replica's bytes are the journal's bytes.
+template <class V, class I, class O, class T, class W>
+void submission_fields(V& v, I& instance, O& options, T& tenant,
+                       W& warm_start) {
+  fields(v, instance);
+  fields(v, options);
+  if (v.since(3)) {
+    v.str(tenant, /*max_len=*/256);
+    v.enumeration(warm_start, WarmStartPolicy::kDisabled,
+                  WarmStartPolicy::kSimilar);
+  }
+}
+
 }  // namespace pts::service::journal
+
+namespace pts::service {
+
+template <class V, parallel::codec::Of<JobOptions> M>
+void fields(V& v, M& o) {
+  v.str(o.preset, /*max_len=*/256);
+  v.f64(o.time_budget_seconds);
+  v.optional_f64(o.deadline_seconds);
+  v.i32(o.priority);
+  v.u64(o.seed);
+  v.optional_f64(o.target_value);
+  v.optional_enum(o.mode, parallel::CooperationMode::kSequential,
+                  parallel::CooperationMode::kCooperativeAdaptive);
+  v.optional_enum(o.backend, parallel::Backend::kThread,
+                  parallel::Backend::kProcess);
+  // The proc farm shape: a resumed proc job must respawn the same workers
+  // under the same recovery policy.
+  v.str(o.proc.worker_path, /*max_len=*/4096);
+  v.f64(o.proc.worker_timeout_seconds);
+  v.u64(o.proc.max_respawns_per_slave);
+  v.f64(o.proc.respawn_backoff_base_seconds);
+  v.f64(o.proc.respawn_backoff_cap_seconds);
+  v.u64(o.proc.breaker_threshold);
+  v.f64(o.proc.breaker_window_seconds);
+  v.f64(o.proc.breaker_cooloff_seconds);
+  if (v.since(2)) v.flag(o.core_reduction);
+}
+
+}  // namespace pts::service

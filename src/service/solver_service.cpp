@@ -176,31 +176,6 @@ Expected<JobHandle> SolverService::submit(SubmitRequest request) {
   return handle;
 }
 
-SolverService::Submission SolverService::submit(mkp::Instance instance,
-                                                JobOptions options) {
-  SubmitRequest request;
-  request.instance =
-      std::make_shared<const mkp::Instance>(std::move(instance));
-  request.priority = options.priority;
-  request.deadline_seconds = options.deadline_seconds;
-  request.allow_dedup = false;  // the positional contract: one submit, one run
-  request.options = std::move(options);
-  auto outcome = submit_full(std::move(request), JobOrigin::kFresh);
-  return Submission{outcome.id, std::move(outcome.future)};
-}
-
-SolverService::Submission SolverService::submit(
-    std::shared_ptr<const mkp::Instance> instance, JobOptions options) {
-  SubmitRequest request;
-  request.instance = std::move(instance);
-  request.priority = options.priority;
-  request.deadline_seconds = options.deadline_seconds;
-  request.allow_dedup = false;
-  request.options = std::move(options);
-  auto outcome = submit_full(std::move(request), JobOrigin::kFresh);
-  return Submission{outcome.id, std::move(outcome.future)};
-}
-
 std::vector<SolverService::Submission> SolverService::take_recovered() {
   std::lock_guard lock(mutex_);
   return std::move(recovered_);
@@ -269,8 +244,8 @@ SolverService::SubmitOutcome SolverService::submit_full(
   out.id = waiter->id;
 
   // Validation: every failure is a structured Status, never an abort. The
-  // future is resolved with it too, so the positional shim keeps the old
-  // resolved-future contract.
+  // future is resolved with it too, so a recovered job that no longer
+  // validates still hands take_recovered() a resolved future.
   Status invalid;
   std::optional<parallel::ParallelConfig> preset;
   if (!waiter->instance) {

@@ -13,8 +13,7 @@
 // whose instance bytes AND solve-shaped options match an in-flight job
 // attaches to that job as an extra *waiter* instead of enqueuing a new
 // solve — one run fans out to every waiter's future, each with its own
-// deadline semantics. A positional submit(instance, options) shim keeps the
-// old resolved-future error contract for one release.
+// deadline semantics.
 //
 // Scheduling. A scheduler thread dispatches whenever capacity frees up.
 // Jobs resumed from the journal go absolutely first, in their original
@@ -94,15 +93,6 @@ class SolverService {
   /// so its lifetime is independent of the caller's copy.
   [[nodiscard]] Expected<JobHandle> submit(SubmitRequest request);
 
-  /// Transitional positional API: default tenant, no dedup, no warm start,
-  /// admission failures resolved INTO the future (the pre-tenant
-  /// contract). Kept for one release.
-  [[deprecated("build a SubmitRequest and call submit(SubmitRequest)")]]
-  Submission submit(mkp::Instance instance, JobOptions options = {});
-  [[deprecated("build a SubmitRequest and call submit(SubmitRequest)")]]
-  Submission submit(std::shared_ptr<const mkp::Instance> instance,
-                    JobOptions options = {});
-
   /// Queued waiter: resolves kCancelled immediately without running.
   /// Waiter on a running solve: detaches it (the shared solve continues for
   /// any other waiters; the last waiter's cancel fires the run's token and
@@ -139,7 +129,7 @@ class SolverService {
 
   /// What the internal submit path reports to both public faces. The future
   /// is always valid; when `error` is non-OK it has already been resolved
-  /// with that error (the shim hands it out; the new API drops it).
+  /// with that error (take_recovered hands it out; submit drops it).
   struct SubmitOutcome {
     JobId id = 0;
     TenantId tenant;

@@ -52,14 +52,45 @@ std::string entry_name(std::uint64_t content_hash) {
 /// The strategy/score section decoded; the solutions tail left unread (the
 /// caller decodes it only on an exact hit, against the live instance).
 struct EntryPrefix {
+  struct Seat {
+    tabu::Strategy strategy;
+    int score = 0;
+  };
   std::uint64_t content_hash = 0;
   std::uint32_t m = 0;
   std::uint32_t n = 0;
   double tightness = 0.0;
   double best_value = 0.0;
-  std::vector<tabu::Strategy> strategies;
-  std::vector<int> scores;
+  std::vector<Seat> seats;  ///< one per slave of the saved run
 };
+
+template <class V, parallel::codec::Of<EntryPrefix::Seat> M>
+void fields(V& v, M& seat) {
+  fields(v, seat.strategy);
+  v.i32(seat.score);
+}
+
+template <class V, parallel::codec::Of<EntryPrefix> M>
+void fields(V& v, M& p) {
+  v.u64(p.content_hash);
+  v.u32(p.m);
+  v.u32(p.n);
+  v.f64(p.tightness);
+  v.f64(p.best_value);
+  v.seq(p.seats, /*min_bytes=*/4 * 8 + 4);
+}
+
+/// The hit a prefix seeds: strategies and scores, no solutions yet.
+WarmStartStore::Hit make_hit(const EntryPrefix& prefix, bool exact) {
+  WarmStartStore::Hit hit;
+  hit.exact = exact;
+  hit.stored_best = prefix.best_value;
+  for (const auto& seat : prefix.seats) {
+    hit.warm.strategies.push_back(seat.strategy);
+    hit.warm.scores.push_back(seat.score);
+  }
+  return hit;
+}
 
 /// Reads one entry file into validated body bytes. Any malformation is a
 /// Status — lookup treats it as a miss for that entry.
@@ -142,26 +173,10 @@ Expected<std::vector<std::uint8_t>> read_prefix(const std::string& path,
 /// Decodes the feature + strategy prefix; leaves `r` positioned at the
 /// solutions section.
 Expected<EntryPrefix> get_prefix(Reader& r) {
-  EntryPrefix p;
-  p.content_hash = r.u64();
-  p.m = r.u32();
-  p.n = r.u32();
-  p.tightness = r.f64();
-  p.best_value = r.f64();
-  const auto nslaves = r.u32();
-  if (!r.plausible_count(nslaves, 8)) {
-    return Status::invalid_argument("warm-start store: implausible slave count");
-  }
-  p.strategies.reserve(nslaves);
-  p.scores.reserve(nslaves);
-  for (std::uint32_t i = 0; i < nslaves; ++i) {
-    p.strategies.push_back(parallel::wire::get_strategy(r));
-    p.scores.push_back(r.i32());
-  }
-  if (!r.ok()) {
-    return Status::invalid_argument("warm-start store: truncated entry");
-  }
-  return p;
+  EntryPrefix prefix;
+  fields(r, prefix);
+  if (auto status = r.status("warm-start entry"); !status.ok()) return status;
+  return prefix;
 }
 
 }  // namespace
@@ -232,11 +247,7 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
     Reader r(body_span);
     if (auto prefix = get_prefix(r); prefix &&
                                      prefix->content_hash == content_hash) {
-      Hit hit;
-      hit.exact = true;
-      hit.stored_best = prefix->best_value;
-      hit.warm.strategies = std::move(prefix->strategies);
-      hit.warm.scores = std::move(prefix->scores);
+      Hit hit = make_hit(*prefix, /*exact=*/true);
       // Exact hit: the saved elite solutions are solutions OF this
       // instance — decode and seed them as initials.
       const auto nsol = r.u32();
@@ -312,13 +323,8 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
     Reader r(body_span);
     auto prefix = get_prefix(r);
     if (!prefix) continue;
-    Hit hit;
-    hit.exact = false;
-    hit.stored_best = prefix->best_value;
-    hit.warm.strategies = std::move(prefix->strategies);
-    hit.warm.scores = std::move(prefix->scores);
     obs::metrics().counter("warm_start_similar_hits_total").add();
-    return hit;
+    return make_hit(*prefix, /*exact=*/false);
   }
   return std::nullopt;
 }
@@ -349,17 +355,17 @@ Status WarmStartStore::save(
     }
   }
 
-  Writer body;
-  body.u64(content_hash);
-  body.u32(static_cast<std::uint32_t>(inst.num_constraints()));
-  body.u32(static_cast<std::uint32_t>(inst.num_items()));
-  body.f64(mean_tightness(inst));
-  body.f64(best_value);
-  body.u32(static_cast<std::uint32_t>(slaves.size()));
+  EntryPrefix prefix{content_hash,
+                     static_cast<std::uint32_t>(inst.num_constraints()),
+                     static_cast<std::uint32_t>(inst.num_items()),
+                     mean_tightness(inst),
+                     best_value,
+                     {}};
   for (const auto& slave : slaves) {
-    parallel::wire::put_strategy(body, slave.strategy);
-    body.i32(slave.score);
+    prefix.seats.push_back({slave.strategy, slave.score});
   }
+  Writer body;
+  fields(body, prefix);
   // Seed solutions: the run's best first (it may be in no slave's final
   // pool), then each slave's strongest elite, else its last initial.
   std::vector<const mkp::Solution*> seeds;
@@ -373,7 +379,7 @@ Status WarmStartStore::save(
     if (seed != nullptr) seeds.push_back(seed);
   }
   body.u32(static_cast<std::uint32_t>(seeds.size()));
-  for (const auto* seed : seeds) parallel::wire::put_solution(body, *seed);
+  for (const auto* seed : seeds) fields(body, *seed);
   const auto body_bytes = body.take();
 
   Writer file;

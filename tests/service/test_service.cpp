@@ -3,8 +3,7 @@
 // guarantee under a 50-job stress load — all through the redesigned
 // submit(SubmitRequest) -> Expected<JobHandle> surface. Admission failures
 // (bad options, backpressure, shutdown) come back as a Status; an accepted
-// handle's future always resolves. The deprecated positional shim keeps the
-// old resolved-future contract and is pinned by its own tests below.
+// handle's future always resolves.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -280,50 +279,6 @@ TEST(Service, ShutdownResolvesEverythingAndRefusesNewWork) {
   EXPECT_NE(late.status().message().find("shut down"), std::string::npos);
   server.reset();  // double-shutdown via the destructor must be safe
 }
-
-// -- The transitional positional shim, pinned until its removal. It keeps
-// the pre-tenant contract: EVERY submission gets a valid id and a future,
-// and admission failures are resolved INTO that future rather than being
-// returned as a Status.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ServiceLegacyShim, InvalidOptionsResolveIntoTheFuture) {
-  SolverService server({.num_workers = 1});
-  JobOptions options;
-  options.preset = "warp-speed";
-  auto submission = server.submit(small_instance(2), options);
-  EXPECT_GT(submission.id, 0U);
-  ASSERT_EQ(submission.result.wait_for(5s), std::future_status::ready);
-  const auto result = submission.result.get();
-  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status.message().find("warp-speed"), std::string::npos);
-  EXPECT_FALSE(result.best.has_value());
-  EXPECT_EQ(result.start_sequence, 0U);  // never ran
-  EXPECT_EQ(server.stats().invalid, 1U);
-}
-
-TEST(ServiceLegacyShim, SubmitAfterShutdownResolvesUnavailableImmediately) {
-  // Pinned contract: a submit that loses the race with shutdown() still gets
-  // a valid id and an immediately-ready future carrying kUnavailable with no
-  // solution — never a hang, never an abort, never an unresolved future.
-  SolverService server({.num_workers = 1});
-  server.shutdown();
-  auto submission = server.submit(small_instance(40), JobOptions{});
-  EXPECT_GT(submission.id, 0U);
-  ASSERT_EQ(submission.result.wait_for(0s), std::future_status::ready);
-  const auto result = submission.result.get();
-  EXPECT_EQ(result.status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(result.status.message().find("shut down"), std::string::npos);
-  EXPECT_FALSE(result.best.has_value());
-  EXPECT_EQ(result.start_sequence, 0U);  // never ran
-  EXPECT_EQ(result.origin, JobOrigin::kFresh);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.submitted, 1U);
-  EXPECT_EQ(stats.cancelled, 1U);
-}
-
-#pragma GCC diagnostic pop
 
 TEST(ServiceStress, FiftyJobsOnFourWorkersEveryFutureResolves) {
   // The tentpole acceptance load: 50 mixed jobs on a 4-wide pool — short
