@@ -1,5 +1,6 @@
 #include "tabu/moves.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -68,6 +69,16 @@ std::optional<std::size_t> MoveKernel::select_add(const mkp::Solution& x,
                                                   std::uint64_t iter, double best_value,
                                                   MoveStats* stats, Rng* rng,
                                                   std::size_t max_candidates) const {
+  std::vector<std::uint64_t> no_fit(x.bits().words().size(), 0);
+  return sweep_add(x, tabu, iter, best_value, stats, rng, max_candidates, no_fit);
+}
+
+std::optional<std::size_t> MoveKernel::sweep_add(const mkp::Solution& x,
+                                                 const TabuList& tabu,
+                                                 std::uint64_t iter, double best_value,
+                                                 MoveStats* stats, Rng* rng,
+                                                 std::size_t max_candidates,
+                                                 std::span<std::uint64_t> no_fit) const {
   const std::size_t n = inst_->num_items();
   PTS_DCHECK(max_candidates == 0 || rng != nullptr);
   const std::size_t start = max_candidates > 0 ? rng->index(n) : 0;
@@ -79,13 +90,17 @@ std::optional<std::size_t> MoveKernel::select_add(const mkp::Solution& x,
   // fused feasibility check, or are tabu without aspiration consume no
   // budget. max_candidates therefore bounds the number of score comparisons
   // per move (the paper's "neighbor solutions evaluated"), independent of
-  // how dense the selection mask or the tabu list happens to be.
+  // how dense the selection mask or the tabu list happens to be. The same
+  // rule makes skipping `no_fit` items exact: they never consumed budget.
   // Hoist the dispatch resolve and the solution-invariant pointer bundle out
   // of the per-candidate loop; scan(j) == fit_and_score(x, j) bitwise.
   const kernels::AddScan scan(x);
   auto consider = [&](std::size_t j) -> bool {  // false stops the scan
     const auto fs = scan(j);
-    if (!fs.fit) return true;
+    if (!fs.fit) {
+      no_fit[j >> 6] |= 1ULL << (j & 63);
+      return true;
+    }
     if (tabu.is_add_tabu(j, iter)) {
       // Aspiration (§3.1): the tabu barrier falls when accepting the item
       // would immediately beat the best objective value found so far.
@@ -102,16 +117,45 @@ std::optional<std::size_t> MoveKernel::select_add(const mkp::Solution& x,
     }
     return !(max_candidates > 0 && ++evaluated >= max_candidates);
   };
-  // Circular sweep from `start`, visiting only unselected items via a
-  // word-level scan of the selection mask's zeros.
-  const BitVec& bits = x.bits();
-  for (std::size_t j = bits.next_zero(start); j < n; j = bits.next_zero(j + 1)) {
-    if (!consider(j)) return best < n ? std::optional<std::size_t>(best) : std::nullopt;
-  }
-  for (std::size_t j = bits.next_zero(0); j < start; j = bits.next_zero(j + 1)) {
-    if (!consider(j)) break;
-  }
+  // Visits the open items (neither selected nor marked) of [from, to) in
+  // ascending order, one mask word at a time; false when the scan stopped.
+  const auto& selected = x.bits().words();
+  auto walk = [&](std::size_t from, std::size_t to) -> bool {
+    for (std::size_t w = from >> 6; (w << 6) < to; ++w) {
+      const std::size_t base = w << 6;
+      std::uint64_t open = ~(selected[w] | no_fit[w]);
+      if (base < from) open &= ~0ULL << (from - base);
+      if (to - base < 64) open &= (1ULL << (to - base)) - 1;
+      for (; open != 0; open &= open - 1) {
+        if (!consider(base + static_cast<std::size_t>(std::countr_zero(open)))) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  // Circular sweep from `start`.
+  if (walk(start, n)) (void)walk(0, start);
   return best < n ? std::optional<std::size_t>(best) : std::nullopt;
+}
+
+void MoveKernel::add_phase(mkp::Solution& x, TabuList& tabu, std::uint64_t iter,
+                           const Strategy& strategy, std::size_t tenure,
+                           double best_value, Rng& rng, MoveStats& stats,
+                           MoveOutcome& outcome) const {
+  // Items no later sweep of this phase can add. Exact because loads only
+  // grow until the next move's drops: `load + w > cap` (and the prune's
+  // min_col_weight > min_slack) stay true as loads grow under
+  // round-to-nearest, since every weight is non-negative.
+  std::vector<std::uint64_t> no_fit(x.bits().words().size(), 0);
+  while (auto candidate = sweep_add(x, tabu, iter, best_value, &stats, &rng,
+                                    strategy.nb_candidates, no_fit)) {
+    x.add(*candidate);
+    tabu.forbid_drop(*candidate, iter, tenure / 2 + 1);
+    outcome.flipped.push_back(*candidate);
+    ++outcome.num_adds;
+    ++stats.adds;
+  }
 }
 
 MoveOutcome MoveKernel::apply(mkp::Solution& x, TabuList& tabu, std::uint64_t iter,
@@ -142,14 +186,7 @@ MoveOutcome MoveKernel::apply(mkp::Solution& x, TabuList& tabu, std::uint64_t it
 
   // Add until no object fits (§3.1: "Adding object to the knapsack is
   // realized until no object can be added").
-  while (auto candidate = select_add(x, tabu, iter, best_value, &stats, &rng,
-                                     strategy.nb_candidates)) {
-    x.add(*candidate);
-    tabu.forbid_drop(*candidate, iter, tenure / 2 + 1);
-    outcome.flipped.push_back(*candidate);
-    ++outcome.num_adds;
-    ++stats.adds;
-  }
+  add_phase(x, tabu, iter, strategy, tenure, best_value, rng, stats, outcome);
   return outcome;
 }
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mkp/instance.hpp"
@@ -30,6 +31,8 @@ struct MoveStats {
   std::uint64_t aspiration_hits = 0;
   std::uint64_t tabu_blocked_adds = 0;
   std::uint64_t forced_drops = 0;  ///< drop fell back to a tabu item (all tabu)
+
+  bool operator==(const MoveStats&) const = default;
 };
 
 struct MoveOutcome {
@@ -58,12 +61,26 @@ class MoveKernel {
                                                        std::uint64_t iter,
                                                        bool* forced = nullptr) const;
 
+  /// The Add phase alone (§3.1: "until no object can be added"): adds
+  /// select_add's pick, makes it drop-tabu (tenure/2 + 1), and repeats
+  /// until nothing fits. apply() runs it after the drops.
+  ///
+  /// Loads only grow during the phase, so an item that failed the O(1)
+  /// prune or the feasibility check in one sweep cannot fit in any later
+  /// one. The phase keeps those items in a word mask and later sweeps skip
+  /// them; the picks, MoveStats and rng draws are exactly those of a loop
+  /// of fresh select_add calls (DESIGN.md "Data layout & move kernels").
+  void add_phase(mkp::Solution& x, TabuList& tabu, std::uint64_t iter,
+                 const Strategy& strategy, std::size_t tenure, double best_value,
+                 Rng& rng, MoveStats& stats, MoveOutcome& outcome) const;
+
   /// The Add rule alone: the best fitting candidate honoring tabu status and
   /// aspiration, or nullopt when nothing can be added. Candidates stream the
   /// column-major weight mirror through the fused kernels::fit_and_score
-  /// sweep; unselected items are enumerated by a word-level zero-scan of the
-  /// selection mask and non-fitting ones are pre-rejected in O(1) when
-  /// min_col_weight(j) > min_slack.
+  /// sweep; unselected items are enumerated word by word from the selection
+  /// mask and non-fitting ones are pre-rejected in O(1) when
+  /// min_col_weight(j) > min_slack. This is one add_phase sweep with an
+  /// empty no-fit mask.
   ///
   /// When `max_candidates > 0` (the strategy's nb_candidates) only that many
   /// candidates are evaluated, scanned circularly from a random offset drawn
@@ -83,6 +100,13 @@ class MoveKernel {
   [[nodiscard]] double add_score(const mkp::Solution& x, std::size_t j) const;
 
  private:
+  /// One Add sweep over the items in neither x's selection nor `no_fit`;
+  /// marks in `no_fit` every item the sweep finds cannot fit.
+  [[nodiscard]] std::optional<std::size_t> sweep_add(
+      const mkp::Solution& x, const TabuList& tabu, std::uint64_t iter,
+      double best_value, MoveStats* stats, Rng* rng, std::size_t max_candidates,
+      std::span<std::uint64_t> no_fit) const;
+
   const mkp::Instance* inst_;
 };
 

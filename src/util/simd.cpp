@@ -46,14 +46,10 @@ Kind initial_kind() noexcept {
     if (std::strcmp(env, "avx2") == 0 && supported(Kind::kAvx2)) return Kind::kAvx2;
     if (std::strcmp(env, "neon") == 0 && supported(Kind::kNeon)) return Kind::kNeon;
     if (std::strcmp(env, "auto") == 0) return probe_best();
-    // Unknown or unsupported request: fall through to the build default
-    // rather than abort — kernels must stay runnable everywhere.
+    // Unknown or unsupported request: fall through to the default rather
+    // than abort — kernels must stay runnable everywhere.
   }
-#if defined(PTS_NATIVE_SIMD_DEFAULT) && PTS_NATIVE_SIMD_DEFAULT
   return probe_best();
-#else
-  return Kind::kScalar;
-#endif
 }
 
 std::atomic<Kind>& active_slot() noexcept {

@@ -9,14 +9,12 @@
 // says so. The active kind is resolved once at startup:
 //
 //   * PTS_SIMD=scalar|avx2|neon|auto in the environment always wins;
-//   * otherwise -DPTS_ENABLE_NATIVE=ON builds default to best_supported()
-//     (the build already opted into non-portable codegen via -march=native);
-//   * otherwise the default is kScalar, so portable builds keep byte-stable
-//     trajectories even if a vector kernel were to drift by an ulp.
+//   * otherwise the default is best_supported(), in every build.
 //
 // Every vector kernel is required to be BIT-COMPATIBLE with its scalar
 // counterpart (same accumulation tree, no FMA contraction), so switching
-// kinds never changes a fixed-seed trajectory; tests/tabu assert this.
+// kinds never changes a fixed-seed trajectory; tests/tabu assert this, and
+// the golden trajectory test runs once more under PTS_SIMD=scalar.
 // set_active() exists for those tests and for benchmark A/B columns, not for
 // steering production runs mid-flight — it is a process-wide switch.
 

@@ -24,7 +24,9 @@ TEST(Greedy, SolutionIsMaximal) {
   const auto inst = generate_gk({.num_items = 50, .num_constraints = 5}, 2);
   const auto s = greedy_construct(inst);
   for (std::size_t j = 0; j < inst.num_items(); ++j) {
-    if (!s.contains(j)) EXPECT_FALSE(s.fits(j)) << "item " << j << " still fits";
+    if (!s.contains(j)) {
+      EXPECT_FALSE(s.fits(j)) << "item " << j << " still fits";
+    }
   }
 }
 
@@ -71,7 +73,9 @@ TEST(GreedyRandomized, FeasibleAndMaximal) {
   const auto s = greedy_randomized(inst, rng, 4);
   EXPECT_TRUE(s.is_feasible());
   for (std::size_t j = 0; j < inst.num_items(); ++j) {
-    if (!s.contains(j)) EXPECT_FALSE(s.fits(j));
+    if (!s.contains(j)) {
+      EXPECT_FALSE(s.fits(j));
+    }
   }
 }
 
@@ -92,7 +96,9 @@ TEST(RandomFeasible, FeasibleMaximalAndVaried) {
   EXPECT_TRUE(b.is_feasible());
   EXPECT_NE(a, b);
   for (std::size_t j = 0; j < inst.num_items(); ++j) {
-    if (!a.contains(j)) EXPECT_FALSE(a.fits(j));
+    if (!a.contains(j)) {
+      EXPECT_FALSE(a.fits(j));
+    }
   }
 }
 

@@ -219,7 +219,9 @@ TEST(ClusterBin, NodeKillChaosKnobFailsOverToHealthyNode) {
   int status = 0;
   ASSERT_EQ(::waitpid(doomed, &status, 0), doomed);
   EXPECT_TRUE(WIFSIGNALED(status));
-  if (WIFSIGNALED(status)) EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  if (WIFSIGNALED(status)) {
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  }
   doomed = 0;
 
   // The cluster still serves: the healthy node takes the job.

@@ -53,7 +53,9 @@ std::span<const std::uint8_t> payload_of(const std::vector<std::uint8_t>& frame,
                                          wire::MessageType expected) {
   auto header = wire::decode_header(frame);
   EXPECT_TRUE(header) << header.status().to_string();
-  if (header) EXPECT_EQ(header->type, expected);
+  if (header) {
+    EXPECT_EQ(header->type, expected);
+  }
   return std::span<const std::uint8_t>(frame).subspan(wire::kHeaderBytes);
 }
 

@@ -47,7 +47,9 @@ INSTANTIATE_TEST_SUITE_P(Modes, AllModes,
                                            CooperationMode::kIndependent,
                                            CooperationMode::kCooperativePool,
                                            CooperationMode::kCooperativeAdaptive),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const ::testing::TestParamInfo<CooperationMode>& mode) {
+                           return to_string(mode.param);
+                         });
 
 TEST(Runner, SequentialConsumesWholeEnsembleBudget) {
   const auto inst = mkp::generate_gk({.num_items = 50, .num_constraints = 5}, 3);

@@ -84,7 +84,9 @@ TEST_P(InstanceSweep, EngineInvariants) {
   // The elite pool is sorted, distinct, feasible, headed by the incumbent.
   for (std::size_t k = 0; k < result.elite.size(); ++k) {
     EXPECT_TRUE(result.elite[k].is_feasible());
-    if (k > 0) EXPECT_GE(result.elite[k - 1].value(), result.elite[k].value());
+    if (k > 0) {
+      EXPECT_GE(result.elite[k - 1].value(), result.elite[k].value());
+    }
   }
   ASSERT_FALSE(result.elite.empty());
   EXPECT_DOUBLE_EQ(result.elite.front().value(), result.best_value);
@@ -113,9 +115,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Workload{10, 2, 1}, Workload{20, 3, 2}, Workload{30, 5, 3},
                       Workload{50, 5, 4}, Workload{50, 10, 5}, Workload{80, 8, 6},
                       Workload{100, 10, 7}, Workload{120, 15, 8}),
-    [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "m" + std::to_string(info.param.m) +
-             "s" + std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<Workload>& workload) {
+      return "n" + std::to_string(workload.param.n) + "m" +
+             std::to_string(workload.param.m) + "s" + std::to_string(workload.param.seed);
     });
 
 }  // namespace

@@ -1,9 +1,9 @@
 // UBSan smoke over the native kernel surface. This binary recompiles the
 // four TUs behind the runtime SIMD dispatch — tabu/kernels.cpp,
 // tabu/kernels_simd.cpp, util/bitvec.cpp, util/simd.cpp — with
-// -fsanitize=undefined -fno-sanitize-recover and PTS_NATIVE_SIMD_DEFAULT=1,
-// then drives full candidate sweeps through every dispatch kind the CPU
-// supports. Any misaligned vector load, padded-lane over-read turned into
+// -fsanitize=undefined -fno-sanitize-recover, then drives full candidate
+// sweeps through every dispatch kind the CPU supports (the default dispatch
+// is the best of them). Any misaligned vector load, padded-lane over-read turned into
 // UB, or out-of-range shift in the word scans aborts the run; any
 // scalar/vector divergence fails it with a diagnostic. Registered in the
 // default ctest sweep (no sanitizer build required) so the vector paths get
