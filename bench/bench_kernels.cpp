@@ -19,6 +19,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -76,19 +77,25 @@ double sweep_scalar_reference(const mkp::Solution& x) {
   return acc;
 }
 
-// The same sweep through the fused column-major kernel with O(1) pruning
-// and a word-level zero-scan of the selection mask.
+// The same sweep through the fused column-major kernel with O(1) pruning,
+// walking the unselected items one mask word at a time (~word, countr_zero)
+// as the engine's sweep_add does.
 double sweep_fused(const mkp::Solution& x) {
   const std::size_t n = x.num_items();
-  const BitVec& bits = x.bits();
+  const auto& words = x.bits().words();
   // One AddScan per sweep, exactly as the engine's select_add does: the
   // dispatch resolve and pointer bundle are hoisted, candidates evaluated
   // through the same prune + checked/certain-fit bodies.
   const tabu::kernels::AddScan scan(x);
   double acc = 0.0;
-  for (std::size_t j = bits.next_zero(0); j < n; j = bits.next_zero(j + 1)) {
-    const auto fs = scan(j);
-    if (fs.fit) acc += fs.score;
+  for (std::size_t w = 0; (w << 6) < n; ++w) {
+    const std::size_t base = w << 6;
+    std::uint64_t open = ~words[w];
+    if (n - base < 64) open &= (1ULL << (n - base)) - 1;
+    for (; open != 0; open &= open - 1) {
+      const auto fs = scan(base + static_cast<std::size_t>(std::countr_zero(open)));
+      if (fs.fit) acc += fs.score;
+    }
   }
   return acc;
 }

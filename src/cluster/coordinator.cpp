@@ -25,14 +25,14 @@ constexpr auto kTickPeriod = std::chrono::milliseconds(20);
 }  // namespace
 
 /// One client-side stake in a ClusterJob: its own coordinator JobId, its own
-/// deadline, its own promise. Waiters outlive failovers — the job record
-/// they hang off survives resubmission untouched.
+/// deadline, its own completion callback. Waiters outlive failovers — the
+/// job record they hang off survives resubmission untouched.
 struct Coordinator::Waiter {
   service::JobId id = 0;
   service::TenantId tenant;
   Deadline deadline;  ///< unbounded when the request had none
   bool attached_dedup = false;  ///< joined an existing job (not the first waiter)
-  std::promise<service::JobResult> promise;
+  service::JobCallback on_done;
 };
 
 /// One coalesced unit of remote work: at most ONE in-flight remote
@@ -128,24 +128,20 @@ Expected<std::unique_ptr<Coordinator>> Coordinator::start(
     c->peers_.push_back(std::move(peer));
   }
 
-  {
-    std::scoped_lock lock(c->mutex_);
-    for (auto& job : replayed) {
-      service::SubmitRequest request;
-      request.instance = std::make_shared<mkp::Instance>(std::move(job.instance));
-      request.tenant = job.tenant;
-      request.priority = job.options.priority;
-      request.warm_start = job.warm_start;
-      request.options = std::move(job.options);
-      auto handle = c->submit_locked(std::move(request));
-      if (handle) {
-        c->recovered_.push_back({handle->id, std::move(handle->result)});
-      }
-    }
-    if (!c->recovered_.empty()) {
-      PTS_LOG_INFO("cluster: recovered %zu unresolved job(s) from %s",
-                   c->recovered_.size(), c->config_.journal_path.c_str());
-    }
+  // No other thread exists yet, so recovered_ needs no lock here.
+  for (auto& job : replayed) {
+    service::SubmitRequest request;
+    request.instance = std::make_shared<mkp::Instance>(std::move(job.instance));
+    request.tenant = job.tenant;
+    request.priority = job.options.priority;
+    request.warm_start = job.warm_start;
+    request.options = std::move(job.options);
+    auto handle = c->submit(std::move(request));
+    if (handle) c->recovered_.push_back(std::move(*handle));
+  }
+  if (!c->recovered_.empty()) {
+    PTS_LOG_INFO("cluster: recovered %zu unresolved job(s) from %s",
+                 c->recovered_.size(), c->config_.journal_path.c_str());
   }
 
   c->tick_ = std::thread([raw = c.get()] { raw->tick_loop(); });
@@ -191,7 +187,7 @@ CoordinatorStats Coordinator::stats() const {
   return stats_;
 }
 
-std::vector<Coordinator::Recovered> Coordinator::take_recovered() {
+std::vector<service::JobHandle> Coordinator::take_recovered() {
   std::scoped_lock lock(mutex_);
   return std::exchange(recovered_, {});
 }
@@ -247,14 +243,14 @@ void Coordinator::compact_log_locked() {
   log_ = std::move(live);
 }
 
-Expected<service::JobHandle> Coordinator::submit(
-    service::SubmitRequest request) {
+Expected<service::JobTicket> Coordinator::submit(
+    service::SubmitRequest request, service::JobCallback on_done) {
   std::scoped_lock lock(mutex_);
-  return submit_locked(std::move(request));
+  return submit_locked(std::move(request), std::move(on_done));
 }
 
-Expected<service::JobHandle> Coordinator::submit_locked(
-    service::SubmitRequest request) {
+Expected<service::JobTicket> Coordinator::submit_locked(
+    service::SubmitRequest request, service::JobCallback on_done) {
   if (stopping_.load(std::memory_order_acquire)) {
     return Status::unavailable("cluster: coordinator is shutting down");
   }
@@ -271,12 +267,12 @@ Expected<service::JobHandle> Coordinator::submit_locked(
   if (request.deadline_seconds) {
     waiter->deadline = Deadline::after_seconds(*request.deadline_seconds);
   }
+  waiter->on_done = std::move(on_done);
 
-  service::JobHandle handle;
-  handle.id = waiter->id;
-  handle.tenant = waiter->tenant;
-  handle.content_hash = content_hash;
-  handle.result = waiter->promise.get_future();
+  service::JobTicket ticket;
+  ticket.id = waiter->id;
+  ticket.tenant = waiter->tenant;
+  ticket.content_hash = content_hash;
   ++stats_.submitted;
   obs::metrics().counter("cluster_submissions_total").add();
 
@@ -290,7 +286,7 @@ Expected<service::JobHandle> Coordinator::submit_locked(
     // Coalesce: one more waiter on the in-flight (or pending) solve.
     ClusterJob& job = *it->second;
     waiter->attached_dedup = true;
-    handle.deduplicated = true;
+    ticket.deduplicated = true;
     ++stats_.dedup_hits;
     if (journal_) {
       // A follower needs its own kSubmitted so a promoted coordinator can
@@ -318,7 +314,7 @@ Expected<service::JobHandle> Coordinator::submit_locked(
 
     waiter_index_.emplace(waiter->id, key);
     job.waiters.push_back(std::move(waiter));
-    return handle;
+    return ticket;
   }
 
   auto job = std::make_unique<ClusterJob>();
@@ -346,7 +342,7 @@ Expected<service::JobHandle> Coordinator::submit_locked(
   waiter_index_.emplace(waiter->id, key);
   job->waiters.push_back(std::move(waiter));
   jobs_.emplace(std::move(key), std::move(job));
-  return handle;
+  return ticket;
 }
 
 bool Coordinator::cancel(service::JobId id) {
@@ -393,7 +389,7 @@ void Coordinator::resolve_waiter_locked(Waiter& waiter,
   result.id = waiter.id;
   result.tenant = waiter.tenant;
   if (waiter.attached_dedup) result.deduplicated = true;
-  waiter.promise.set_value(std::move(result));
+  waiter.on_done(std::move(result));
   ++stats_.resolved;
   waiter_index_.erase(waiter.id);
   if (strike_journal) {

@@ -1,16 +1,18 @@
 #pragma once
 // Cluster coordinator (DESIGN.md §11): the node that owns client-facing job
 // identity and shards the work across worker nodes. It implements
-// net::JobGateway, so the SAME net::Server that fronts a single
+// service::JobGateway, so the SAME net::Server that fronts a single
 // SolverService in pts_serve fronts a whole cluster in pts_cluster — clients
 // keep the exact pts_client protocol and cannot tell the difference.
 //
 // Ownership and identity. Every accepted submission gets a coordinator-side
-// JobId and a promise the coordinator ALWAYS resolves — through node death,
-// resubmission, cancel, deadline and shutdown. Identical submissions
+// JobId and a completion callback the coordinator calls exactly once —
+// through node death, resubmission, cancel, deadline and shutdown. It calls
+// it under its own mutex (from a submitter, the tick thread or a peer
+// reader), which the JobGateway contract allows. Identical submissions
 // (instance content hash + solve-shape options, the PR 8 dedup key) coalesce
-// into one ClusterJob with many waiters: ONE remote solve, every waiter's
-// future resolved from its result. A request with allow_dedup=false gets a
+// into one ClusterJob with many waiters: ONE remote solve, every waiter
+// answered from its result. A request with allow_dedup=false gets a
 // private key and never coalesces.
 //
 // Failover. Peer liveness is heartbeat-based (PeerPing every interval; a
@@ -42,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,8 +52,8 @@
 #include <vector>
 
 #include "cluster/peer_protocol.hpp"
-#include "net/server.hpp"
 #include "parallel/transport.hpp"
+#include "service/gateway.hpp"
 #include "service/journal.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
@@ -98,10 +99,10 @@ struct CoordinatorStats {
   std::uint64_t nodes_lost = 0;
   std::uint64_t nodes_connected = 0;  ///< successful handshakes (incl. rejoins)
   std::uint64_t records_replicated = 0;
-  std::uint64_t resolved = 0;         ///< waiter futures resolved, any status
+  std::uint64_t resolved = 0;         ///< waiters resolved, any status
 };
 
-class Coordinator final : public net::JobGateway {
+class Coordinator final : public service::JobGateway {
  public:
   /// Validates the config, replays journal_path (the promotion path), opens
   /// the journal fresh and starts the tick thread. Peers connect
@@ -113,18 +114,15 @@ class Coordinator final : public net::JobGateway {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  // -- net::JobGateway. --
-  [[nodiscard]] Expected<service::JobHandle> submit(
-      service::SubmitRequest request) override;
+  // -- service::JobGateway. --
+  [[nodiscard]] Expected<service::JobTicket> submit(
+      service::SubmitRequest request, service::JobCallback on_done) override;
+  using JobGateway::submit;
   bool cancel(service::JobId id) override;
 
   /// Jobs replayed from journal_path at start, already re-submitted through
   /// the normal path (so they re-coalesce and re-journal). Single-shot.
-  struct Recovered {
-    service::JobId id = 0;
-    std::future<service::JobResult> result;
-  };
-  [[nodiscard]] std::vector<Recovered> take_recovered();
+  [[nodiscard]] std::vector<service::JobHandle> take_recovered();
 
   [[nodiscard]] std::size_t alive_peers() const;
   [[nodiscard]] CoordinatorStats stats() const;
@@ -148,7 +146,8 @@ class Coordinator final : public net::JobGateway {
   [[nodiscard]] std::string make_key_locked(const service::SubmitRequest& request,
                                             std::uint64_t content_hash);
 
-  Expected<service::JobHandle> submit_locked(service::SubmitRequest request);
+  Expected<service::JobTicket> submit_locked(service::SubmitRequest request,
+                                             service::JobCallback on_done);
   void log_append_locked(ReplicateRecord record);
   void compact_log_locked();
   void resolve_waiter_locked(Waiter& waiter, service::JobResult result,
@@ -188,7 +187,7 @@ class Coordinator final : public net::JobGateway {
 
   std::deque<ReplicateRecord> log_;  ///< replication log (compacted in place)
   std::unique_ptr<service::journal::JobJournal> journal_;
-  std::vector<Recovered> recovered_;
+  std::vector<service::JobHandle> recovered_;
 
   std::vector<std::unique_ptr<Peer>> peers_;
 

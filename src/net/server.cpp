@@ -3,12 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <utility>
 
 #include "net/protocol.hpp"
@@ -38,15 +41,24 @@ bool is_peer_type(parallel::wire::MessageType type) {
 
 }  // namespace
 
-/// Per-connection state. The reader thread owns `waiters` and the socket's
-/// read side outright; `pending` is shared (reader, waiter threads);
-/// `write_mutex` serializes every outbound frame (acks from the reader,
-/// events/results from waiter threads) plus the chaos RNG it feeds.
+/// Per-connection state. The reader thread owns the socket's read side and
+/// sends every frame but drain()'s Goodbye; `write_mutex` serializes the
+/// two, plus the chaos RNG it feeds. `pending` and `outbox` are shared with
+/// the gateway's completion callbacks and drain() under `mutex`.
 struct Server::Connection {
-  explicit Connection(int fd, std::uint64_t chaos_seed)
-      : socket(fd), chaos_rng(chaos_seed) {}
+  Connection(int fd, std::uint64_t chaos_seed)
+      : socket(fd),
+        wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+        chaos_rng(chaos_seed) {}
+  ~Connection() { ::close(wake_fd); }
+
+  /// Ends the reader's current wait (a result landed, or stop()).
+  void wake() const { (void)::eventfd_write(wake_fd, 1); }
 
   parallel::FrameSocket socket;
+  /// eventfd the reader polls next to the socket. Should it fail to open,
+  /// poll() skips the -1 and results still ship within one wait slice.
+  const int wake_fd;
 
   std::mutex write_mutex;
   Rng chaos_rng;  // guarded by write_mutex
@@ -55,24 +67,20 @@ struct Server::Connection {
   /// Accepted submissions whose result frame has not shipped yet:
   /// request_id -> the gateway-side job to cancel if the peer vanishes.
   std::map<std::uint64_t, service::JobId> pending;
+  /// Results the gateway delivered, in arrival order, for the reader to ship.
+  std::vector<std::pair<std::uint64_t, service::JobResult>> outbox;
   /// Sticky tenant tag: the last non-empty tenant this connection submitted
   /// under. Empty-tenant submissions inherit it, so a client can state its
   /// identity once and stay terse afterwards.
   service::TenantId tenant_tag;
 
   std::atomic<bool> closed{false};       ///< no further sends
-  std::atomic<bool> reader_done{false};  ///< reader exited (waiters joined)
-
-  struct WaiterThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<WaiterThread> waiters;  // reader thread only
+  std::atomic<bool> reader_done{false};  ///< reader exited
 
   std::thread reader;  // joined by accept-loop reap or stop()
 };
 
-Expected<std::unique_ptr<Server>> Server::start(JobGateway& gateway,
+Expected<std::unique_ptr<Server>> Server::start(service::JobGateway& gateway,
                                                 ServerConfig config) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return errno_status("socket");
@@ -108,19 +116,7 @@ Expected<std::unique_ptr<Server>> Server::start(JobGateway& gateway,
       new Server(gateway, std::move(config), fd, ntohs(bound.sin_port)));
 }
 
-Expected<std::unique_ptr<Server>> Server::start(service::SolverService& service,
-                                                ServerConfig config) {
-  // The adapter outlives the Server because the Server owns it; binding the
-  // gateway reference before handing over ownership is safe — the object's
-  // address never changes.
-  auto owned = std::make_unique<ServiceGateway>(service);
-  auto server = start(*owned, std::move(config));
-  if (!server) return server.status();
-  (*server)->owned_gateway_ = std::move(owned);
-  return server;
-}
-
-Server::Server(JobGateway& gateway, ServerConfig config, int listen_fd,
+Server::Server(service::JobGateway& gateway, ServerConfig config, int listen_fd,
                std::uint16_t port)
     : gateway_(gateway),
       config_(std::move(config)),
@@ -207,9 +203,10 @@ void Server::stop() {
     std::scoped_lock lock(connections_mutex_);
     conns.swap(connections_);
   }
-  // Each reader observes the cancelled token within one poll slice, cancels
-  // its outstanding submissions (so every waiter future resolves) and joins
-  // its waiter threads before exiting — joining readers joins everything.
+  // Each woken reader sees the cancelled token, cancels its outstanding
+  // submissions and exits; results the gateway delivers later find the
+  // connection closed and are dropped.
+  for (const auto& conn : conns) conn->wake();
   for (const auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
   }
@@ -235,8 +232,8 @@ void Server::accept_loop() {
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
 
-    // Reap connections whose reader (and therefore waiters) finished, so a
-    // long-lived server does not accrete dead Connection records.
+    // Reap connections whose reader finished, so a long-lived server does
+    // not accrete dead Connection records.
     {
       std::scoped_lock lock(connections_mutex_);
       std::erase_if(connections_, [](const std::shared_ptr<Connection>& conn) {
@@ -272,45 +269,54 @@ void Server::accept_loop() {
 
 void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   const CancelToken stop = stop_source_.token();
-  // Reads run in bounded slices so a byte-silent peer cannot park this
-  // thread forever: each timeout re-checks the idle clock. The slice is a
-  // quarter of the timeout (capped) so short test timeouts stay responsive
-  // without spinning production readers.
+  // Waits for bytes or results run in bounded slices so a byte-silent peer
+  // cannot park this thread forever: each slice re-checks the idle clock.
+  // The slice is a quarter of the timeout (capped) so short test timeouts
+  // stay responsive without spinning production readers.
   const double idle_timeout = config_.idle_timeout_seconds;
-  const double slice =
-      idle_timeout > 0 ? std::min(0.1, idle_timeout / 4.0) : 0.1;
+  const int slice_ms =
+      idle_timeout > 0 ? std::clamp(static_cast<int>(idle_timeout * 250.0), 1, 100)
+                       : 100;
   Stopwatch idle;
-  for (;;) {
-    auto frame = conn->socket.read_frame(slice, stop);
-    if (!frame) {
-      if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-        if (stop.cancel_requested()) break;
-        if (idle_timeout > 0 && idle.elapsed_seconds() >= idle_timeout) {
-          bool quiescent;
-          {
-            std::scoped_lock lock(conn->mutex);
-            quiescent = conn->pending.empty();
-          }
-          // Never reap a connection that is owed a result: a client blocked
-          // in wait() is legitimately silent for the whole solve.
-          if (quiescent) {
-            connections_reaped_.fetch_add(1);
-            obs::metrics().counter("net_idle_reaps_total").add();
-            PTS_LOG_WARN("net: reaping idle connection (%.1fs silent)",
-                         idle.elapsed_seconds());
-            break;
-          }
-        }
-        continue;
-      }
-      // kCancelled = stop(); kUnavailable = peer gone. Anything else is a
-      // malformed header — a protocol error, same disconnect outcome.
-      if (frame.status().code() == StatusCode::kInvalidArgument) {
+  // A fired token wins even over bytes already waiting: a stopped server
+  // must not pick up a request after its stop.
+  while (!stop.cancel_requested()) {
+    // Silence only counts once nothing is owed: the clock restarts when the
+    // last result ships, as it does when a frame arrives.
+    if (ship_results(conn)) idle.restart();
+    auto polled = conn->socket.poll_frame();
+    if (!polled) {
+      // kUnavailable = peer gone. kInvalidArgument is a malformed header —
+      // a protocol error, same disconnect outcome.
+      if (polled.status().code() == StatusCode::kInvalidArgument) {
         protocol_errors_.fetch_add(1);
         obs::metrics().counter("net_protocol_errors_total").add();
       }
       break;
     }
+    if (!*polled) {
+      if (idle_timeout > 0 && idle.elapsed_seconds() >= idle_timeout) {
+        bool quiescent;
+        {
+          std::scoped_lock lock(conn->mutex);
+          quiescent = conn->pending.empty();
+        }
+        // Never reap a connection that is owed a result: a client blocked
+        // in wait() is legitimately silent for the whole solve.
+        if (quiescent) {
+          connections_reaped_.fetch_add(1);
+          obs::metrics().counter("net_idle_reaps_total").add();
+          PTS_LOG_WARN("net: reaping idle connection (%.1fs silent)",
+                       idle.elapsed_seconds());
+          break;
+        }
+      }
+      pollfd fds[2] = {{conn->socket.fd(), POLLIN, 0},
+                       {conn->wake_fd, POLLIN, 0}};
+      (void)::poll(fds, 2, slice_ms);
+      continue;
+    }
+    const parallel::wire::Frame& frame = **polled;
     idle.restart();
     if (chaos_drop_ppm_ != 0) {
       std::scoped_lock lock(conn->write_mutex);
@@ -321,25 +327,25 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       }
     }
     bool ok = false;
-    if (is_peer_type(frame->type)) {
+    if (is_peer_type(frame.type)) {
       // The peer range exists only on servers fronting a cluster node; a
       // plain pts_serve treats it like any other out-of-place frame.
       if (config_.peer_handler != nullptr) {
         peer_frames_.fetch_add(1);
         auto replies =
-            config_.peer_handler->on_peer_frame(frame->type, frame->payload);
+            config_.peer_handler->on_peer_frame(frame.type, frame.payload);
         if (replies) {
           for (auto& reply : *replies) send_frame(conn, std::move(reply));
           ok = true;
         }
       }
     } else {
-      switch (frame->type) {
+      switch (frame.type) {
         case parallel::wire::MessageType::kSubmitJob:
-          ok = handle_submit(conn, frame->payload);
+          ok = handle_submit(conn, frame.payload);
           break;
         case parallel::wire::MessageType::kCancelJob: {
-          auto cancel = decode_cancel_job(frame->payload);
+          auto cancel = decode_cancel_job(frame.payload);
           if (cancel) {
             service::JobId id = 0;
             {
@@ -365,12 +371,6 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
     }
   }
   abandon_connection(conn);
-  // Waiter futures all resolve (their jobs just got cancelled, or were
-  // already done), so this join is bounded.
-  for (auto& waiter : conn->waiters) {
-    if (waiter.thread.joinable()) waiter.thread.join();
-  }
-  conn->waiters.clear();
   conn->reader_done.store(true, std::memory_order_release);
 }
 
@@ -411,74 +411,83 @@ bool Server::handle_submit(const std::shared_ptr<Connection>& conn,
   // machine. Empty falls through to the server host's default discovery.
   request.options.proc.worker_path = config_.worker_path;
 
-  auto handle = gateway_.submit(std::move(request));
-  if (!handle) {
-    ack.status = handle.status();
+  // The gateway may call back before submit() returns and on any thread;
+  // the callback only queues the result for this connection's reader, which
+  // sends it after the ack below.
+  const std::uint64_t request_id = m.request_id;
+  auto ticket = gateway_.submit(
+      std::move(request),
+      [weak = std::weak_ptr<Connection>(conn),
+       request_id](service::JobResult result) {
+        const auto target = weak.lock();
+        if (!target || target->closed.load(std::memory_order_acquire)) return;
+        {
+          std::scoped_lock lock(target->mutex);
+          target->outbox.emplace_back(request_id, std::move(result));
+        }
+        target->wake();
+      });
+  if (!ticket) {
+    ack.status = ticket.status();
     send_frame(conn, encode_submit_ack(ack));
     return true;  // an admission failure is an answer, not a protocol error
   }
 
-  ack.job_id = handle->id;
-  ack.content_hash = handle->content_hash;
-  ack.deduplicated = handle->deduplicated;
+  ack.job_id = ticket->id;
+  ack.content_hash = ticket->content_hash;
+  ack.deduplicated = ticket->deduplicated;
   {
     std::scoped_lock lock(conn->mutex);
-    conn->pending.emplace(m.request_id, handle->id);
+    conn->pending.emplace(request_id, ticket->id);
   }
   send_frame(conn, encode_submit_ack(ack));
-
-  // Opportunistically join waiters that already finished; outstanding ones
-  // stay. Bounded by this connection's in-flight submissions.
-  std::erase_if(conn->waiters, [](Connection::WaiterThread& waiter) {
-    if (!waiter.done->load(std::memory_order_acquire)) return false;
-    if (waiter.thread.joinable()) waiter.thread.join();
-    return true;
-  });
-
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  const std::uint64_t request_id = m.request_id;
-  std::thread thread([this, conn, request_id, done,
-                      future = std::move(handle->result)]() mutable {
-    service::JobResult result = future.get();
-    {
-      std::scoped_lock lock(conn->mutex);
-      conn->pending.erase(request_id);
-    }
-    if (!conn->closed.load(std::memory_order_acquire)) {
-      // Stream the anytime curve in bounded chunks, then the terminal frame.
-      for (std::size_t offset = 0; offset < result.anytime.size();
-           offset += kMaxAnytimeSamplesPerEvent) {
-        JobEvent event;
-        event.request_id = request_id;
-        const std::size_t end = std::min(
-            result.anytime.size(), offset + kMaxAnytimeSamplesPerEvent);
-        event.anytime.assign(result.anytime.begin() + offset,
-                             result.anytime.begin() + end);
-        send_frame(conn, encode_job_event(event));
-        if (conn->closed.load(std::memory_order_acquire)) break;
-      }
-      JobResultFrame terminal;
-      terminal.request_id = request_id;
-      terminal.status = result.status;
-      terminal.origin = result.origin;
-      terminal.best_value = result.best_value;
-      terminal.best = std::move(result.best);
-      terminal.total_moves = result.total_moves;
-      terminal.reached_target = result.reached_target;
-      terminal.slave_faults = result.slave_faults;
-      terminal.queue_seconds = result.queue_seconds;
-      terminal.run_seconds = result.run_seconds;
-      terminal.start_sequence = result.start_sequence;
-      terminal.tenant = std::move(result.tenant);
-      terminal.content_hash = result.content_hash;
-      terminal.deduplicated = result.deduplicated;
-      terminal.warm_started = result.warm_started;
-      send_frame(conn, encode_job_result(terminal));
-    }
-    done->store(true, std::memory_order_release);
-  });
-  conn->waiters.push_back({std::move(thread), std::move(done)});
   return true;
+}
+
+bool Server::ship_results(const std::shared_ptr<Connection>& conn) {
+  // Reset the signal before taking the outbox: a result queued after the
+  // swap signals again, so the next poll wakes for it.
+  eventfd_t signals = 0;
+  (void)::eventfd_read(conn->wake_fd, &signals);
+  std::vector<std::pair<std::uint64_t, service::JobResult>> done;
+  {
+    std::scoped_lock lock(conn->mutex);
+    done.swap(conn->outbox);
+  }
+  for (auto& [request_id, result] : done) {
+    // Stream the anytime curve in bounded chunks, then the terminal frame.
+    for (std::size_t offset = 0; offset < result.anytime.size();
+         offset += kMaxAnytimeSamplesPerEvent) {
+      JobEvent event;
+      event.request_id = request_id;
+      const std::size_t end = std::min(result.anytime.size(),
+                                       offset + kMaxAnytimeSamplesPerEvent);
+      event.anytime.assign(result.anytime.begin() + offset,
+                           result.anytime.begin() + end);
+      send_frame(conn, encode_job_event(event));
+    }
+    JobResultFrame terminal;
+    terminal.request_id = request_id;
+    terminal.status = result.status;
+    terminal.origin = result.origin;
+    terminal.best_value = result.best_value;
+    terminal.best = std::move(result.best);
+    terminal.total_moves = result.total_moves;
+    terminal.reached_target = result.reached_target;
+    terminal.slave_faults = result.slave_faults;
+    terminal.queue_seconds = result.queue_seconds;
+    terminal.run_seconds = result.run_seconds;
+    terminal.start_sequence = result.start_sequence;
+    terminal.tenant = std::move(result.tenant);
+    terminal.content_hash = result.content_hash;
+    terminal.deduplicated = result.deduplicated;
+    terminal.warm_started = result.warm_started;
+    send_frame(conn, encode_job_result(terminal));
+    // Retired only once shipped: drain() waits on `pending`.
+    std::scoped_lock lock(conn->mutex);
+    conn->pending.erase(request_id);
+  }
+  return !done.empty();
 }
 
 void Server::abandon_connection(const std::shared_ptr<Connection>& conn) {

@@ -2,23 +2,26 @@
 // Network front-end of the solver service (DESIGN.md §10): a TCP listener
 // that turns every accepted connection into a FrameSocket speaking the
 // client range of the wire protocol (net/protocol.hpp) and bridges it onto
-// a JobGateway — the in-process SolverService for pts_serve, or the cluster
-// coordinator (cluster/coordinator.hpp) for pts_cluster, which shards the
-// same submissions across peer nodes (DESIGN.md §11).
+// a service::JobGateway — the in-process SolverService for pts_serve, or
+// the cluster coordinator (cluster/coordinator.hpp) for pts_cluster, which
+// shards the same submissions across peer nodes (DESIGN.md §11).
 //
-// Threading model. One accept thread; one reader thread per connection; one
-// short-lived waiter thread per accepted submission (it blocks on the job's
-// future, then streams the anytime curve and the result frame back under the
-// connection's write lock). The gateway's own guarantees do the heavy
-// lifting: every accepted future resolves, so every waiter thread
-// terminates, so drain() and stop() terminate.
+// Threading model. One accept thread and one reader thread per connection;
+// no thread per submission. Each accepted submission hands the gateway a
+// completion callback that queues the JobResult on its connection's outbox
+// and signals the connection's eventfd (it holds the connection only as a
+// weak_ptr). The reader polls the socket and the eventfd together, and it
+// alone sends SubmitAck, JobEvent and JobResult frames, so a request's ack
+// always precedes its events and result. The gateway calls every accepted
+// submission's callback exactly once, so every owed result ships and
+// drain() terminates.
 //
 // Disconnect semantics. A connection that hits EOF, a socket error or a
 // malformed frame cancels exactly the waiters it created (gateway cancel per
 // outstanding submission): a deduplicated solve shared with other
 // connections keeps running for them — the vanished peer loses only its own
-// stake. Results that resolve after the disconnect are dropped on the floor
-// (their send fails), never blocked on.
+// stake. Results that arrive after the disconnect find the connection
+// closed (or gone) and are dropped, never blocked on.
 //
 // Half-open reaping. Readers never block forever on a silent peer: accepted
 // sockets run with TCP keepalive, and a connection that stays byte-silent
@@ -31,9 +34,10 @@
 // Drain. drain(timeout) stops accepting, sends every connected client a
 // Goodbye frame, and waits up to the timeout for outstanding submissions to
 // resolve and ship. stop() then (or directly, for an immediate shutdown)
-// cancels whatever is still outstanding and joins every thread. Jobs the
-// service journals stay open across a cancel-by-shutdown, so a pts_serve
-// restarted with the same --journal re-enqueues them (DESIGN.md §9).
+// cancels whatever is still outstanding and joins every thread; it does not
+// wait for the gateway to resolve those cancels. Jobs the service journals
+// stay open across a cancel-by-shutdown, so a pts_serve restarted with the
+// same --journal re-enqueues them (DESIGN.md §9).
 //
 // Chaos. Two env knobs extend the PTS_CHAOS_* family across the client
 // boundary, exercised by tests/net/:
@@ -52,44 +56,12 @@
 #include <thread>
 #include <vector>
 
-#include "service/solver_service.hpp"
+#include "parallel/wire.hpp"
+#include "service/gateway.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
 
 namespace pts::net {
-
-/// What the server needs from whatever runs its submissions: admit-or-refuse
-/// with a future that always resolves, and per-waiter cancel. SolverService
-/// satisfies it via ServiceGateway; cluster::Coordinator implements it by
-/// sharding across peer nodes.
-class JobGateway {
- public:
-  virtual ~JobGateway() = default;
-
-  /// Admission failures return a Status; accepted work returns a handle
-  /// whose future ALWAYS resolves (the server's waiter threads, and
-  /// therefore drain()/stop(), depend on that).
-  [[nodiscard]] virtual Expected<service::JobHandle> submit(
-      service::SubmitRequest request) = 0;
-
-  /// Cancels one waiter's stake. Returns false for unknown/resolved ids.
-  virtual bool cancel(service::JobId id) = 0;
-};
-
-/// The in-process gateway: forwards straight to a SolverService.
-class ServiceGateway final : public JobGateway {
- public:
-  explicit ServiceGateway(service::SolverService& service) : service_(service) {}
-
-  [[nodiscard]] Expected<service::JobHandle> submit(
-      service::SubmitRequest request) override {
-    return service_.submit(std::move(request));
-  }
-  bool cancel(service::JobId id) override { return service_.cancel(id); }
-
- private:
-  service::SolverService& service_;
-};
 
 /// Server-side handler for the cluster peer range (kPeerHello..
 /// kPeerReplicateAck). Installed via ServerConfig::peer_handler; a server
@@ -155,12 +127,7 @@ class Server {
   /// Binds, listens (port() is final on return) and starts accepting.
   /// The gateway must outlive the Server.
   [[nodiscard]] static Expected<std::unique_ptr<Server>> start(
-      JobGateway& gateway, ServerConfig config);
-
-  /// Convenience overload for the common in-process case: the returned
-  /// Server owns a ServiceGateway over `service` (which must outlive it).
-  [[nodiscard]] static Expected<std::unique_ptr<Server>> start(
-      service::SolverService& service, ServerConfig config);
+      service::JobGateway& gateway, ServerConfig config);
 
   ~Server();  ///< stop()
 
@@ -183,7 +150,7 @@ class Server {
  private:
   struct Connection;
 
-  Server(JobGateway& gateway, ServerConfig config, int listen_fd,
+  Server(service::JobGateway& gateway, ServerConfig config, int listen_fd,
          std::uint16_t port);
 
   void accept_loop();
@@ -192,6 +159,10 @@ class Server {
   /// connection); admission failures are answered with a non-OK ack.
   bool handle_submit(const std::shared_ptr<Connection>& conn,
                      std::span<const std::uint8_t> payload);
+  /// Sends every result queued on the outbox (anytime chunks, then the
+  /// terminal frame) and retires its pending entry. Returns whether any
+  /// shipped. Reader thread only.
+  bool ship_results(const std::shared_ptr<Connection>& conn);
   /// Cancels every submission the connection still has outstanding
   /// (disconnect => waiter cancel) and marks it closed.
   void abandon_connection(const std::shared_ptr<Connection>& conn);
@@ -201,10 +172,7 @@ class Server {
                   std::vector<std::uint8_t> frame);
   std::size_t outstanding_submissions() const;
 
-  JobGateway& gateway_;
-  /// Set by the SolverService overload of start(): the adapter the server
-  /// owns on the caller's behalf.
-  std::unique_ptr<ServiceGateway> owned_gateway_;
+  service::JobGateway& gateway_;
   ServerConfig config_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;

@@ -6,7 +6,7 @@ namespace pts::obs {
 
 namespace detail {
 #if PTS_TELEMETRY
-thread_local Counters* tl_sink = nullptr;
+constinit thread_local Counters* tl_sink = nullptr;
 #endif
 }  // namespace detail
 

@@ -75,7 +75,9 @@ struct Counters {
 
 namespace detail {
 #if PTS_TELEMETRY
-extern thread_local Counters* tl_sink;
+// constinit: the sink is constant-initialized, so other translation units
+// reach it directly instead of through a TLS init wrapper.
+extern constinit thread_local Counters* tl_sink;
 #endif
 }  // namespace detail
 

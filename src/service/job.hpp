@@ -152,17 +152,22 @@ struct JobResult {
   bool warm_started = false;
 };
 
-/// What a successful submit() returns: the job's identity plus the future.
+/// What an accepted submission learns at once: the job's identity.
 /// `deduplicated` means this submission attached to an identical in-flight
-/// solve instead of enqueuing its own — the future still resolves
+/// solve instead of enqueuing its own — its result still arrives
 /// independently, with this submission's own deadline semantics.
-struct JobHandle {
+struct JobTicket {
   JobId id = 0;
   TenantId tenant;
   /// Content address of the instance (snapshot::instance_hash64 over the
   /// canonical wire serialization) — the dedup and warm-start store key.
   std::uint64_t content_hash = 0;
   bool deduplicated = false;
+};
+
+/// The future-style form of an accepted submission (service/gateway.hpp):
+/// the ticket plus a future that always resolves.
+struct JobHandle : JobTicket {
   std::future<JobResult> result;
 };
 

@@ -12,6 +12,7 @@
 #include "parallel/snapshot.hpp"
 #include "parallel/wire.hpp"
 #include "util/check.hpp"
+#include "util/logging.hpp"
 
 namespace pts::service {
 
@@ -55,9 +56,10 @@ std::vector<std::uint8_t> solve_key_bytes(const JobOptions& options,
 }  // namespace
 
 /// One submission's stake in a solve: its own identity, deadline, journal
-/// record and promise. A job starts with one waiter; dedup attaches more.
-/// The promise is resolved exactly once, by whichever path terminates the
-/// waiter (run fan-out, per-waiter deadline sweep, cancel, shed, shutdown).
+/// record and completion callback. A job starts with one waiter; dedup
+/// attaches more. on_done is called exactly once, by whichever path
+/// terminates the waiter (run fan-out, per-waiter deadline sweep, cancel,
+/// shed, shutdown).
 struct SolverService::Waiter {
   JobId id = 0;
   JobOrigin origin = JobOrigin::kFresh;
@@ -73,7 +75,7 @@ struct SolverService::Waiter {
   Deadline deadline;         ///< unbounded when no deadline was requested
   double queue_seconds = 0.0;  ///< stamped at dispatch (or attach-to-running)
   Stopwatch since_submit;
-  std::promise<JobResult> promise;
+  JobCallback on_done;
 };
 
 /// One solve, queued or running, fanned out to one or more waiters. The
@@ -127,7 +129,7 @@ SolverService::SolverService(ServiceConfig config) : config_(std::move(config)) 
   }
 
   // Crash recovery: replay the previous incarnation's journal BEFORE
-  // truncating it, then re-enqueue every job whose future never resolved.
+  // truncating it, then re-enqueue every job whose result never went out.
   // Resubmitting re-journals the survivors, which compacts the log.
   std::vector<journal::RecoveredJob> replayed;
   if (!config_.journal_path.empty()) {
@@ -156,27 +158,28 @@ SolverService::SolverService(ServiceConfig config) : config_(std::move(config)) 
     // Recovered duplicates re-coalesce here: a follower's instance bytes and
     // solve key still match its primary's, so resubmitting both in the old
     // submission order re-attaches them.
-    auto outcome = submit_full(std::move(request), JobOrigin::kResumed,
-                               job.dispatch_sequence);
-    recovered_.push_back(Submission{outcome.id, std::move(outcome.future)});
+    auto handle = with_future([&](JobCallback on_done) {
+      return submit_full(std::move(request), std::move(on_done),
+                         JobOrigin::kResumed, job.dispatch_sequence);
+    });
+    if (!handle) {
+      PTS_LOG_WARN("service: journaled job not resumed: %s",
+                   handle.status().to_string().c_str());
+      continue;
+    }
+    recovered_.push_back(std::move(*handle));
   }
 }
 
 SolverService::~SolverService() { shutdown(); }
 
-Expected<JobHandle> SolverService::submit(SubmitRequest request) {
-  auto outcome = submit_full(std::move(request), JobOrigin::kFresh);
-  if (!outcome.error.ok()) return outcome.error;
-  JobHandle handle;
-  handle.id = outcome.id;
-  handle.tenant = std::move(outcome.tenant);
-  handle.content_hash = outcome.content_hash;
-  handle.deduplicated = outcome.deduplicated;
-  handle.result = std::move(outcome.future);
-  return handle;
+Expected<JobTicket> SolverService::submit(SubmitRequest request,
+                                          JobCallback on_done) {
+  return submit_full(std::move(request), std::move(on_done), JobOrigin::kFresh,
+                     /*resume_rank=*/0);
 }
 
-std::vector<SolverService::Submission> SolverService::take_recovered() {
+std::vector<JobHandle> SolverService::take_recovered() {
   std::lock_guard lock(mutex_);
   return std::move(recovered_);
 }
@@ -185,7 +188,7 @@ void SolverService::journal_resolved(const Waiter& waiter) {
   if (journal_ && waiter.journaled) (void)journal_->append_resolved(waiter.id);
 }
 
-void SolverService::resolve_waiter(Waiter& waiter, const Job* job,
+void SolverService::resolve_waiter(Waiter& waiter, const Job& job,
                                    Status status) {
   JobResult result;
   result.id = waiter.id;
@@ -195,11 +198,9 @@ void SolverService::resolve_waiter(Waiter& waiter, const Job* job,
   result.queue_seconds = waiter.since_submit.elapsed_seconds();
   result.tenant = waiter.tenant;
   result.deduplicated = waiter.deduplicated;
-  if (job != nullptr) {
-    result.content_hash = job->content_hash;
-    result.start_sequence = job->start_sequence;
-  }
-  waiter.promise.set_value(std::move(result));
+  result.content_hash = job.content_hash;
+  result.start_sequence = job.start_sequence;
+  waiter.on_done(std::move(result));
 }
 
 SolverService::TenantState& SolverService::tenant_state_locked(
@@ -213,8 +214,10 @@ SolverService::TenantState& SolverService::tenant_state_locked(
   return tenants_.emplace(tenant, state).first->second;
 }
 
-SolverService::SubmitOutcome SolverService::submit_full(
-    SubmitRequest request, JobOrigin origin, std::uint64_t resume_rank) {
+Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
+                                              JobCallback on_done,
+                                              JobOrigin origin,
+                                              std::uint64_t resume_rank) {
   // The request-level urgency fields are authoritative: fold them into the
   // options copy the waiter keeps, so the journal replays them and the solve
   // key (which neutralizes exactly these fields) stays caller-independent.
@@ -227,10 +230,10 @@ SolverService::SubmitOutcome SolverService::submit_full(
   waiter->instance = request.instance;
   waiter->options = request.options;
   waiter->warm_start = request.warm_start;
+  waiter->on_done = std::move(on_done);
 
-  SubmitOutcome out;
+  JobTicket out;
   out.tenant = request.tenant;
-  out.future = waiter->promise.get_future();
   {
     std::lock_guard lock(mutex_);
     waiter->id = next_id_++;
@@ -243,9 +246,7 @@ SolverService::SubmitOutcome SolverService::submit_full(
   }
   out.id = waiter->id;
 
-  // Validation: every failure is a structured Status, never an abort. The
-  // future is resolved with it too, so a recovered job that no longer
-  // validates still hands take_recovered() a resolved future.
+  // Validation: every failure is a structured Status, never an abort.
   Status invalid;
   std::optional<parallel::ParallelConfig> preset;
   if (!waiter->instance) {
@@ -275,9 +276,7 @@ SolverService::SubmitOutcome SolverService::submit_full(
       ++stats_.invalid;
     }
     obs::metrics().counter("service_invalid_total").add();
-    out.error = invalid;
-    resolve_waiter(*waiter, nullptr, std::move(invalid));
-    return out;
+    return invalid;
   }
 
   auto job = std::make_shared<Job>();
@@ -308,7 +307,7 @@ SolverService::SubmitOutcome SolverService::submit_full(
       std::clamp<std::size_t>(job->config.num_slaves, 1, config_.num_workers);
   // ... and to the tenant's running-slot quota: a job asking more slots than
   // its tenant may ever hold would be permanently ineligible for dispatch —
-  // the scheduler would skip it forever and its future would never resolve.
+  // the scheduler would skip it forever and its result would never arrive.
   // Shrinking the ask keeps the quota's meaning (concurrency cap) without
   // turning it into a starvation trap.
   for (const auto& tenant : config_.tenants) {
@@ -340,9 +339,7 @@ SolverService::SubmitOutcome SolverService::submit_full(
     ++stats_.cancelled;
     lock.unlock();
     obs::metrics().counter("service_cancelled_total").add();
-    out.error = Status::unavailable("service is shut down");
-    resolve_waiter(*waiter, nullptr, Status::unavailable("service is shut down"));
-    return out;
+    return Status::unavailable("service is shut down");
   }
 
   // In-flight dedup: an identical solve already queued or running adopts
@@ -430,17 +427,16 @@ SolverService::SubmitOutcome SolverService::submit_full(
       obs::metrics().counter("service_shed_total").add();
       for (auto& lost : shed->waiters) {
         journal_resolved(*lost);
-        resolve_waiter(*lost, shed.get(),
+        resolve_waiter(*lost, *shed,
                        Status::resource_exhausted(
                            "shed by a higher-priority submission (queue full)"));
       }
       wake_.notify_all();
     } else {
       obs::metrics().counter("service_rejected_total").add();
-      out.error = Status::resource_exhausted(
+      return Status::resource_exhausted(
           "queue full (capacity " + std::to_string(config_.queue_capacity) +
           ")");
-      resolve_waiter(*waiter, nullptr, out.error);
     }
     return out;
   }
@@ -495,7 +491,7 @@ bool SolverService::cancel(JobId id) {
     lock.unlock();
     obs::metrics().counter("service_cancelled_total").add();
     journal_resolved(*waiter);
-    resolve_waiter(*waiter, keep.get(),
+    resolve_waiter(*waiter, *keep,
                    Status::cancelled("cancelled while queued"));
     return true;
   }
@@ -507,7 +503,7 @@ bool SolverService::cancel(JobId id) {
     if (job->waiters.size() == 1) {
       // Last (or only) waiter: the token does the rest — the engine notices
       // within one inner-loop check, the master within one mailbox poll
-      // slice; the job thread then resolves the future as kCancelled.
+      // slice; the job thread then resolves the waiter as kCancelled.
       job->cancel.request_cancel();
       return true;
     }
@@ -519,7 +515,7 @@ bool SolverService::cancel(JobId id) {
     lock.unlock();
     obs::metrics().counter("service_cancelled_total").add();
     journal_resolved(*waiter);
-    resolve_waiter(*waiter, keep.get(),
+    resolve_waiter(*waiter, *keep,
                    Status::cancelled("cancelled while running (detached from "
                                      "shared solve)"));
     return true;
@@ -549,7 +545,7 @@ void SolverService::shutdown() {
     // Deliberately NOT struck from the journal: a queued job cancelled by
     // shutdown is exactly what the next incarnation should resume.
     for (auto& waiter : job->waiters) {
-      resolve_waiter(*waiter, job.get(),
+      resolve_waiter(*waiter, *job,
                      Status::cancelled("service shutting down"));
     }
   }
@@ -587,7 +583,7 @@ void SolverService::sweep_queue_locked() {
       ++stats_.deadline_expired;
       obs::metrics().counter("service_deadline_missed_total").add();
       journal_resolved(*waiter);
-      resolve_waiter(*waiter, job.get(),
+      resolve_waiter(*waiter, *job,
                      Status::deadline_exceeded("deadline passed while queued"));
     }
     if (job->waiters.empty()) {
@@ -601,7 +597,7 @@ void SolverService::sweep_queue_locked() {
   // resolve them the moment their deadline passes. Only while the solve's
   // deadline itself still stands — a never-shared job's waiter deadline IS
   // the solve deadline (they expire together), so this never fires for it
-  // and the legacy run-resolves-the-future path is untouched. No waiter
+  // and the legacy run-resolves-the-waiter path is untouched. No waiter
   // count guard: a shared solve whose most generous waiter detached leaves
   // ONE waiter under a longer solve deadline, and its own deadline must
   // still be honored.
@@ -617,7 +613,7 @@ void SolverService::sweep_queue_locked() {
       ++stats_.deadline_expired;
       obs::metrics().counter("service_deadline_missed_total").add();
       journal_resolved(*waiter);
-      resolve_waiter(*waiter, job.get(),
+      resolve_waiter(*waiter, *job,
                      Status::deadline_exceeded("deadline passed while running"));
     }
     if (job->waiters.empty()) job->cancel.request_cancel();
@@ -878,7 +874,7 @@ void SolverService::run_job(const std::shared_ptr<Job>& job,
       result.tenant = waiter->tenant;
       result.deduplicated = waiter->deduplicated;
       result.queue_seconds = waiter->queue_seconds;
-      waiter->promise.set_value(std::move(result));
+      waiter->on_done(std::move(result));
     }
     return;
   }
@@ -909,10 +905,10 @@ void SolverService::run_job(const std::shared_ptr<Job>& job,
     base.status = Status{};
   }
 
-  // Retire the job from the books BEFORE resolving the promises, so "the
-  // future is ready" implies "cancel(id) returns false". The scheduler may
-  // join this thread before set_value runs; that is fine — the join only
-  // waits for the return below, and no lock is held past this block.
+  // Retire the job from the books BEFORE calling back, so "the result
+  // arrived" implies "cancel(id) returns false". The scheduler may join
+  // this thread before on_done runs; that is fine — the join only waits for
+  // the return below, and no lock is held past this block.
   bool strike = true;
   std::vector<std::unique_ptr<Waiter>> waiters;
   {
@@ -965,7 +961,7 @@ void SolverService::run_job(const std::shared_ptr<Job>& job,
     result.tenant = waiter->tenant;
     result.deduplicated = waiter->deduplicated;
     result.queue_seconds = waiter->queue_seconds;
-    waiter->promise.set_value(std::move(result));
+    waiter->on_done(std::move(result));
   }
 
   // Persist the finished run's per-slave state for future warm starts. Only

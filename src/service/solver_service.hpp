@@ -1,14 +1,20 @@
 #pragma once
-// SolverService: many MKP solve jobs over one fixed-width worker pool, with
-// futures that resolve to a result **or a structured error** — never an
-// abort, never a dangling future. Multi-tenant (DESIGN.md §7): submissions
+// SolverService: many MKP solve jobs over one fixed-width worker pool,
+// each accepted job answered exactly once with a result **or a structured
+// error** — never an abort, never a lost answer. Multi-tenant (DESIGN.md §7): submissions
 // carry a tenant identity, dispatch is weighted-fair across tenants, and
 // identical in-flight work is deduplicated into one shared solve.
 //
-// Submission. submit(SubmitRequest) validates and enqueues, returning
-// Expected<JobHandle>: admission failures (bad options, backpressure,
-// shutdown) come back as a Status; accepted work returns a handle whose
-// future always resolves. Every submitted instance is content-addressed
+// Submission. SolverService is a JobGateway (service/gateway.hpp):
+// submit(request, on_done) validates and enqueues. Admission failures (bad
+// options, backpressure, shutdown) come back as a Status and `on_done` is
+// never called; accepted work returns a JobTicket and `on_done` is called
+// exactly once with the JobResult — from whichever path terminates the
+// waiter: the job thread's run fan-out, the scheduler's deadline sweep
+// (under the service mutex), cancel(), a shed, or shutdown(). So `on_done`
+// may run before submit returns, on any of those threads: it must not
+// block and must not call back into the service. submit(request) is the
+// future-style form of the same path. Every submitted instance is content-addressed
 // (snapshot::instance_hash64 over its canonical wire bytes); a submission
 // whose instance bytes AND solve-shaped options match an in-flight job
 // attaches to that job as an extra *waiter* instead of enqueuing a new
@@ -57,13 +63,13 @@
 // mixed multi-tenant workload through it.
 
 #include <condition_variable>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "service/gateway.hpp"
 #include "service/job.hpp"
 #include "service/journal.hpp"
 #include "service/warm_start.hpp"
@@ -72,7 +78,7 @@
 
 namespace pts::service {
 
-class SolverService {
+class SolverService final : public JobGateway {
  public:
   explicit SolverService(ServiceConfig config = {});
   ~SolverService();  ///< shutdown(): cancels outstanding work, joins all threads
@@ -80,25 +86,19 @@ class SolverService {
   SolverService(const SolverService&) = delete;
   SolverService& operator=(const SolverService&) = delete;
 
-  struct Submission {
-    JobId id = 0;
-    std::future<JobResult> result;
-  };
-
-  /// The submission API. Non-blocking and abort-free: admission failures
-  /// (invalid options, queue backpressure, shutdown) return a Status;
-  /// an accepted submission's future always resolves — run-time failures
-  /// (backend death, deadline, cancellation) arrive as the JobResult's
-  /// own Status. The instance is shared into the job (and its JobResult)
+  /// The submission API (the contract is JobGateway's). Non-blocking and
+  /// abort-free. The instance is shared into the job (and its JobResult)
   /// so its lifetime is independent of the caller's copy.
-  [[nodiscard]] Expected<JobHandle> submit(SubmitRequest request);
+  [[nodiscard]] Expected<JobTicket> submit(SubmitRequest request,
+                                           JobCallback on_done) override;
+  using JobGateway::submit;
 
   /// Queued waiter: resolves kCancelled immediately without running.
   /// Waiter on a running solve: detaches it (the shared solve continues for
   /// any other waiters; the last waiter's cancel fires the run's token and
   /// its future resolves kCancelled with the best found so far). Returns
   /// false for ids that are unknown or already resolved.
-  bool cancel(JobId id);
+  bool cancel(JobId id) override;
 
   /// Stops accepting work, cancels every queued and running job, and joins
   /// all threads. Every outstanding future resolves. Idempotent; the
@@ -107,9 +107,10 @@ class SolverService {
   void shutdown();
 
   /// Jobs replayed from the journal and re-enqueued by the constructor, in
-  /// their original submission order. Single-shot: moves the submissions
-  /// (with their futures) out; later calls return empty.
-  [[nodiscard]] std::vector<Submission> take_recovered();
+  /// their original submission order. Single-shot: moves the handles (with
+  /// their futures) out; later calls return empty. A replayed job the
+  /// service refuses (e.g. the queue is full) is logged and left out.
+  [[nodiscard]] std::vector<JobHandle> take_recovered();
 
   [[nodiscard]] std::size_t queued_jobs() const;
   [[nodiscard]] std::size_t running_jobs() const;
@@ -127,20 +128,8 @@ class SolverService {
     std::size_t running_slots = 0;
   };
 
-  /// What the internal submit path reports to both public faces. The future
-  /// is always valid; when `error` is non-OK it has already been resolved
-  /// with that error (take_recovered hands it out; submit drops it).
-  struct SubmitOutcome {
-    JobId id = 0;
-    TenantId tenant;
-    std::uint64_t content_hash = 0;
-    bool deduplicated = false;
-    Status error;
-    std::future<JobResult> future;
-  };
-
-  SubmitOutcome submit_full(SubmitRequest request, JobOrigin origin,
-                            std::uint64_t resume_rank = 0);
+  Expected<JobTicket> submit_full(SubmitRequest request, JobCallback on_done,
+                                  JobOrigin origin, std::uint64_t resume_rank);
   /// Admits a fresh job into the queue: idle-tenant vtime catch-up, id
   /// assignment from its first waiter, enqueue, and the kSubmitted journal
   /// append. Shared by the normal accept path and shed-admission so both
@@ -158,7 +147,7 @@ class SolverService {
   void reap_finished_locked(std::unique_lock<std::mutex>& lock);
   void run_job(const std::shared_ptr<Job>& job, std::uint64_t start_sequence);
   /// Resolves one waiter that never got (or never will get) a run result.
-  static void resolve_waiter(Waiter& waiter, const Job* job, Status status);
+  static void resolve_waiter(Waiter& waiter, const Job& job, Status status);
 
   ServiceConfig config_;
   mutable std::mutex mutex_;
@@ -182,7 +171,7 @@ class SolverService {
 
   /// Null when journaling is off (empty path or the journal failed to open).
   std::unique_ptr<journal::JobJournal> journal_;
-  std::vector<Submission> recovered_;  ///< replayed jobs, until take_recovered()
+  std::vector<JobHandle> recovered_;  ///< replayed jobs, until take_recovered()
 
   /// Null when ServiceConfig::warm_start_dir is empty.
   std::unique_ptr<WarmStartStore> warm_store_;

@@ -21,26 +21,17 @@ namespace pts {
 
 namespace {
 
-// Word-skip helpers for the masked scans: given that word `k` was already
-// examined (and was all-skippable), return the first index in (k, nwords)
-// whose word is interesting — nonzero for next_one, not-all-ones for
-// next_zero — or nwords. The vector variants skip 4 (AVX2) or 2 (NEON)
-// words per compare and land on the same index as the scalar loop: they
-// only ever FAST-FORWARD over groups proven entirely skippable, then let a
-// scalar loop pinpoint the word inside the final group.
+// Word-skip helper for next_one: given that word `k` was already examined
+// (and was zero), return the first index in (k, nwords) whose word is
+// nonzero, or nwords. The vector variants skip 4 (AVX2) or 2 (NEON) words
+// per compare and land on the same index as the scalar loop: they only ever
+// FAST-FORWARD over groups proven entirely zero, then let a scalar loop
+// pinpoint the word inside the final group.
 
 std::size_t skip_zero_words_scalar(const std::uint64_t* words, std::size_t k,
                                    std::size_t nwords) {
   while (++k < nwords) {
     if (words[k] != 0) break;
-  }
-  return k;
-}
-
-std::size_t skip_ones_words_scalar(const std::uint64_t* words, std::size_t k,
-                                   std::size_t nwords) {
-  while (++k < nwords) {
-    if (~words[k] != 0) break;
   }
   return k;
 }
@@ -57,25 +48,6 @@ __attribute__((target("avx2"))) std::size_t skip_zero_words_avx2(
   }
   for (; k < nwords; ++k) {
     if (words[k] != 0) break;
-  }
-  return k;
-}
-
-__attribute__((target("avx2"))) std::size_t skip_ones_words_avx2(
-    const std::uint64_t* words, std::size_t k, std::size_t nwords) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  ++k;
-  for (; k + 4 <= nwords; k += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + k));
-    // Group is skippable only when every word is all-ones.
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi64(v, ones)) !=
-        static_cast<int>(0xffffffffU)) {
-      break;
-    }
-  }
-  for (; k < nwords; ++k) {
-    if (~words[k] != 0) break;
   }
   return k;
 }
@@ -97,19 +69,6 @@ std::size_t skip_zero_words_neon(const std::uint64_t* words, std::size_t k,
   return k;
 }
 
-std::size_t skip_ones_words_neon(const std::uint64_t* words, std::size_t k,
-                                 std::size_t nwords) {
-  ++k;
-  for (; k + 2 <= nwords; k += 2) {
-    const uint64x2_t v = vld1q_u64(words + k);
-    if (vminvq_u32(vreinterpretq_u32_u64(v)) != 0xffffffffU) break;
-  }
-  for (; k < nwords; ++k) {
-    if (~words[k] != 0) break;
-  }
-  return k;
-}
-
 #endif  // PTS_HAVE_NEON_BITSCAN
 
 std::size_t skip_zero_words(const std::uint64_t* words, std::size_t k,
@@ -125,22 +84,6 @@ std::size_t skip_zero_words(const std::uint64_t* words, std::size_t k,
 #endif
     default:
       return skip_zero_words_scalar(words, k, nwords);
-  }
-}
-
-std::size_t skip_ones_words(const std::uint64_t* words, std::size_t k,
-                            std::size_t nwords) {
-  switch (simd::active()) {
-#if PTS_HAVE_AVX2_BITSCAN
-    case simd::Kind::kAvx2:
-      return skip_ones_words_avx2(words, k, nwords);
-#endif
-#if PTS_HAVE_NEON_BITSCAN
-    case simd::Kind::kNeon:
-      return skip_ones_words_neon(words, k, nwords);
-#endif
-    default:
-      return skip_ones_words_scalar(words, k, nwords);
   }
 }
 
@@ -167,21 +110,6 @@ std::size_t BitVec::next_one(std::size_t from) const {
     k = skip_zero_words(words_.data(), k, words_.size());
     if (k == words_.size()) return nbits_;
     w = words_[k];
-  }
-}
-
-std::size_t BitVec::next_zero(std::size_t from) const {
-  if (from >= nbits_) return nbits_;
-  std::size_t k = from >> 6;
-  std::uint64_t w = ~words_[k] & (~0ULL << (from & 63));
-  while (true) {
-    if (w != 0) {
-      const std::size_t bit = (k << 6) + static_cast<std::size_t>(std::countr_zero(w));
-      return bit < nbits_ ? bit : nbits_;
-    }
-    k = skip_ones_words(words_.data(), k, words_.size());
-    if (k == words_.size()) return nbits_;
-    w = ~words_[k];
   }
 }
 

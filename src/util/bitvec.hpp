@@ -52,11 +52,6 @@ class BitVec {
   /// Word-level scan: skipping a fully-clear 64-bit word costs one compare.
   [[nodiscard]] std::size_t next_one(std::size_t from) const;
 
-  /// Index of the first clear bit at position >= from, or size() if none.
-  /// Lets candidate loops iterate the complement of a dense selection mask
-  /// without testing every bit individually.
-  [[nodiscard]] std::size_t next_zero(std::size_t from) const;
-
   /// Number of positions where the two vectors differ. Sizes must match.
   [[nodiscard]] std::size_t hamming_distance(const BitVec& other) const;
 

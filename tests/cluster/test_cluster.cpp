@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <span>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "../callback_tally.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/worker_node.hpp"
 #include "mkp/generator.hpp"
@@ -380,6 +382,114 @@ TEST(Cluster, CoordinatorRefusesAnEmptyRoster) {
   auto coordinator = Coordinator::start(std::move(config));
   ASSERT_FALSE(coordinator);
   EXPECT_EQ(coordinator.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The coordinator's side of the JobGateway contract: each accepted waiter's
+// callback fires exactly once on every path that resolves it, a refused
+// submission's never. Counts are checked after stop(), which joins every
+// coordinator thread.
+TEST(Cluster, CallbackFiresOnceForRunDedupAndRefusal) {
+  service::CallbackTally tally;
+  auto w1 = start_worker();
+  ASSERT_TRUE(w1);
+  auto coordinator = Coordinator::start(fast_config({w1->port()}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 1);
+
+  ASSERT_TRUE((*coordinator)->submit(make_request(3, 1.0), tally.callback(1)));
+  auto follower = (*coordinator)->submit(make_request(3, 1.0), tally.callback(2));
+  ASSERT_TRUE(follower);
+  EXPECT_TRUE(follower->deduplicated);
+  auto refused = make_request(4);
+  refused.instance = nullptr;
+  ASSERT_FALSE((*coordinator)->submit(refused, tally.callback(3)));
+
+  ASSERT_TRUE(tally.wait_total(2));
+  (*coordinator)->stop();
+  EXPECT_EQ(tally.calls(1), 1);
+  EXPECT_EQ(tally.calls(2), 1);
+  EXPECT_EQ(tally.calls(3), 0);
+  EXPECT_EQ(tally.code(1), StatusCode::kOk);
+  EXPECT_EQ(tally.code(2), StatusCode::kOk);
+}
+
+TEST(Cluster, CallbackFiresOnceForPendingCancelDeadlineAndStop) {
+  // No worker listens on this roster: every job stays pending.
+  service::CallbackTally tally;
+  auto coordinator = Coordinator::start(fast_config({1}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  auto cancelled = (*coordinator)->submit(make_request(5), tally.callback(1));
+  ASSERT_TRUE(cancelled);
+  auto expiring = make_request(6);
+  expiring.deadline_seconds = 0.2;
+  ASSERT_TRUE((*coordinator)->submit(expiring, tally.callback(2)));
+  ASSERT_TRUE((*coordinator)->submit(make_request(7), tally.callback(3)));
+
+  EXPECT_TRUE((*coordinator)->cancel(cancelled->id));
+  ASSERT_TRUE(tally.wait_total(2));
+  (*coordinator)->stop();
+  ASSERT_FALSE((*coordinator)->submit(make_request(8), tally.callback(4)));
+  for (const int slot : {1, 2, 3}) EXPECT_EQ(tally.calls(slot), 1) << slot;
+  EXPECT_EQ(tally.calls(4), 0);
+  EXPECT_EQ(tally.code(1), StatusCode::kCancelled);
+  EXPECT_EQ(tally.code(2), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(tally.code(3), StatusCode::kUnavailable);
+}
+
+TEST(Cluster, CallbackFiresOnceForRunningCancelShedAndDeadline) {
+  // A one-wide worker with one queue slot that sheds its lowest job.
+  service::CallbackTally tally;
+  WorkerNodeConfig config;
+  config.service.num_workers = 1;
+  config.service.queue_capacity = 1;
+  config.service.overflow = service::OverflowPolicy::kShedLowest;
+  auto node = WorkerNode::start(std::move(config));
+  ASSERT_TRUE(node) << node.status().to_string();
+  WorkerNode& w1 = **node;
+  auto coordinator = Coordinator::start(fast_config({w1.port()}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 1);
+  const auto wait_for = [](const std::function<bool()>& done) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+    }
+    return done();
+  };
+
+  auto running = (*coordinator)->submit(make_request(11, 30.0), tally.callback(1));
+  ASSERT_TRUE(running);
+  ASSERT_TRUE(wait_for([&] { return w1.service().running_jobs() == 1; }));
+  auto low = make_request(12, 30.0);
+  low.priority = 1;
+  ASSERT_TRUE((*coordinator)->submit(low, tally.callback(2)));
+  ASSERT_TRUE(wait_for([&] { return w1.service().queued_jobs() == 1; }));
+  // Outranks the queued job on the worker, which sheds it.
+  auto high = make_request(13, 30.0);
+  high.priority = 5;
+  ASSERT_TRUE((*coordinator)->submit(high, tally.callback(3)));
+  ASSERT_TRUE(tally.wait_total(1));
+  EXPECT_EQ(tally.code(2), StatusCode::kResourceExhausted);
+
+  // Cancel of a dispatched waiter resolves it at once; the remote
+  // kCancelled result that follows finds no waiter left.
+  EXPECT_TRUE((*coordinator)->cancel(running->id));
+  ASSERT_TRUE(tally.wait_total(2));
+  EXPECT_EQ(tally.code(1), StatusCode::kCancelled);
+  // A stricter waiter on the high job's solve: its own deadline resolves it.
+  high.deadline_seconds = 0.3;
+  auto strict = (*coordinator)->submit(high, tally.callback(4));
+  ASSERT_TRUE(strict);
+  EXPECT_TRUE(strict->deduplicated);
+  ASSERT_TRUE(tally.wait_total(3));
+  EXPECT_EQ(tally.code(4), StatusCode::kDeadlineExceeded);
+  // Let the running job's remote kCancelled arrive before stopping.
+  ASSERT_TRUE(wait_for([&] { return w1.service().running_jobs() == 1 &&
+                                    w1.service().queued_jobs() == 0; }));
+
+  (*coordinator)->stop();
+  for (const int slot : {1, 2, 3, 4}) EXPECT_EQ(tally.calls(slot), 1) << slot;
+  EXPECT_EQ(tally.code(3), StatusCode::kUnavailable);
 }
 
 }  // namespace

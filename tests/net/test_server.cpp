@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "bounds/greedy.hpp"
 #include "mkp/generator.hpp"
 #include "net/client.hpp"
+#include "net/protocol.hpp"
 #include "service/solver_service.hpp"
 #include "util/rng.hpp"
 
@@ -363,6 +365,150 @@ TEST(NetServer, StopWithOutstandingWorkTerminates) {
   ASSERT_TRUE(job) << job.status().to_string();
   harness->server->stop();
   harness.reset();  // ~SolverService: every future resolves
+}
+
+std::size_t count_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(NetServer, InFlightSubmissionsAddNoThreads) {
+  // Results ship from each connection's reader thread: K submissions in
+  // flight on one connection cost the server no thread of their own.
+  constexpr int kInFlight = 4;
+  service::ServiceConfig pool;
+  pool.num_workers = 1;
+  Harness harness(pool);
+  Client client = harness.connect();
+
+  // A refused submission is a full round trip: the reader is up once the
+  // ack comes back.
+  auto refused = make_request(make_instance());
+  refused.options.preset = "warp-speed";
+  ASSERT_FALSE(client.submit(refused));
+
+  // An in-process job holds the only worker (its job and slave threads
+  // exist from here on), so the network jobs below stay queued behind it.
+  auto blocker_request = make_request(make_instance(99), /*budget=*/30.0);
+  blocker_request.allow_dedup = false;
+  auto blocker = harness.service->submit(blocker_request);
+  ASSERT_TRUE(blocker) << blocker.status().to_string();
+  while (harness.service->running_jobs() == 0) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(200ms);
+  const std::size_t idle = count_threads();
+
+  std::vector<RemoteJob> jobs;
+  for (int k = 0; k < kInFlight; ++k) {
+    auto request = make_request(make_instance(static_cast<std::uint64_t>(k)),
+                                /*budget=*/30.0);
+    request.allow_dedup = false;
+    auto job = client.submit(request);
+    ASSERT_TRUE(job) << job.status().to_string();
+    jobs.push_back(*job);
+  }
+  EXPECT_EQ(harness.service->queued_jobs(), static_cast<std::size_t>(kInFlight));
+  EXPECT_EQ(count_threads(), idle);
+
+  for (const auto& job : jobs) ASSERT_TRUE(client.cancel(job).ok());
+  for (const auto& job : jobs) {
+    auto result = client.wait(job, 30.0);
+    ASSERT_TRUE(result) << result.status().to_string();
+    EXPECT_EQ(result->status.code(), StatusCode::kCancelled);
+  }
+  EXPECT_TRUE(harness.service->cancel(blocker->id));
+  (void)blocker->result.get();
+}
+
+/// A gateway that answers every submission with a canned result before
+/// submit() returns: inside submit() itself, or from another thread.
+class ImmediateGateway final : public service::JobGateway {
+ public:
+  explicit ImmediateGateway(bool from_other_thread)
+      : from_other_thread_(from_other_thread) {}
+
+  Expected<service::JobTicket> submit(service::SubmitRequest request,
+                                      service::JobCallback on_done) override {
+    service::JobTicket ticket;
+    ticket.id = ++submitted_;
+    service::JobResult result;
+    result.id = ticket.id;
+    result.instance = request.instance;
+    result.best_value = 42.0;
+    // More samples than one JobEvent carries: the curve ships in chunks.
+    for (std::size_t k = 0; k <= kMaxAnytimeSamplesPerEvent; ++k) {
+      result.anytime.push_back({.seconds = static_cast<double>(k),
+                                .value = static_cast<double>(k)});
+    }
+    if (from_other_thread_) {
+      std::thread([&] { on_done(std::move(result)); }).join();
+    } else {
+      on_done(std::move(result));
+    }
+    return ticket;
+  }
+  bool cancel(service::JobId) override { return false; }
+
+ private:
+  const bool from_other_thread_;
+  service::JobId submitted_ = 0;  // submit() runs on the reader thread only
+};
+
+/// Submits on a raw socket and checks the frame order the client sees: the
+/// ack first, then the anytime chunks, then the result.
+void expect_ack_before_result(bool from_other_thread) {
+  ImmediateGateway gateway(from_other_thread);
+  auto server = Server::start(gateway, {});
+  ASSERT_TRUE(server) << server.status().to_string();
+  auto socket = dial("127.0.0.1", (*server)->port(), 5.0);
+  ASSERT_TRUE(socket) << socket.status().to_string();
+
+  const auto inst = make_instance();
+  for (std::uint64_t request_id = 1; request_id <= 3; ++request_id) {
+    service::JobOptions options;
+    options.preset = "quick";
+    const SubmitJob m{request_id, "prod", 0, std::nullopt,
+                      service::WarmStartPolicy::kDisabled, true, options, *inst};
+    ASSERT_TRUE(socket->send_frame(encode_submit_job(m)).ok());
+
+    auto ack_frame = socket->read_frame(10.0);
+    ASSERT_TRUE(ack_frame) << ack_frame.status().to_string();
+    ASSERT_EQ(ack_frame->type, parallel::wire::MessageType::kSubmitAck);
+    auto ack = decode_submit_ack(ack_frame->payload);
+    ASSERT_TRUE(ack) << ack.status().to_string();
+    EXPECT_EQ(ack->request_id, request_id);
+    EXPECT_TRUE(ack->status.ok()) << ack->status.to_string();
+
+    std::size_t events = 0;
+    for (;;) {
+      auto frame = socket->read_frame(10.0);
+      ASSERT_TRUE(frame) << frame.status().to_string();
+      if (frame->type == parallel::wire::MessageType::kJobEvent) {
+        ++events;
+        continue;
+      }
+      ASSERT_EQ(frame->type, parallel::wire::MessageType::kJobResult);
+      auto result = decode_job_result(frame->payload, *inst);
+      ASSERT_TRUE(result) << result.status().to_string();
+      EXPECT_EQ(result->request_id, request_id);
+      EXPECT_EQ(result->best_value, 42.0);
+      break;
+    }
+    EXPECT_EQ(events, 2u);
+  }
+  // Every pending entry was retired once its result shipped.
+  EXPECT_TRUE((*server)->drain(/*timeout_seconds=*/5.0));
+}
+
+TEST(NetServerGateway, ResultResolvedInsideSubmitFollowsTheAck) {
+  expect_ack_before_result(/*from_other_thread=*/false);
+}
+
+TEST(NetServerGateway, ResultResolvedOnAnotherThreadFollowsTheAck) {
+  expect_ack_before_result(/*from_other_thread=*/true);
 }
 
 }  // namespace

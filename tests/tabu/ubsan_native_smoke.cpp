@@ -9,6 +9,7 @@
 // default ctest sweep (no sanitizer build required) so the vector paths get
 // UBSan coverage on every run, mirroring what a -DPTS_ENABLE_NATIVE=ON
 // sanitizer job would see.
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -75,23 +76,27 @@ int check_sweep(const mkp::Instance& inst, std::uint64_t seed) {
       ++failures;
     }
   }
-  // Word scans over the selection mask: every position, both polarities —
-  // the shift/mask arithmetic in the vectorized scan is exactly where UBSan
-  // finds off-by-ones.
+  // Word scans over the selection mask, both polarities: next_one's
+  // vectorized word skip for the ones, and for the zeros the open-item
+  // words (~word, tail bits past n trimmed) that MoveKernel::sweep_add walks
+  // — the shift/mask arithmetic in both is exactly where UBSan finds
+  // off-by-ones.
   const BitVec& bits = x.bits();
+  const std::size_t n = inst.num_items();
   std::size_t ones = 0;
-  for (std::size_t j = bits.next_one(0); j < inst.num_items();
-       j = bits.next_one(j + 1)) {
+  for (std::size_t j = bits.next_one(0); j < n; j = bits.next_one(j + 1)) {
     ++ones;
   }
   std::size_t zeros = 0;
-  for (std::size_t j = bits.next_zero(0); j < inst.num_items();
-       j = bits.next_zero(j + 1)) {
-    ++zeros;
+  for (std::size_t w = 0; (w << 6) < n; ++w) {
+    const std::size_t base = w << 6;
+    std::uint64_t open = ~bits.words()[w];
+    if (n - base < 64) open &= (1ULL << (n - base)) - 1;
+    zeros += static_cast<std::size_t>(std::popcount(open));
   }
-  if (ones != bits.popcount() || ones + zeros != inst.num_items()) {
+  if (ones != bits.popcount() || ones + zeros != n) {
     std::fprintf(stderr, "SCAN MISCOUNT %s: %zu ones + %zu zeros != %zu items\n",
-                 inst.name().c_str(), ones, zeros, inst.num_items());
+                 inst.name().c_str(), ones, zeros, n);
     ++failures;
   }
   return failures;

@@ -129,28 +129,6 @@ TEST(BitVec, NextOneScansAcrossWords) {
   EXPECT_EQ(v.next_one(200), 200U);  // past the end
 }
 
-TEST(BitVec, NextZeroScansAcrossWords) {
-  BitVec v(130);
-  for (std::size_t i = 0; i < 130; ++i) v.set(i);
-  v.reset(5);
-  v.reset(64);
-  v.reset(129);
-  EXPECT_EQ(v.next_zero(0), 5U);
-  EXPECT_EQ(v.next_zero(6), 64U);
-  EXPECT_EQ(v.next_zero(65), 129U);
-  EXPECT_EQ(v.next_zero(130), 130U);
-}
-
-TEST(BitVec, NextZeroIgnoresClearTailBitsBeyondSize) {
-  // 70 bits: the second word has 58 storage bits past the logical end, all
-  // zero. A zero-scan must report size(), not a phantom index in the tail.
-  BitVec v(70);
-  for (std::size_t i = 0; i < 70; ++i) v.set(i);
-  EXPECT_EQ(v.next_zero(0), 70U);
-  EXPECT_EQ(v.next_one(69), 69U);
-  EXPECT_EQ(v.next_one(70), 70U);
-}
-
 TEST(BitVec, NextScansAgreeWithPerBitLoop) {
   Rng rng(11);
   BitVec v(301);
@@ -163,16 +141,10 @@ TEST(BitVec, NextScansAgreeWithPerBitLoop) {
     ++ones;
   }
   EXPECT_EQ(ones, v.popcount());
-  std::size_t zeros = 0;
-  for (std::size_t j = v.next_zero(0); j < v.size(); j = v.next_zero(j + 1)) {
-    EXPECT_FALSE(v.test(j));
-    ++zeros;
-  }
-  EXPECT_EQ(zeros, v.size() - v.popcount());
 }
 
 // The vector word-skip paths (util/bitvec.cpp) only fast-forward over word
-// groups proven entirely skippable, so next_one/next_zero must return the
+// groups proven entirely zero, so next_one must return the
 // EXACT scalar answer under every dispatch kind — across word-boundary
 // starts, dense/sparse/empty/full patterns, and sizes that leave 0..3
 // trailing words after the 4-word groups.
@@ -201,11 +173,8 @@ TEST(BitVecSimd, ScansMatchScalarUnderVectorDispatch) {
         const std::size_t from = rng.index(nbits + 8);
         ASSERT_TRUE(simd::set_active(simd::Kind::kScalar));
         const std::size_t one_scalar = v.next_one(from);
-        const std::size_t zero_scalar = v.next_zero(from);
         ASSERT_TRUE(simd::set_active(kind));
         ASSERT_EQ(v.next_one(from), one_scalar)
-            << "nbits=" << nbits << " density=" << density << " from=" << from;
-        ASSERT_EQ(v.next_zero(from), zero_scalar)
             << "nbits=" << nbits << " density=" << density << " from=" << from;
       }
     }
