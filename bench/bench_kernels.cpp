@@ -8,21 +8,20 @@
 // row-major scalar path always runs first and writes machine-readable
 // results to BENCH_kernels.json (override with --json=PATH). The table has
 // three columns per shape — two-pass scalar reference, fused kernel pinned
-// to scalar dispatch, fused kernel on the best vector kind — plus two
-// self-timed sections: the cooperation round-trip latency (scatter→gather,
-// thread vs process backend) and the core-reduction work comparison on the
-// paper's 10x500 / 30x500 GK shapes. `--smoke` skips the google-benchmark
-// suite, shrinks everything to well under the ctest timeout, and exits
-// nonzero if the fused kernel fails to beat the scalar reference or the
-// vector kind regresses against fused-scalar — the `bench_smoke_kernels`
-// regression gate.
+// to scalar dispatch, fused kernel on the best vector kind — plus the
+// core-reduction work comparison on the paper's 10x500 / 30x500 GK shapes.
+// Cooperation-round cost is perfbench's `coop-rounds` workload, not this
+// file's. `--smoke` skips the google-benchmark suite, shrinks everything to
+// well under the ctest timeout, and exits nonzero if the fused kernel fails
+// to beat the scalar reference, the vector kind regresses against
+// fused-scalar, or the core run misses the full-space best — the
+// `bench_smoke_kernels` regression gate.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -161,28 +160,6 @@ SweepTiming time_sweeps(const mkp::Instance& inst, std::size_t reps) {
   return timing;
 }
 
-/// Wall-clock per cooperation round (scatter assignments → gather reports)
-/// with a work budget small enough that the search itself is noise: the
-/// number is dominated by the mailbox/socket round trip plus the barrier.
-double coop_round_trip_us(parallel::Backend backend, std::size_t rounds) {
-  const auto inst = bench_instance(100, 5);
-  parallel::ParallelConfig config;
-  config.mode = parallel::CooperationMode::kCooperativePool;
-  config.backend = backend;
-  config.num_slaves = 4;
-  config.search_iterations = rounds;
-  config.work_per_slave_round = 32;
-  config.seed = 7;
-  const auto result = run_parallel_tabu_search(inst, config);
-  if (!result.status.ok() || result.master.rounds_completed == 0) {
-    std::fprintf(stderr, "coop latency (%s backend): %s\n",
-                 parallel::to_string(backend).c_str(),
-                 result.status.to_string().c_str());
-    return -1.0;
-  }
-  return result.seconds * 1e6 / static_cast<double>(result.master.rounds_completed);
-}
-
 struct CoreComparison {
   bool engaged = false;
   bool reached = false;          ///< core run reached the full run's best
@@ -297,22 +274,6 @@ int run_kernel_comparison(const std::string& json_path, bool smoke) {
   json += "  ],\n  \"fused_within_tolerance\": ";
   json += ok ? "true" : "false";
 
-  // Cooperation round-trip latency: same master/slave logic, two transports.
-  const std::size_t coop_rounds = smoke ? 6 : 24;
-  const double thread_us = coop_round_trip_us(parallel::Backend::kThread, coop_rounds);
-  const double proc_us = coop_round_trip_us(parallel::Backend::kProcess, coop_rounds);
-  ok = ok && thread_us > 0.0 && proc_us > 0.0;
-  {
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  ",\n  \"coop_round_trip\": {\"slaves\": 4, \"rounds\": %zu, "
-                  "\"thread_us_per_round\": %.1f, \"proc_us_per_round\": %.1f}",
-                  coop_rounds, thread_us, proc_us);
-    json += row;
-    std::printf("cooperation round trip (4 slaves): thread %.0f us, proc %.0f us\n",
-                thread_us, proc_us);
-  }
-
   // Core-problem reduction on the GK shapes the acceptance names: the core
   // run chases the full run's best and reports the moves it took.
   json += ",\n  \"core_reduction\": [\n";
@@ -355,8 +316,8 @@ int run_kernel_comparison(const std::string& json_path, bool smoke) {
   }
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: kernel regression, backend failure, or core run "
-                 "missed the full-space best (see table above)\n");
+                 "FAIL: kernel regression or core run missed the "
+                 "full-space best (see table above)\n");
     return 1;
   }
   return 0;
@@ -521,11 +482,6 @@ BENCHMARK(BM_GenerateGk)->Arg(100)->Arg(500);
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifdef PTS_WORKER_BIN_FOR_TESTS
-  // Point the process backend at the build-tree worker without requiring
-  // the caller to export anything; an explicit env var still wins.
-  ::setenv("PTS_WORKER_BIN", PTS_WORKER_BIN_FOR_TESTS, /*overwrite=*/0);
-#endif
   bool smoke = false;
   std::string json_path = "BENCH_kernels.json";
   // Strip our flags before handing argv to google-benchmark.

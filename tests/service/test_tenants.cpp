@@ -60,9 +60,11 @@ JobOptions quick_options(double budget, std::uint64_t seed = 1) {
 }
 
 TEST(ServiceDedup, IdenticalQueuedSubmissionsShareOneSolve) {
-  // Two tenants submit the byte-identical instance with the same solve
-  // shape while the pool is busy: the second attaches to the first as an
-  // extra waiter, both futures resolve from ONE run.
+  // Six submissions of the byte-identical instance with the same solve
+  // shape, from alternating tenants, while the pool is busy: every one after
+  // the first attaches to it as an extra waiter, and all six futures
+  // resolve from ONE run.
+  constexpr std::size_t kGroup = 6;
   SolverService server({.num_workers = 1});
   auto blocker = submit_ok(
       server, make_request(std::make_shared<const mkp::Instance>(small_instance(1)),
@@ -70,29 +72,37 @@ TEST(ServiceDedup, IdenticalQueuedSubmissionsShareOneSolve) {
   wait_until_running(server, 1);
 
   const auto shared = std::make_shared<const mkp::Instance>(small_instance(2));
-  auto primary = submit_ok(server, make_request(shared, quick_options(0.2, 7), "prod"));
-  auto follower = submit_ok(server, make_request(shared, quick_options(0.2, 7), "batch"));
-  EXPECT_FALSE(primary.deduplicated);
-  EXPECT_TRUE(follower.deduplicated);
-  EXPECT_EQ(primary.content_hash, follower.content_hash);
-  EXPECT_NE(primary.id, follower.id);
+  const auto tenant = [](std::size_t k) { return k % 2 == 0 ? "prod" : "batch"; };
+  std::vector<JobHandle> group;
+  for (std::size_t k = 0; k < kGroup; ++k) {
+    group.push_back(
+        submit_ok(server, make_request(shared, quick_options(0.2, 7), tenant(k))));
+  }
+  EXPECT_FALSE(group[0].deduplicated);
+  for (std::size_t k = 1; k < kGroup; ++k) {
+    EXPECT_TRUE(group[k].deduplicated) << "submission " << k;
+    EXPECT_EQ(group[k].content_hash, group[0].content_hash);
+    EXPECT_NE(group[k].id, group[k - 1].id);
+  }
 
-  const auto first = primary.result.get();
-  const auto second = follower.result.get();
+  const auto first = group[0].result.get();
   EXPECT_TRUE(first.status.ok()) << first.status.to_string();
-  EXPECT_TRUE(second.status.ok()) << second.status.to_string();
-  // One solve: both resolved from the same dispatch.
   EXPECT_GT(first.start_sequence, 0U);
-  EXPECT_EQ(first.start_sequence, second.start_sequence);
-  EXPECT_EQ(first.best_value, second.best_value);
   EXPECT_FALSE(first.deduplicated);
-  EXPECT_TRUE(second.deduplicated);
   EXPECT_EQ(first.tenant, "prod");
-  EXPECT_EQ(second.tenant, "batch");
+  for (std::size_t k = 1; k < kGroup; ++k) {
+    const auto result = group[k].result.get();
+    EXPECT_TRUE(result.status.ok()) << result.status.to_string();
+    // One solve: every waiter resolved from the same dispatch.
+    EXPECT_EQ(result.start_sequence, first.start_sequence);
+    EXPECT_EQ(result.best_value, first.best_value);
+    EXPECT_TRUE(result.deduplicated);
+    EXPECT_EQ(result.tenant, tenant(k));
+  }
   (void)blocker.result.get();
   server.shutdown();
-  EXPECT_EQ(server.stats().dedup_hits, 1U);
-  EXPECT_EQ(server.stats().submitted, 3U);
+  EXPECT_EQ(server.stats().dedup_hits, kGroup - 1);
+  EXPECT_EQ(server.stats().submitted, kGroup + 1);
 }
 
 TEST(ServiceDedup, OptOutAndDifferentSolveShapesDoNotCoalesce) {
@@ -223,6 +233,54 @@ TEST(ServiceTenants, WeightedFairDispatchFavorsTheHeavierTenant) {
   EXPECT_EQ(prod_in_first_four, 3);
   // And batch is not starved: its last job still ran.
   EXPECT_GT(batch_seq.back(), 0U);
+}
+
+TEST(ServiceTenants, DistinctStormKeepsEveryTenantsWaitWithinThreeTimesSerial) {
+  // Two tenants weighted 3:1 storm a 2-wide pool with mixed priorities —
+  // batch even gets the higher values, so fairness must come from the
+  // weights. Every job has its own instance, so nothing coalesces and each
+  // wait is real queueing behind distinct solves. Quick jobs ask both
+  // slots, so the pool runs them one at a time: no tenant's p99 wait may
+  // exceed 3x the summed run time of every solve (the bound allows for
+  // shared CI hardware).
+  constexpr std::uint64_t kJobsPerTenant = 8;
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.tenants = {{"prod", 3.0, 0}, {"batch", 1.0, 0}};
+  SolverService server(config);
+  auto blocker = submit_ok(
+      server, make_request(std::make_shared<const mkp::Instance>(small_instance(100)),
+                           quick_options(0.2, 99), "setup"));
+
+  std::vector<std::pair<bool, JobHandle>> storm;  // (is_prod, handle)
+  for (std::uint64_t k = 0; k < kJobsPerTenant; ++k) {
+    for (const bool is_prod : {false, true}) {
+      auto options = quick_options(0.08, 10 + k);
+      options.priority = is_prod ? 0 : static_cast<int>(k % 3);
+      const auto instance = std::make_shared<const mkp::Instance>(
+          small_instance(200 + 2 * k + (is_prod ? 1 : 0)));
+      storm.emplace_back(is_prod,
+                         submit_ok(server, make_request(instance, std::move(options),
+                                                        is_prod ? "prod" : "batch")));
+    }
+  }
+
+  double serial_seconds = blocker.result.get().run_seconds;
+  double prod_max_wait = 0.0;
+  double batch_max_wait = 0.0;
+  for (auto& [is_prod, handle] : storm) {
+    const auto result = handle.result.get();
+    ASSERT_TRUE(result.status.ok()) << result.status.to_string();
+    EXPECT_FALSE(result.deduplicated);
+    serial_seconds += result.run_seconds;
+    double& max_wait = is_prod ? prod_max_wait : batch_max_wait;
+    max_wait = std::max(max_wait, result.queue_seconds);
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().dedup_hits, 0U);
+  // The p99 of eight waits is their maximum.
+  EXPECT_LE(prod_max_wait, 3.0 * serial_seconds);
+  EXPECT_LE(batch_max_wait, 3.0 * serial_seconds);
 }
 
 TEST(ServiceTenants, RunningSlotQuotaCapsATenantButNotThePool) {
@@ -380,12 +438,14 @@ TEST(ServiceWarm, ExactEntrySeedsARepeatAcrossServiceInstances) {
   ServiceConfig config;
   config.num_workers = 2;
   config.warm_start_dir = dir;
+  double cold_best = 0.0;
   {
     SolverService server(config);
     auto cold = submit_ok(server, make_request(shared, quick_options(0.3, 11), "prod"));
     const auto result = cold.result.get();
     ASSERT_TRUE(result.status.ok()) << result.status.to_string();
     EXPECT_FALSE(result.warm_started);  // the store was empty
+    cold_best = result.best_value;
     // The save runs on the job thread after the future resolves; wait for
     // the entry file before tearing the service down.
     Stopwatch watch;
@@ -402,15 +462,35 @@ TEST(ServiceWarm, ExactEntrySeedsARepeatAcrossServiceInstances) {
     ASSERT_TRUE(has_entry());
   }
 
+  // Every run below chases the cold best on the cold seed. A control has no
+  // store, so it replays the cold trajectory up to the move that found that
+  // best; the warm repeat must get there in strictly fewer moves. Two
+  // controls on two fresh services also pin the one-job path: the service
+  // adds machinery, not behaviour, so both stop on the same move.
+  auto chase = quick_options(10.0, 11);
+  chase.target_value = cold_best;
+  std::vector<JobResult> controls;
+  for (int run = 0; run < 2; ++run) {
+    SolverService control_server({.num_workers = 2});
+    auto control = submit_ok(control_server, make_request(shared, chase, "prod"));
+    controls.push_back(control.result.get());
+    ASSERT_TRUE(controls.back().status.ok()) << controls.back().status.to_string();
+    ASSERT_TRUE(controls.back().reached_target);
+  }
+  EXPECT_EQ(controls[0].best_value, controls[1].best_value);
+  EXPECT_EQ(controls[0].total_moves, controls[1].total_moves);
+
   // A NEW service over the same store directory: the repeat run is seeded
   // from the persisted entry.
   SolverService server(config);
-  auto repeat_request = make_request(shared, quick_options(0.3, 12), "batch");
+  auto repeat_request = make_request(shared, chase, "batch");
   repeat_request.warm_start = WarmStartPolicy::kExact;
   auto warm = submit_ok(server, std::move(repeat_request));
   const auto warm_result = warm.result.get();
   ASSERT_TRUE(warm_result.status.ok()) << warm_result.status.to_string();
   EXPECT_TRUE(warm_result.warm_started);
+  EXPECT_TRUE(warm_result.reached_target);
+  EXPECT_LT(warm_result.total_moves, controls[0].total_moves);
   server.shutdown();
   EXPECT_EQ(server.stats().warm_started, 1U);
   std::filesystem::remove_all(dir);
