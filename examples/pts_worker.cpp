@@ -2,8 +2,8 @@
 //
 // Not run by hand — the master-side ProcSupervisor spawns one of these per
 // slave with its socket on a known fd, sends a Hello frame (identity, seed,
-// problem data), then assignments; the process exits on Stop or when the
-// supervisor closes the socket. Everything interesting lives in
+// problem data), then assignments; the process exits when the link closes
+// (EOF, or a kStop frame from the supervisor). Everything interesting lives in
 // pts::parallel::run_worker; this file only parses --fd.
 
 #include <cstdio>

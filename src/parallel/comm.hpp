@@ -19,7 +19,6 @@
 #include "obs/counters.hpp"
 #include "tabu/engine.hpp"
 #include "tabu/strategy.hpp"
-#include "util/cancel.hpp"
 #include "util/mailbox.hpp"
 
 namespace pts::parallel {
@@ -30,11 +29,6 @@ struct Assignment {
   mkp::Solution initial;
   tabu::TsParams params;  ///< strategy + budget, fully resolved by the master
 };
-
-/// Master -> slave: shut down.
-struct Stop {};
-
-using ToSlave = std::variant<Assignment, Stop>;
 
 /// Slave -> master: the outcome of one search iteration (the paper's
 /// "B best solutions" plus what scoring needs).
@@ -83,15 +77,13 @@ struct FaultInjector {
   std::function<double(std::size_t slave_id, std::size_t round)> stall_seconds;
 };
 
-/// The endpoints a slave needs, plus the stop/fault plumbing. `inbox` is
-/// private to the slave; every slave's `outbox` is the one report mailbox
-/// its master drains (MailboxMasterTransport::channels wires both).
+/// The endpoints a slave needs, plus the fault plumbing. `inbox` is private
+/// to the slave, and closing it is how the slave is ended; every slave's
+/// `outbox` is the one report mailbox its master drains
+/// (MailboxMasterTransport::channels wires both).
 struct SlaveChannels {
-  Mailbox<ToSlave>* inbox = nullptr;
+  Mailbox<Assignment>* inbox = nullptr;
   Mailbox<FromSlave>* outbox = nullptr;
-  /// Checked at every inbox wait; a fired token makes an idle slave return
-  /// without waiting for Stop.
-  CancelToken cancel;
   const FaultInjector* fault = nullptr;  ///< tests only; nullptr in production
 };
 

@@ -482,18 +482,6 @@ MasterResult run_master(const mkp::Instance& inst, MasterTransport& links,
     write_checkpoint(result.rounds_completed);
   }
 
-  for (std::size_t i = 0; i < config.num_slaves; ++i) {
-    // A closed link here means the harness tore the slave down first (an
-    // orderly wind-down races the broadcast); the Stop is redundant for that
-    // slave, but the drop is counted, never silently ignored.
-    if (!links.send(i, Stop{})) {
-      ++result.dropped_messages;
-      if (telemetry_on) ++result.counters[obs::Counter::kDroppedMessages];
-      if (obs::tracer().enabled()) {
-        obs::tracer().instant("dropped_message", {}, "kind", "stop");
-      }
-    }
-  }
   // Export the end-of-run slave records so a warm-start store can persist
   // them; `records` has no further reader past this point.
   result.final_slaves = std::move(records);

@@ -162,10 +162,10 @@ struct MasterResult {
   /// the rendezvous idle cost of the synchronous scheme (ablation A5).
   double rendezvous_idle_seconds = 0.0;
   /// Messages whose send hit a closed endpoint and was explicitly discarded
-  /// (the master's Stop broadcast racing an orderly teardown, plus — when
-  /// the runner collects them — slave reports dropped on a closed report
-  /// box). Mirrored into counters under "dropped_messages"; nonzero outside
-  /// a teardown race indicates a wiring bug.
+  /// (slave reports dropped on a closed report box, which the runner
+  /// collects from its slaves). Mirrored into counters under
+  /// "dropped_messages"; nonzero outside a teardown race indicates a wiring
+  /// bug.
   std::size_t dropped_messages = 0;
 
   /// Telemetry (obs/): exact merged totals over every (slave, round) report,
@@ -194,8 +194,8 @@ class MasterTrace {
 };
 
 /// Drives one full run over already-connected slave links: `links` must
-/// carry one live slave per config.num_slaves. Sends Stop to every slave
-/// before returning.
+/// carry one live slave per config.num_slaves. Leaves the slaves running;
+/// whoever owns `links` ends them by closing the links.
 MasterResult run_master(const mkp::Instance& inst, MasterTransport& links,
                         const MasterConfig& config, MasterTrace* trace = nullptr);
 

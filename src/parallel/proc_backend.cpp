@@ -232,20 +232,20 @@ void ProcSupervisor::release_worker(std::size_t i, bool orderly) {
   if (pid <= 0) return;
   set_pid(i, -1);
   if (orderly) {
-    (void)slot.socket.send_frame(wire::encode_to_slave(Stop{}));
+    (void)slot.socket.send_frame(wire::encode_stop());
   } else {
     // It failed us, or it is mid-round in a cancelled run: its reply is
     // moot, so it does not get to finish.
     ::kill(pid, SIGKILL);
   }
-  slot.socket.close();  // a worker blocked in read sees EOF even if Stop raced
+  slot.socket.close();  // a worker blocked in read sees EOF even if kStop raced
   slot.owed_round.reset();
   released_.push_back(pid);
 }
 
 void ProcSupervisor::reap_released() {
   // Short grace for an orderly exit, then SIGKILL. An idle worker exits on
-  // Stop/EOF within milliseconds; only a wedged one eats the kill. The
+  // kStop/EOF within milliseconds; only a wedged one eats the kill. The
   // grace is shared, so stopping P workers costs one wait, not P.
   const auto deadline = Clock::now() + std::chrono::seconds(2);
   for (;;) {
@@ -426,16 +426,10 @@ void ProcSupervisor::merge_telemetry_chunk(std::size_t i,
   }
 }
 
-bool ProcSupervisor::send(std::size_t i, ToSlave message) {
+bool ProcSupervisor::send(std::size_t i, Assignment assignment) {
   PTS_CHECK(i < num_slaves_);
-  const auto* assignment = std::get_if<Assignment>(&message);
-  if (assignment == nullptr) {
-    // Stop. Reaping waits for shutdown(), so P workers exit concurrently.
-    release_worker(i, /*orderly=*/!slots_[i].owed_round);
-    return true;
-  }
   auto& slot = slots_[i];
-  const std::size_t round = assignment->round;
+  const std::size_t round = assignment.round;
   PTS_CHECK_MSG(!slot.owed_round, "assignment to a worker that owes a reply");
   if (slot.pid <= 0) {
     // Dead slot: the recovery policy decides between respawning now and
@@ -456,7 +450,7 @@ bool ProcSupervisor::send(std::size_t i, ToSlave message) {
     ++stats_.worker_respawns;
   }
   slot.sent_at = Clock::now();
-  if (auto status = send_assignment(i, wire::encode_to_slave(message));
+  if (auto status = send_assignment(i, wire::encode_assignment(assignment));
       !status.ok()) {
     ready_.push_back(record_fault(
         i, round, "assignment write failed: " + status.message()));
@@ -576,15 +570,14 @@ class ChaosTransport final : public Transport {
                  ChaosSchedule settings, Rng rng)
       : inner_(inner), socket_(&socket), settings_(settings), rng_(rng) {}
 
-  [[nodiscard]] std::optional<ToSlave> receive(const CancelToken& token) override {
-    auto message = inner_.receive(token);
-    if (message && std::holds_alternative<Assignment>(*message) &&
-        roll(settings_.crash_ppm)) {
+  [[nodiscard]] std::optional<Assignment> receive() override {
+    auto assignment = inner_.receive();
+    if (assignment && roll(settings_.crash_ppm)) {
       // The scheduled "kill": from the supervisor's side indistinguishable
       // from an OOM kill or a kernel-delivered SIGKILL mid-round.
       std::_Exit(9);
     }
-    return message;
+    return assignment;
   }
 
   [[nodiscard]] bool send(FromSlave message) override {
@@ -623,8 +616,8 @@ class TelemetryChunkTransport final : public Transport {
                           std::uint32_t slave_id)
       : inner_(&inner), socket_(&socket), slave_id_(slave_id) {}
 
-  [[nodiscard]] std::optional<ToSlave> receive(const CancelToken& token) override {
-    return inner_->receive(token);
+  [[nodiscard]] std::optional<Assignment> receive() override {
+    return inner_->receive();
   }
 
   [[nodiscard]] bool send(FromSlave message) override {

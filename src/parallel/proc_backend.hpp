@@ -134,8 +134,9 @@ class ProcSupervisor final : public MasterTransport {
   /// supervisor is left stopped (safe to destroy).
   [[nodiscard]] Status start();
 
-  /// Stops and reaps every worker, so a caller can read final stats()
-  /// before the object goes away. Idempotent.
+  /// Ends every worker (kStop and a closed socket for an idle one, SIGKILL
+  /// for one still mid-round) and reaps it, so a caller can read final
+  /// stats() before the object goes away. Idempotent.
   void shutdown();
 
   [[nodiscard]] ProcStats stats() const { return stats_; }
@@ -145,11 +146,10 @@ class ProcSupervisor final : public MasterTransport {
   [[nodiscard]] pid_t worker_pid(std::size_t i) const;
 
   [[nodiscard]] std::size_t num_slaves() const override { return num_slaves_; }
-  /// Assignment: respawns a dead slot under the recovery policy and writes
-  /// the frame; an outcome that is not a write becomes the round's
-  /// SlaveFault for receive(). Stop: Stop frame for an idle worker, SIGKILL
-  /// for one still mid-round.
-  [[nodiscard]] bool send(std::size_t slave, ToSlave message) override;
+  /// Respawns a dead slot under the recovery policy and writes the
+  /// assignment frame; an outcome that is not a write becomes the round's
+  /// SlaveFault for receive().
+  [[nodiscard]] bool send(std::size_t slave, Assignment assignment) override;
   /// One poll() over the sockets that owe a reply, folding telemetry chunks
   /// inline; wakes every kPollSliceMs at most to check `token`.
   [[nodiscard]] std::optional<FromSlave> receive(const CancelToken& token) override;
@@ -178,7 +178,7 @@ class ProcSupervisor final : public MasterTransport {
   [[nodiscard]] Status spawn_worker(std::size_t i);
   /// Publishes slot i's pid (the worker_pid hook) and the alive gauge.
   void set_pid(std::size_t i, pid_t pid);
-  /// Closes slot i's link after a Stop frame (orderly) or a SIGKILL, and
+  /// Closes slot i's link after a kStop frame (orderly) or a SIGKILL, and
   /// leaves the process to reap_released().
   void release_worker(std::size_t i, bool orderly);
   /// Reaps every released worker under one short grace, then SIGKILLs.
@@ -219,7 +219,8 @@ class ProcSupervisor final : public MasterTransport {
 };
 
 /// The pts_worker entry body: Hello handshake on `fd`, then slave_loop over
-/// a SocketTransport until Stop or EOF. Returns the process exit code
+/// a SocketTransport until the link closes (EOF, or a kStop or any other
+/// frame that is not an assignment). Returns the process exit code
 /// (0 = orderly stop, 2 = handshake/protocol failure).
 int run_worker(int fd);
 

@@ -157,31 +157,32 @@ ParallelResult run_parallel_impl(const mkp::Instance& inst,
       return failed_result(inst, config, std::move(status));
     }
     master_result = run_master(inst, supervisor, master_config, config.observer);
-    // Reap the workers before sampling the stats so spawn counts are final.
+    // End and reap the workers before sampling the stats so spawn counts are
+    // final: an idle worker gets a kStop and a closed socket, one still
+    // mid-round (a cancelled run) is SIGKILLed.
     supervisor.shutdown();
     proc_stats = supervisor.stats();
   } else {
     // Thread backend: one inbox per slave and one shared report box. Every
-    // slave's channels carry the run's cancel token (so idle slaves unblock
-    // without waiting for Stop) and the test-only fault injector.
+    // slave's channels carry the test-only fault injector.
     MailboxMasterTransport links(config.num_slaves);
     std::atomic<std::uint64_t> slave_drops{0};
     {
-      // jthreads join on scope exit; run_master sends Stop to every slave
-      // (and a fired cancel token unblocks them too), so the joins cannot
-      // block (CP.23/CP.25: threads as scoped containers).
+      // jthreads join on scope exit; closing the inboxes first ends every
+      // slave (a round still running stops through its params.cancel), so
+      // the joins cannot block (CP.23/CP.25: threads as scoped containers).
       std::vector<std::jthread> slaves;
       slaves.reserve(config.num_slaves);
       for (std::size_t i = 0; i < config.num_slaves; ++i) {
         slaves.emplace_back(
             [&inst, i, seed = config.seed,
-             ch = links.channels(i, config.cancel, config.fault_injector),
-             &slave_drops] {
+             ch = links.channels(i, config.fault_injector), &slave_drops] {
               slave_drops.fetch_add(slave_loop(inst, i, seed, ch).dropped_messages,
                                     std::memory_order_relaxed);
             });
       }
       master_result = run_master(inst, links, master_config, config.observer);
+      links.close_inboxes();
     }
     // Slaves are joined: fold their counted drops into the master's tally
     // (see MasterResult::dropped_messages).

@@ -42,7 +42,7 @@ Report run_assignment(const mkp::Instance& inst, std::size_t slave_id,
 
 SlaveLoopStats slave_loop(const mkp::Instance& inst, std::size_t slave_id,
                           std::uint64_t seed, Transport& transport,
-                          const FaultInjector* fault, CancelToken cancel) {
+                          const FaultInjector* fault) {
   SlaveLoopStats stats;
   // Logical trace id: master = 0, slave i = i + 1.
   obs::TidScope tid_scope(static_cast<std::uint32_t>(slave_id) + 1);
@@ -60,28 +60,26 @@ SlaveLoopStats slave_loop(const mkp::Instance& inst, std::size_t slave_id,
       }
     }
   };
-  while (auto message = transport.receive(cancel)) {
-    if (std::holds_alternative<Stop>(*message)) break;
-    const auto& assignment = std::get<Assignment>(*message);
+  while (auto assignment = transport.receive()) {
     // A throwing round must never silence the rendezvous: convert every
     // escape into a SlaveFault so the master still gets one message for this
     // (slave, round) and can degrade gracefully instead of hanging.
     try {
       if (fault && fault->stall_seconds) {
-        const double stall = fault->stall_seconds(slave_id, assignment.round);
+        const double stall = fault->stall_seconds(slave_id, assignment->round);
         if (stall > 0.0) {
           std::this_thread::sleep_for(std::chrono::duration<double>(stall));
         }
       }
       if (fault && fault->should_throw &&
-          fault->should_throw(slave_id, assignment.round)) {
+          fault->should_throw(slave_id, assignment->round)) {
         throw std::runtime_error("injected slave fault");
       }
-      send_counted(run_assignment(inst, slave_id, seed, assignment));
+      send_counted(run_assignment(inst, slave_id, seed, *assignment));
     } catch (const std::exception& error) {
-      send_counted(SlaveFault{slave_id, assignment.round, error.what()});
+      send_counted(SlaveFault{slave_id, assignment->round, error.what()});
     } catch (...) {
-      send_counted(SlaveFault{slave_id, assignment.round, "unknown exception"});
+      send_counted(SlaveFault{slave_id, assignment->round, "unknown exception"});
     }
   }
   return stats;
@@ -91,8 +89,7 @@ SlaveLoopStats slave_loop(const mkp::Instance& inst, std::size_t slave_id,
                           std::uint64_t seed, SlaveChannels channels) {
   PTS_CHECK(channels.inbox && channels.outbox);
   MailboxTransport transport(channels.inbox, channels.outbox);
-  return slave_loop(inst, slave_id, seed, transport, channels.fault,
-                    channels.cancel);
+  return slave_loop(inst, slave_id, seed, transport, channels.fault);
 }
 
 }  // namespace pts::parallel

@@ -1,13 +1,13 @@
 #pragma once
 // The slave process (§3, Figure 1 executor): wait for an Assignment, run one
-// tabu search, report the B best solutions, repeat until Stop (or until the
-// channel's cancel token fires while idle). A round that throws is reported
-// as a SlaveFault rather than swallowed, so the master's rendezvous always
-// completes. Each assignment's randomness derives deterministically from
-// (seed, slave_id, round), so a parallel run is reproducible regardless of
-// thread interleaving — and regardless of transport: the same loop runs over
-// in-proc mailboxes (thread backend) and over a socket inside a pts_worker
-// process (proc backend).
+// tabu search, report the B best solutions, repeat until the link closes
+// (a round already running stops through its own params.cancel). A round
+// that throws is reported as a SlaveFault rather than swallowed, so the
+// master's rendezvous always completes. Each assignment's randomness derives
+// deterministically from (seed, slave_id, round), so a parallel run is
+// reproducible regardless of thread interleaving — and regardless of
+// transport: the same loop runs over in-proc mailboxes (thread backend) and
+// over a socket inside a pts_worker process (proc backend).
 
 #include <cstdint>
 
@@ -25,12 +25,11 @@ struct SlaveLoopStats {
   std::uint64_t dropped_messages = 0;
 };
 
-/// Blocks until Stop, a closed link, or a fired `cancel` while idle.
-/// `fault` is the test-only injector (nullptr in production).
+/// Runs assignments until the link closes. `fault` is the test-only
+/// injector (nullptr in production).
 SlaveLoopStats slave_loop(const mkp::Instance& inst, std::size_t slave_id,
                           std::uint64_t seed, Transport& transport,
-                          const FaultInjector* fault = nullptr,
-                          CancelToken cancel = {});
+                          const FaultInjector* fault = nullptr);
 
 /// Mailbox-channel convenience: wraps `channels` in a MailboxTransport.
 /// Intended as a std::jthread body (the thread backend's slaves).

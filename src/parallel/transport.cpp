@@ -118,12 +118,13 @@ Expected<wire::Frame> FrameSocket::read_frame(std::optional<double> timeout_seco
   }
 }
 
-std::optional<ToSlave> SocketTransport::receive(const CancelToken& token) {
-  auto frame = socket_->read_frame(std::nullopt, token);
-  if (!frame) return std::nullopt;  // EOF / cancel: treated as a closed link
-  auto message = wire::decode_to_slave(frame->type, frame->payload, *inst_);
-  if (!message) return std::nullopt;  // corrupt directive: stop, don't guess
-  return *std::move(message);
+std::optional<Assignment> SocketTransport::receive() {
+  auto frame = socket_->read_frame(std::nullopt);
+  // EOF, a kStop or any other non-assignment frame: a closed link.
+  if (!frame || frame->type != wire::MessageType::kAssignment) return std::nullopt;
+  auto assignment = wire::decode_assignment(frame->payload, *inst_);
+  if (!assignment) return std::nullopt;  // corrupt assignment: stop, don't guess
+  return *std::move(assignment);
 }
 
 bool SocketTransport::send(FromSlave message) {

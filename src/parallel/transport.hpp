@@ -19,6 +19,7 @@
 #include "mkp/instance.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/wire.hpp"
+#include "util/cancel.hpp"
 #include "util/status.hpp"
 
 namespace pts::parallel {
@@ -33,9 +34,9 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Blocks for the next directive. nullopt means the link is closed (or the
-  /// token fired) — the slave loop exits as if it had received Stop.
-  [[nodiscard]] virtual std::optional<ToSlave> receive(const CancelToken& token) = 0;
+  /// Blocks for the next assignment. nullopt means the link is closed —
+  /// the only way a slave loop ends.
+  [[nodiscard]] virtual std::optional<Assignment> receive() = 0;
 
   /// Posts a round outcome. Returns false when the link is down and the
   /// message was dropped — callers must count the drop, never ignore it.
@@ -47,13 +48,13 @@ class Transport {
 /// transport must reproduce.
 class MailboxTransport final : public Transport {
  public:
-  MailboxTransport(Mailbox<ToSlave>* inbox, Mailbox<FromSlave>* outbox)
+  MailboxTransport(Mailbox<Assignment>* inbox, Mailbox<FromSlave>* outbox)
       : inbox_(inbox), outbox_(outbox) {
     PTS_CHECK(inbox_ && outbox_);
   }
 
-  [[nodiscard]] std::optional<ToSlave> receive(const CancelToken& token) override {
-    return inbox_->receive(token);
+  [[nodiscard]] std::optional<Assignment> receive() override {
+    return inbox_->receive();
   }
 
   [[nodiscard]] bool send(FromSlave message) override {
@@ -61,7 +62,7 @@ class MailboxTransport final : public Transport {
   }
 
  private:
-  Mailbox<ToSlave>* inbox_;
+  Mailbox<Assignment>* inbox_;
   Mailbox<FromSlave>* outbox_;
 };
 
@@ -70,8 +71,8 @@ class MasterTransport {
  public:
   virtual ~MasterTransport() = default;
   [[nodiscard]] virtual std::size_t num_slaves() const = 0;
-  /// Posts a directive; false when that slave's link is closed (a drop).
-  [[nodiscard]] virtual bool send(std::size_t slave, ToSlave message) = 0;
+  /// Posts an assignment; false when that slave's link is closed (a drop).
+  [[nodiscard]] virtual bool send(std::size_t slave, Assignment message) = 0;
   /// Blocks for the next Report or SlaveFault from any slave. nullopt means
   /// the token fired (or the links were closed underneath the master).
   [[nodiscard]] virtual std::optional<FromSlave> receive(const CancelToken& token) = 0;
@@ -85,25 +86,24 @@ class MailboxMasterTransport final : public MasterTransport {
     // One allocation per mailbox: slave threads lock their own inbox without
     // sharing a cache line with a neighbour's.
     for (std::size_t i = 0; i < num_slaves; ++i) {
-      inboxes_.push_back(std::make_unique<Mailbox<ToSlave>>());
+      inboxes_.push_back(std::make_unique<Mailbox<Assignment>>());
     }
   }
 
-  /// Slave `slave`'s endpoints, carrying its cancel token and the test-only
-  /// fault injector.
-  [[nodiscard]] SlaveChannels channels(std::size_t slave, CancelToken cancel = {},
+  /// Slave `slave`'s endpoints, carrying the test-only fault injector.
+  [[nodiscard]] SlaveChannels channels(std::size_t slave,
                                        const FaultInjector* fault = nullptr) {
-    return SlaveChannels{inboxes_.at(slave).get(), &reports_, std::move(cancel),
-                         fault};
+    return SlaveChannels{inboxes_.at(slave).get(), &reports_, fault};
   }
 
-  /// Closes every inbox: a slave blocked on its inbox returns at once.
+  /// Closes every inbox, which ends every slave: one blocked on its inbox
+  /// returns at once, one mid-round returns after that round.
   void close_inboxes() {
     for (auto& inbox : inboxes_) inbox->close();
   }
 
   [[nodiscard]] std::size_t num_slaves() const override { return inboxes_.size(); }
-  [[nodiscard]] bool send(std::size_t slave, ToSlave message) override {
+  [[nodiscard]] bool send(std::size_t slave, Assignment message) override {
     return inboxes_.at(slave)->send(std::move(message));
   }
   [[nodiscard]] std::optional<FromSlave> receive(const CancelToken& token) override {
@@ -111,7 +111,7 @@ class MailboxMasterTransport final : public MasterTransport {
   }
 
  private:
-  std::vector<std::unique_ptr<Mailbox<ToSlave>>> inboxes_;
+  std::vector<std::unique_ptr<Mailbox<Assignment>>> inboxes_;
   Mailbox<FromSlave> reports_;
 };
 
@@ -167,15 +167,16 @@ class FrameSocket {
   std::vector<std::uint8_t> rx_;  ///< bytes received but not yet popped
 };
 
-/// Worker-side socket transport: decodes directives against the instance
+/// Worker-side socket transport: decodes assignments against the instance
 /// from the handshake, encodes outcomes back. receive() blocks on the
-/// socket; a vanished master (EOF) reads as a closed link.
+/// socket; a vanished master (EOF) and any frame that is not an assignment
+/// (the supervisor's kStop included) read as a closed link.
 class SocketTransport final : public Transport {
  public:
   SocketTransport(FrameSocket& socket, const mkp::Instance& inst)
       : socket_(&socket), inst_(&inst) {}
 
-  [[nodiscard]] std::optional<ToSlave> receive(const CancelToken& token) override;
+  [[nodiscard]] std::optional<Assignment> receive() override;
   [[nodiscard]] bool send(FromSlave message) override;
 
  private:

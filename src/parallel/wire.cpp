@@ -199,8 +199,8 @@ void fields(V& v, M& p) {
   v.optional_f64(p.target_value);
   v.flag(p.run_to_budget);
   // TsParams::cancel deliberately does not travel: a process boundary has no
-  // shared stop flag. The proc backend stops workers via Stop frames and, in
-  // the limit, SIGKILL (see proc_backend.hpp).
+  // shared stop flag. The proc backend ends an idle worker by closing its
+  // socket and one still mid-round by SIGKILL (see proc_backend.hpp).
 }
 
 }  // namespace pts::tabu
@@ -220,9 +220,6 @@ void fields(V& v, M& counters) {
 }  // namespace pts::obs
 
 namespace pts::parallel {
-
-template <class V, codec::Of<Stop> M>
-void fields(V& /*v*/, M& /*m*/) {}
 
 template <class V, codec::Of<Assignment> M>
 void fields(V& v, M& m) {
@@ -351,11 +348,28 @@ Expected<TelemetryChunk> decode_telemetry_chunk(
   return codec::decode(payload, TelemetryChunk{}, "telemetry chunk");
 }
 
-std::vector<std::uint8_t> encode_to_slave(const ToSlave& message) {
-  if (const auto* a = std::get_if<Assignment>(&message)) {
-    return frame(MessageType::kAssignment, *a);
-  }
-  return frame(MessageType::kStop, Stop{});
+std::vector<std::uint8_t> encode_assignment(const Assignment& assignment) {
+  return frame(MessageType::kAssignment, assignment);
+}
+
+namespace {
+
+/// The kStop frame's body: none, the header is the whole message.
+struct NoPayload {};
+
+template <class V, codec::Of<NoPayload> M>
+void fields(V& /*v*/, M& /*m*/) {}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_stop() {
+  return frame(MessageType::kStop, NoPayload{});
+}
+
+Expected<Assignment> decode_assignment(std::span<const std::uint8_t> payload,
+                                       const mkp::Instance& inst) {
+  return codec::decode(payload, Assignment{0, mkp::Solution(inst), {}},
+                       "assignment", &inst);
 }
 
 namespace {
@@ -370,20 +384,6 @@ Expected<Variant> decode_as(std::span<const std::uint8_t> payload, M blank,
 }
 
 }  // namespace
-
-Expected<ToSlave> decode_to_slave(MessageType type,
-                                  std::span<const std::uint8_t> payload,
-                                  const mkp::Instance& inst) {
-  if (type == MessageType::kStop) {
-    return decode_as<ToSlave>(payload, Stop{}, "stop", inst);
-  }
-  if (type == MessageType::kAssignment) {
-    return decode_as<ToSlave>(payload, Assignment{0, mkp::Solution(inst), {}},
-                              "assignment", inst);
-  }
-  return Status::invalid_argument("wire: unexpected master->slave type " +
-                                  std::to_string(static_cast<int>(type)));
-}
 
 std::vector<std::uint8_t> encode_from_slave(const FromSlave& message) {
   if (const auto* fault = std::get_if<SlaveFault>(&message)) {

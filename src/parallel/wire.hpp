@@ -166,7 +166,9 @@ template <class M>
 // -- Encoders. Each returns a complete frame, header included. --
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const Hello& hello);
-[[nodiscard]] std::vector<std::uint8_t> encode_to_slave(const ToSlave& message);
+[[nodiscard]] std::vector<std::uint8_t> encode_assignment(const Assignment& assignment);
+/// Header only: a kStop frame has no payload.
+[[nodiscard]] std::vector<std::uint8_t> encode_stop();
 [[nodiscard]] std::vector<std::uint8_t> encode_from_slave(const FromSlave& message);
 [[nodiscard]] std::vector<std::uint8_t> encode_telemetry_chunk(
     const TelemetryChunk& chunk);
@@ -176,9 +178,8 @@ template <class M>
 //    match what was serialized. --
 
 [[nodiscard]] Expected<Hello> decode_hello(std::span<const std::uint8_t> payload);
-[[nodiscard]] Expected<ToSlave> decode_to_slave(
-    MessageType type, std::span<const std::uint8_t> payload,
-    const mkp::Instance& inst);
+[[nodiscard]] Expected<Assignment> decode_assignment(
+    std::span<const std::uint8_t> payload, const mkp::Instance& inst);
 [[nodiscard]] Expected<FromSlave> decode_from_slave(
     MessageType type, std::span<const std::uint8_t> payload,
     const mkp::Instance& inst);

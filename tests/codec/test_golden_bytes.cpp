@@ -122,14 +122,14 @@ TEST(GoldenBytes, WorkerFrames) {
   a.params.time_limit_seconds = 0.5;
   a.params.target_value = 10.5;
   a.params.run_to_budget = false;
-  EXPECT_EQ(hex(wire::encode_to_slave(a)),
+  EXPECT_EQ(hex(wire::encode_assignment(a)),
             "5450030294000000090000000000000003000000010000000500000000000000"
             "00000000000026400b0000000000000002000000000000002800000000000000"
             "1000000000000000060000000000000002000000000000000400000000000000"
             "02070000000000000002000000000000e83f000000000000c03f150000000000"
             "00008813000000000000000000000000e03f01000000000000254000");
 
-  EXPECT_EQ(hex(wire::encode_to_slave(parallel::Stop{})), "5450030300000000");
+  EXPECT_EQ(hex(wire::encode_stop()), "5450030300000000");
 
   parallel::Report report;
   report.slave_id = 2;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <future>
 #include <thread>
 #include <variant>
 
@@ -36,7 +37,7 @@ mkp::Instance make_instance() {
 
 TEST(FrameSocket, FrameRoundTripAcrossThePair) {
   auto [a, b] = make_pair_sockets();
-  ASSERT_TRUE(a.send_frame(wire::encode_to_slave(Stop{})).ok());
+  ASSERT_TRUE(a.send_frame(wire::encode_stop()).ok());
   auto frame = b.read_frame(/*timeout_seconds=*/5.0);
   ASSERT_TRUE(frame) << frame.status().to_string();
   EXPECT_EQ(frame->type, wire::MessageType::kStop);
@@ -81,7 +82,7 @@ TEST(FrameSocket, StallMidHeaderTimesOutWithinTheBound) {
   // header and went silent hung the reader forever. The bound now covers
   // the whole frame.
   auto [a, b] = make_pair_sockets();
-  const auto full = wire::encode_to_slave(Stop{});
+  const auto full = wire::encode_stop();
   ASSERT_TRUE(a.send_frame({full.data(), wire::kHeaderBytes / 2}).ok());
   const auto [frame, waited] = timed_read([&b] { return b.read_frame(0.2); });
   ASSERT_FALSE(frame);
@@ -125,7 +126,7 @@ TEST(FrameSocket, PollFrameReassemblesAFrameSentByteByByte) {
 
 TEST(FrameSocket, PollFrameSplitsBackToBackFrames) {
   auto [a, b] = make_pair_sockets();
-  auto both = wire::encode_to_slave(Stop{});
+  auto both = wire::encode_stop();
   const auto second = wire::encode_from_slave(SlaveFault{1, 3, "second"});
   both.insert(both.end(), second.begin(), second.end());
   ASSERT_TRUE(a.send_frame(both).ok());
@@ -164,7 +165,7 @@ TEST(FrameSocket, TruncatedFrameIsUnavailableNotHang) {
 
 TEST(FrameSocket, CorruptHeaderIsInvalidArgument) {
   auto [a, b] = make_pair_sockets();
-  auto bad = wire::encode_to_slave(Stop{});
+  auto bad = wire::encode_stop();
   bad[0] ^= 0xFF;  // break the magic
   ASSERT_TRUE(a.send_frame(bad).ok());
   const auto frame = b.read_frame(5.0);
@@ -192,14 +193,11 @@ TEST(SocketTransport, DeliversDirectivesAndOutcomes) {
   Rng rng(7);
   Assignment assignment{4, bounds::greedy_randomized(inst, rng), {}};
   assignment.params.max_moves = 50;
-  ASSERT_TRUE(
-      master_side.send_frame(wire::encode_to_slave(assignment)).ok());
+  ASSERT_TRUE(master_side.send_frame(wire::encode_assignment(assignment)).ok());
 
-  auto received = transport.receive({});
+  auto received = transport.receive();
   ASSERT_TRUE(received.has_value());
-  const auto* got = std::get_if<Assignment>(&*received);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->round, 4U);
+  EXPECT_EQ(received->round, 4U);
 
   Report report;
   report.slave_id = 0;
@@ -218,7 +216,31 @@ TEST(SocketTransport, EofReadsAsClosedLink) {
   auto [master_side, worker_side] = make_pair_sockets();
   SocketTransport transport(worker_side, inst);
   master_side.close();
-  EXPECT_FALSE(transport.receive({}).has_value());
+  EXPECT_FALSE(transport.receive().has_value());
+}
+
+TEST(SocketTransport, StopFrameEndsTheStreamAfterQueuedAssignment) {
+  // The supervisor writes kStop before it closes the socket; the frame alone
+  // must end the stream, with the peer still open, and only after every
+  // assignment queued ahead of it.
+  const auto inst = make_instance();
+  auto [master_side, worker_side] = make_pair_sockets();
+  SocketTransport transport(worker_side, inst);
+  Rng rng(8);
+  const Assignment assignment{9, bounds::greedy_randomized(inst, rng), {}};
+  ASSERT_TRUE(master_side.send_frame(wire::encode_assignment(assignment)).ok());
+  ASSERT_TRUE(master_side.send_frame(wire::encode_stop()).ok());
+
+  const auto first = transport.receive();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->round, 9U);
+  EXPECT_EQ(first->initial, assignment.initial);
+  auto second = std::async(std::launch::async, [&] { return transport.receive(); });
+  const bool ended =
+      second.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (!ended) master_side.close();  // unblock the reader: fail, don't hang
+  EXPECT_TRUE(ended) << "kStop did not end the stream";
+  EXPECT_FALSE(second.get().has_value());
 }
 
 TEST(SocketTransport, SendOnDeadPeerReturnsFalse) {

@@ -88,17 +88,15 @@ TEST(Wire, StrategyRoundTrip) {
 TEST(Wire, AssignmentRoundTripCarriesEveryParam) {
   const auto inst = make_instance();
   const auto assignment = make_assignment(inst);
-  const auto frame = wire::encode_to_slave(assignment);
+  const auto frame = wire::encode_assignment(assignment);
   const auto [header, payload] = split_frame(frame);
   EXPECT_EQ(header.type, wire::MessageType::kAssignment);
 
-  const auto decoded = wire::decode_to_slave(header.type, payload, inst);
+  const auto decoded = wire::decode_assignment(payload, inst);
   ASSERT_TRUE(decoded) << decoded.status().to_string();
-  const auto* got = std::get_if<Assignment>(&*decoded);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->round, assignment.round);
-  EXPECT_EQ(got->initial, assignment.initial);
-  const auto& p = got->params;
+  EXPECT_EQ(decoded->round, assignment.round);
+  EXPECT_EQ(decoded->initial, assignment.initial);
+  const auto& p = decoded->params;
   const auto& q = assignment.params;
   EXPECT_EQ(p.strategy, q.strategy);
   EXPECT_EQ(p.nb_div, q.nb_div);
@@ -123,7 +121,7 @@ TEST(Wire, AssignmentRejectsUnknownParamEnumBytes) {
   // skipped intensification while still counting it.
   const auto inst = make_instance();
   const auto assignment = make_assignment(inst);
-  const auto frame = wire::encode_to_slave(assignment);
+  const auto frame = wire::encode_assignment(assignment);
   // Payload: u64 round, the solution, the strategy (4 x u64), then nb_div,
   // nb_int and b_best (u64 each) before the intensification byte; the
   // tenure-control byte follows oscillation_depth (u64).
@@ -138,22 +136,17 @@ TEST(Wire, AssignmentRejectsUnknownParamEnumBytes) {
     corrupt[offset] = 7;
     const auto payload =
         std::span<const std::uint8_t>(corrupt).subspan(wire::kHeaderBytes);
-    const auto decoded =
-        wire::decode_to_slave(wire::MessageType::kAssignment, payload, inst);
+    const auto decoded = wire::decode_assignment(payload, inst);
     ASSERT_FALSE(decoded) << "enum byte 7 at frame offset " << offset;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
 TEST(Wire, StopRoundTripHasEmptyPayload) {
-  const auto frame = wire::encode_to_slave(Stop{});
+  const auto frame = wire::encode_stop();
   const auto [header, payload] = split_frame(frame);
   EXPECT_EQ(header.type, wire::MessageType::kStop);
   EXPECT_TRUE(payload.empty());
-  const auto inst = make_instance();
-  const auto decoded = wire::decode_to_slave(header.type, payload, inst);
-  ASSERT_TRUE(decoded);
-  EXPECT_TRUE(std::holds_alternative<Stop>(*decoded));
 }
 
 TEST(Wire, ReportRoundTrip) {
@@ -240,7 +233,7 @@ TEST(Wire, HelloRoundTripRebuildsTheInstance) {
 }
 
 TEST(WireHeader, RejectsBadMagic) {
-  auto frame = wire::encode_to_slave(Stop{});
+  auto frame = wire::encode_stop();
   frame[0] ^= 0xFF;
   const auto header = wire::decode_header(frame);
   ASSERT_FALSE(header);
@@ -248,7 +241,7 @@ TEST(WireHeader, RejectsBadMagic) {
 }
 
 TEST(WireHeader, RejectsBadVersion) {
-  auto frame = wire::encode_to_slave(Stop{});
+  auto frame = wire::encode_stop();
   frame[2] = wire::kVersion + 1;
   const auto header = wire::decode_header(frame);
   ASSERT_FALSE(header);
@@ -256,7 +249,7 @@ TEST(WireHeader, RejectsBadVersion) {
 }
 
 TEST(WireHeader, RejectsUnknownType) {
-  auto frame = wire::encode_to_slave(Stop{});
+  auto frame = wire::encode_stop();
   frame[3] = 0xEE;
   EXPECT_FALSE(wire::decode_header(frame));
 }
@@ -264,7 +257,7 @@ TEST(WireHeader, RejectsUnknownType) {
 TEST(WireHeader, RejectsOversizedLengthPrefix) {
   // A corrupt length prefix must be refused BEFORE any allocation: claim a
   // ~4 GiB payload and expect a clean Status.
-  auto frame = wire::encode_to_slave(Stop{});
+  auto frame = wire::encode_stop();
   const std::uint32_t huge = 0xFFFFFFFFu;
   std::memcpy(frame.data() + 4, &huge, sizeof(huge));
   const auto header = wire::decode_header(frame);

@@ -20,8 +20,8 @@ struct Harness {
   }
 
   ~Harness() {
-    // Wake any slave still blocked on its inbox so the jthread joins cannot
-    // hang (e.g. when a death test aborts before run_master sends Stop).
+    // run_master leaves the slaves running: closing their inboxes is what
+    // ends them, so the jthread joins cannot hang.
     links.close_inboxes();
   }
 

@@ -76,9 +76,9 @@ TEST(RunAssignment, TargetPropagates) {
   EXPECT_TRUE(report.reached_target);
 }
 
-TEST(SlaveLoop, ProcessesAssignmentsUntilStop) {
+TEST(SlaveLoop, ProcessesAssignmentsUntilInboxCloses) {
   const auto inst = mkp::generate_gk({.num_items = 30, .num_constraints = 4}, 5);
-  Mailbox<ToSlave> inbox;
+  Mailbox<Assignment> inbox;
   Mailbox<FromSlave> outbox;
   std::jthread slave(
       [&] { slave_loop(inst, 0, 11, SlaveChannels{&inbox, &outbox}); });
@@ -93,7 +93,7 @@ TEST(SlaveLoop, ProcessesAssignmentsUntilStop) {
   ASSERT_TRUE(r0 && r1);
   EXPECT_EQ(r0->round, 0U);
   EXPECT_EQ(r1->round, 1U);
-  inbox.send(Stop{});
+  inbox.close();
   slave.join();
   EXPECT_EQ(outbox.size(), 0U);
 }
@@ -103,18 +103,18 @@ TEST(SlaveLoop, ClosedOutboxDropIsCountedNeverSilent) {
   // trace. The loop still discards it (orderly teardown races the last
   // report) but must count it in the returned stats.
   const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 7);
-  Mailbox<ToSlave> inbox;
+  Mailbox<Assignment> inbox;
   Mailbox<FromSlave> outbox;
   outbox.close();  // the link is already gone before the first report
   inbox.send(make_assignment(inst, 0));
-  inbox.send(Stop{});
+  inbox.close();
   const auto stats = slave_loop(inst, 0, 11, SlaveChannels{&inbox, &outbox});
   EXPECT_EQ(stats.dropped_messages, 1U);
 }
 
 TEST(SlaveLoop, ClosedInboxTerminates) {
   const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 6);
-  Mailbox<ToSlave> inbox;
+  Mailbox<Assignment> inbox;
   Mailbox<FromSlave> outbox;
   std::jthread slave(
       [&] { slave_loop(inst, 0, 11, SlaveChannels{&inbox, &outbox}); });

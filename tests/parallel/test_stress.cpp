@@ -79,7 +79,7 @@ TEST(Stress, AsyncSwarmHighChurn) {
 TEST(Stress, SlaveSurvivesBurstOfQueuedAssignments) {
   // Queue everything up front, then drain: exercises mailbox buffering.
   const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 5);
-  Mailbox<ToSlave> inbox;
+  Mailbox<Assignment> inbox;
   Mailbox<FromSlave> outbox;
   Rng rng(6);
   constexpr std::size_t kAssignments = 30;
@@ -89,7 +89,7 @@ TEST(Stress, SlaveSurvivesBurstOfQueuedAssignments) {
     a.params.strategy.nb_local = 5;
     inbox.send(std::move(a));
   }
-  inbox.send(Stop{});
+  inbox.close();  // the queued assignments still drain before the loop ends
   std::jthread slave([&] { slave_loop(inst, 0, 9, SlaveChannels{&inbox, &outbox}); });
   slave.join();
   EXPECT_EQ(outbox.size(), kAssignments);

@@ -45,7 +45,7 @@ TEST(Expected, HoldsValue) {
   EXPECT_TRUE(static_cast<bool>(e));
   EXPECT_EQ(*e, 42);
   EXPECT_EQ(e.value(), 42);
-  EXPECT_TRUE(e.status().ok());
+  EXPECT_EQ(e.status(), Status{});  // OK: the OK code and no message
   EXPECT_EQ(e.value_or(7), 42);
 }
 
