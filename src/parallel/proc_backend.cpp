@@ -90,8 +90,7 @@ ChaosSchedule ChaosSchedule::from_env(const std::string& prefix) {
   const auto read = [&prefix](const char* knob) {
     return env_u32((prefix + knob).c_str());
   };
-  return {read("CRASH_PPM"), read("CORRUPT_PPM"), read("STALL_MS"),
-          read("SLOW_WRITE") != 0};
+  return {read("CORRUPT_PPM"), read("STALL_MS"), read("SLOW_WRITE") != 0};
 }
 
 std::string default_worker_path() {
@@ -567,12 +566,16 @@ namespace {
 class ChaosTransport final : public Transport {
  public:
   ChaosTransport(SocketTransport inner, FrameSocket& socket,
-                 ChaosSchedule settings, Rng rng)
-      : inner_(inner), socket_(&socket), settings_(settings), rng_(rng) {}
+                 ChaosSchedule settings, std::uint32_t crash_ppm, Rng rng)
+      : inner_(inner),
+        socket_(&socket),
+        settings_(settings),
+        crash_ppm_(crash_ppm),
+        rng_(rng) {}
 
   [[nodiscard]] std::optional<Assignment> receive() override {
     auto assignment = inner_.receive();
-    if (assignment && roll(settings_.crash_ppm)) {
+    if (assignment && roll(crash_ppm_)) {
       // The scheduled "kill": from the supervisor's side indistinguishable
       // from an OOM kill or a kernel-delivered SIGKILL mid-round.
       std::_Exit(9);
@@ -602,6 +605,7 @@ class ChaosTransport final : public Transport {
   SocketTransport inner_;
   FrameSocket* socket_;
   ChaosSchedule settings_;
+  std::uint32_t crash_ppm_;  ///< P(_exit(9)) per assignment * 1e6
   Rng rng_;
 };
 
@@ -685,8 +689,10 @@ int run_worker(int fd) {
   SocketTransport socket_transport(socket, hello->instance);
   Transport* transport = &socket_transport;
   std::optional<ChaosTransport> chaotic;
-  if (const auto chaos = ChaosSchedule::from_env("PTS_CHAOS_"); chaos.any()) {
-    chaotic.emplace(socket_transport, socket, chaos,
+  const auto chaos = ChaosSchedule::from_env("PTS_CHAOS_");
+  const auto crash_ppm = env_u32("PTS_CHAOS_CRASH_PPM");
+  if (chaos.any() || crash_ppm > 0) {
+    chaotic.emplace(socket_transport, socket, chaos, crash_ppm,
                     Rng(hello->seed ^ 0xC4A05C4A05ULL).derive(hello->slave_id));
     transport = &*chaotic;
   }

@@ -49,18 +49,18 @@ namespace wire {
 struct TelemetryChunk;
 }  // namespace wire
 
-/// A chaos schedule read from <prefix>CRASH_PPM, CORRUPT_PPM, STALL_MS and
-/// SLOW_WRITE, so the chaos harness can misbehave either end of a real worker
-/// link without a special build (DESIGN.md §9). All off by default.
+/// A chaos schedule for the frames one end of a real worker link sends, read
+/// from <prefix>CORRUPT_PPM, STALL_MS and SLOW_WRITE, so the chaos harness
+/// can misbehave either end without a special build (DESIGN.md §9). All off
+/// by default. Workers alone also read PTS_CHAOS_CRASH_PPM (run_worker).
 struct ChaosSchedule {
-  std::uint32_t crash_ppm = 0;    ///< P(_exit(9)) per assignment * 1e6; workers
   std::uint32_t corrupt_ppm = 0;  ///< P(flip one payload byte) per frame * 1e6
   std::uint32_t stall_ms = 0;     ///< sleep before every frame sent
   bool slow_write = false;        ///< trickle frames in 7-byte pieces
 
   [[nodiscard]] static ChaosSchedule from_env(const std::string& prefix);
   [[nodiscard]] bool any() const {
-    return crash_ppm > 0 || corrupt_ppm > 0 || stall_ms > 0 || slow_write;
+    return corrupt_ppm > 0 || stall_ms > 0 || slow_write;
   }
 };
 
@@ -205,7 +205,7 @@ class ProcSupervisor final : public MasterTransport {
   const std::uint64_t seed_;
   const ProcOptions options_;
   const Clock::duration heartbeat_;  ///< options_.worker_timeout_seconds
-  /// PTS_CHAOS_MASTER_*: the worker-side knobs applied to assignment sends.
+  /// PTS_CHAOS_MASTER_*: the frame knobs applied to assignment sends.
   /// A corrupted assignment fails the worker's decoder, the worker exits,
   /// and the round completes degraded via the SlaveFault + respawn path.
   const ChaosSchedule master_chaos_;

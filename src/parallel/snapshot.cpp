@@ -1,14 +1,7 @@
 #include "parallel/snapshot.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-
 #include "parallel/codec.hpp"
+#include "parallel/durable_file.hpp"
 #include "parallel/wire.hpp"
 #include "util/crc32.hpp"
 
@@ -19,12 +12,9 @@ namespace {
 using codec::Reader;
 using codec::Writer;
 
-constexpr std::uint8_t kMagic[4] = {'P', 'T', 'S', 'C'};
-
-Status corrupt(const char* what) {
-  return Status::invalid_argument(std::string("snapshot: truncated or corrupt ") +
-                                  what);
-}
+constexpr durable::Format kFormat{"snapshot", "checkpoint",
+                                  {'P', 'T', 'S', 'C'}, kSnapshotMinVersion,
+                                  kSnapshotVersion};
 
 }  // namespace
 
@@ -103,7 +93,10 @@ Expected<MasterCheckpoint> decode_body(std::span<const std::uint8_t> body,
   Reader r(body, &inst, version);
   MasterCheckpoint cp(inst);
   identity_fields(r, cp);
-  if (!r.ok()) return corrupt("checkpoint header fields");
+  if (!r.ok()) {
+    return Status::invalid_argument(
+        "snapshot: truncated or corrupt checkpoint header fields");
+  }
   // Reject a foreign file before trusting any solution bits against `inst` —
   // a checkpoint of another instance would otherwise fail with a confusing
   // item-count or value-mismatch error deep inside the solution codec.
@@ -115,24 +108,6 @@ Expected<MasterCheckpoint> decode_body(std::span<const std::uint8_t> body,
   state_fields(r, cp);
   if (auto status = r.finish("checkpoint body"); !status.ok()) return status;
   return cp;
-}
-
-/// write(2) until done; short writes happen on signals even for regular files.
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-Status io_error(const std::string& what) {
-  return Status::internal("snapshot: " + what + ": " + std::strerror(errno));
 }
 
 }  // namespace
@@ -159,50 +134,14 @@ std::uint64_t instance_hash64(const mkp::Instance& inst) {
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const MasterCheckpoint& checkpoint) {
-  const auto body = encode_body(checkpoint);
-  Writer header;
-  for (const auto b : kMagic) header.u8(b);
-  header.u8(kSnapshotVersion);
-  header.u32(crc32(body));
-  header.u64(body.size());
-  auto out = header.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
+  return durable::seal(kFormat, encode_body(checkpoint));
 }
 
 Expected<MasterCheckpoint> decode_checkpoint(std::span<const std::uint8_t> bytes,
                                              const mkp::Instance& inst) {
-  if (bytes.size() < kSnapshotHeaderBytes) {
-    return corrupt("header (file too short)");
-  }
-  Reader r(bytes.first(kSnapshotHeaderBytes));
-  std::uint8_t magic[4];
-  for (auto& b : magic) b = r.u8();
-  const auto version = r.u8();
-  const auto crc = r.u32();
-  const auto body_size = r.u64();
-  if (std::memcmp(magic, kMagic, 4) != 0) {
-    return Status::invalid_argument("snapshot: bad magic (not a checkpoint file)");
-  }
-  if (version < kSnapshotMinVersion || version > kSnapshotVersion) {
-    return Status::invalid_argument(
-        "snapshot: unsupported version " + std::to_string(version) +
-        " (accepted " + std::to_string(kSnapshotMinVersion) + ".." +
-        std::to_string(kSnapshotVersion) + ")");
-  }
-  if (body_size > kMaxBodyBytes) {
-    return Status::invalid_argument("snapshot: body length " +
-                                    std::to_string(body_size) +
-                                    " exceeds the checkpoint ceiling");
-  }
-  if (body_size != bytes.size() - kSnapshotHeaderBytes) {
-    return corrupt("body (length prefix disagrees with file size)");
-  }
-  const auto body = bytes.subspan(kSnapshotHeaderBytes);
-  if (crc32(body) != crc) {
-    return Status::invalid_argument("snapshot: CRC mismatch (corrupt checkpoint)");
-  }
-  return decode_body(body, version, inst);
+  auto sealed = durable::unseal(kFormat, bytes);
+  if (!sealed) return sealed.status();
+  return decode_body(sealed->body, sealed->version, inst);
 }
 
 Status save_checkpoint(const std::string& path,
@@ -210,72 +149,16 @@ Status save_checkpoint(const std::string& path,
   if (path.empty()) {
     return Status::invalid_argument("snapshot: empty checkpoint path");
   }
-  const auto image = encode_checkpoint(checkpoint);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return io_error("open " + tmp);
-  if (!write_all(fd, image)) {
-    const auto status = io_error("write " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  // fsync before rename: the rename must never become visible while the data
-  // behind it is still only in the page cache — that ordering is the whole
-  // crash-safety argument.
-  if (::fsync(fd) != 0) {
-    const auto status = io_error("fsync " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const auto status = io_error("rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  // Persist the rename itself. Failure here is not fatal to correctness of
-  // the file contents (the data is synced), so report success but still try.
-  const auto dir = std::filesystem::path(path).parent_path();
-  const std::string dir_path = dir.empty() ? "." : dir.string();
-  const int dir_fd = ::open(dir_path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  return Status{};
+  return durable::replace(kFormat, path, path + ".tmp",
+                          encode_checkpoint(checkpoint))
+      .status();
 }
 
 Expected<MasterCheckpoint> load_checkpoint(const std::string& path,
                                            const mkp::Instance& inst) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return Status::unavailable("snapshot: no checkpoint at " + path);
-    }
-    return io_error("open " + path);
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const auto n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-    if (bytes.size() > kMaxBodyBytes + kSnapshotHeaderBytes) {
-      ::close(fd);
-      return Status::invalid_argument(
-          "snapshot: file exceeds the checkpoint ceiling");
-    }
-  }
-  ::close(fd);
-  return decode_checkpoint(bytes, inst);
+  auto bytes = durable::read(kFormat, path, durable::kMaxSealedFileBytes);
+  if (!bytes) return bytes.status();
+  return decode_checkpoint(*bytes, inst);
 }
 
 Status check_compatible(const MasterCheckpoint& checkpoint,

@@ -10,21 +10,15 @@
 // restoring the master restores the whole run — a resumed run replays the
 // exact draw sequence of an uninterrupted one (bit-identical final best).
 //
-// File layout (little-endian, via parallel/codec.hpp):
-//
-//   offset 0   u8[4]  magic   'P' 'T' 'S' 'C'
-//   offset 4   u8     version kSnapshotVersion
-//   offset 5   u32    crc     CRC-32 (util/crc32.hpp) of the body bytes
-//   offset 9   u64    size    body byte count
-//   offset 17  ...    body    codec-encoded MasterCheckpoint
-//
-// Writes are atomic: body to `path.tmp`, fsync, rename over `path`, fsync the
-// directory — a crash mid-write leaves either the old checkpoint or the new
-// one, never a torn file. The loader is total in the wire.cpp sense: short
-// headers, bad magic/version, size mismatches, CRC failures and truncated or
-// over-counted sections all come back as a Status, never a crash or an
-// unbounded allocation; solutions are revalidated against the instance
-// (bit/value consistency) exactly as frames from a worker are.
+// The file is the sealed container of DESIGN.md §9 "Durable files" (magic
+// 'PTSC', parallel/durable_file.hpp) around a codec-encoded MasterCheckpoint,
+// written and read through that module: a crash mid-write leaves the old
+// checkpoint or the new one, never a torn file. The loader is total in the
+// wire.cpp sense: short headers, bad magic/version, size mismatches, CRC
+// failures and truncated or over-counted sections all come back as a Status,
+// never a crash or an unbounded allocation; solutions are revalidated
+// against the instance (bit/value consistency) exactly as frames from a
+// worker are.
 
 #include <array>
 #include <cstdint>
@@ -36,6 +30,7 @@
 #include "bounds/reduction.hpp"
 #include "mkp/instance.hpp"
 #include "mkp/solution.hpp"
+#include "parallel/durable_file.hpp"
 #include "tabu/strategy.hpp"
 #include "util/status.hpp"
 
@@ -45,11 +40,8 @@ namespace pts::parallel::snapshot {
 /// still accepted — they decode with an empty (disengaged) core section.
 inline constexpr std::uint8_t kSnapshotVersion = 2;
 inline constexpr std::uint8_t kSnapshotMinVersion = 1;
-inline constexpr std::size_t kSnapshotHeaderBytes = 17;
-
-/// Ceiling on one checkpoint body, mirroring wire::kMaxPayloadBytes: a
-/// corrupt size field must be rejected before any allocation happens.
-inline constexpr std::uint64_t kMaxBodyBytes = 256ull << 20;
+inline constexpr std::size_t kSnapshotHeaderBytes = durable::kSealHeaderBytes;
+inline constexpr std::uint64_t kMaxBodyBytes = durable::kMaxBodyBytes;
 
 /// One slave's master-side record — the paper's data-structure entry
 /// (strategy St_i, initial S_i, B best solutions, score_i) plus the
@@ -149,7 +141,7 @@ struct MasterCheckpoint {
 
 // -- File I/O. --
 
-/// Atomic write: `path.tmp` + fsync + rename + directory fsync.
+/// Atomic replace through `path.tmp` (durable::replace).
 [[nodiscard]] Status save_checkpoint(const std::string& path,
                                      const MasterCheckpoint& checkpoint);
 

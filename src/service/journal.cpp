@@ -1,14 +1,9 @@
 #include "service/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <filesystem>
 #include <map>
 
 #include "obs/metrics.hpp"
+#include "parallel/durable_file.hpp"
 #include "parallel/runner.hpp"
 #include "parallel/wire.hpp"
 #include "util/crc32.hpp"
@@ -22,26 +17,11 @@ using parallel::codec::decode;
 using parallel::codec::encode;
 using parallel::codec::Reader;
 using parallel::codec::Writer;
+namespace durable = parallel::durable;
 
-constexpr std::uint8_t kMagic[4] = {'P', 'T', 'S', 'J'};
-
-Status io_error(const std::string& what) {
-  return Status::internal("journal: " + what + ": " + std::strerror(errno));
-}
-
-/// write(2) until done; short writes happen on signals even for regular files.
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+constexpr durable::Format kFormat{"journal", "job journal",
+                                  {'P', 'T', 'S', 'J'}, kJournalMinVersion,
+                                  kJournalVersion};
 
 /// Frames one record (type | crc | len | body) into `w` — shared between the
 /// append path and the compaction rewrite so both produce identical bytes.
@@ -122,27 +102,17 @@ Expected<JobOptions> get_job_options(Reader& r, std::uint8_t version) {
   return options;
 }
 
-JobJournal::~JobJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
 Expected<std::unique_ptr<JobJournal>> JobJournal::open_truncate(
     const std::string& path) {
   if (path.empty()) {
     return Status::invalid_argument("journal: empty journal path");
   }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return io_error("open " + path);
-  Writer w;
-  for (const auto b : kMagic) w.u8(b);
-  w.u8(kJournalVersion);
-  const auto header = w.take();
-  if (!write_all(fd, header) || ::fsync(fd) != 0) {
-    const auto status = io_error("write header " + path);
-    ::close(fd);
+  auto file = durable::create(kFormat, path);
+  if (!file) return file.status();
+  if (auto status = (*file)->append(durable::tag(kFormat)); !status.ok()) {
     return status;
   }
-  return std::unique_ptr<JobJournal>(new JobJournal(fd, path));
+  return std::unique_ptr<JobJournal>(new JobJournal(std::move(*file), path));
 }
 
 Status JobJournal::append(RecordType type, const std::vector<std::uint8_t>& body) {
@@ -153,8 +123,7 @@ Status JobJournal::append(RecordType type, const std::vector<std::uint8_t>& body
   std::lock_guard lock(mutex_);
   // One write, then fsync: a crash can tear at most the tail record, which
   // the reader detects (CRC) and discards — the replay contract.
-  if (!write_all(fd_, frame)) return io_error("append");
-  if (::fsync(fd_) != 0) return io_error("fsync");
+  if (auto status = file_->append(frame); !status.ok()) return status;
   ++records_appended_;
   obs::metrics().counter("journal_appends_total").add();
   obs::metrics().histogram("journal_append_seconds")
@@ -194,8 +163,7 @@ Status JobJournal::compact(const std::vector<LiveJob>& live) {
   // open job (plus kDispatched for the already-started ones, preserving the
   // committed start order) — so the file write is a single pass.
   Writer w;
-  for (const auto b : kMagic) w.u8(b);
-  w.u8(kJournalVersion);
+  w.bytes(durable::tag(kFormat));
   std::uint64_t records = 0;
   const TenantId default_tenant;
   for (const auto& job : live) {
@@ -219,36 +187,10 @@ Status JobJournal::compact(const std::vector<LiveJob>& live) {
   const auto image = w.take();
 
   std::lock_guard lock(mutex_);
-  const std::string tmp = path_ + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return io_error("open " + tmp);
-  // fsync before rename — the same ordering argument as the snapshot writer:
-  // the compacted file must never become visible while its bytes are still
-  // only in the page cache.
-  if (!write_all(fd, image) || ::fsync(fd) != 0) {
-    const auto status = io_error("write " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-    const auto status = io_error("rename " + tmp + " -> " + path_);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  // Persist the rename itself; the data is already synced, so a failure here
-  // only delays durability of the directory entry.
-  const auto dir = std::filesystem::path(path_).parent_path();
-  const std::string dir_path = dir.empty() ? "." : dir.string();
-  const int dir_fd = ::open(dir_path.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
-  // Future appends go to the new file: fd still names the renamed inode.
-  ::close(fd_);
-  fd_ = fd;
+  auto file = durable::replace(kFormat, path_, path_ + ".tmp", image);
+  if (!file) return file.status();
+  // Future appends go to the new file.
+  file_ = std::move(*file);
   records_appended_ = records;
   obs::metrics().counter("service_journal_compactions_total").add();
   obs::metrics().histogram("journal_compact_seconds")
@@ -257,38 +199,15 @@ Status JobJournal::compact(const std::vector<LiveJob>& live) {
 }
 
 Expected<std::vector<RecoveredJob>> recover_jobs(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::vector<RecoveredJob>{};  // fresh start
-    return io_error("open " + path);
+  const auto file = durable::read(kFormat, path, durable::kUnbounded);
+  if (!file && file.status().code() != StatusCode::kUnavailable) {
+    return file.status();
   }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const auto n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
-
-  if (bytes.empty()) return std::vector<RecoveredJob>{};
-  if (bytes.size() < kJournalHeaderBytes ||
-      std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return Status::invalid_argument("journal: bad magic (not a job journal)");
-  }
-  const std::uint8_t version = bytes[4];
-  if (version < kJournalMinVersion || version > kJournalVersion) {
-    return Status::invalid_argument(
-        "journal: unsupported version " + std::to_string(version) +
-        " (accepted " + std::to_string(kJournalMinVersion) + ".." +
-        std::to_string(kJournalVersion) + ")");
-  }
+  // No file, or an empty one: a fresh start.
+  if (!file || file->empty()) return std::vector<RecoveredJob>{};
+  const auto& bytes = *file;
+  const auto version = durable::check_tag(kFormat, bytes);
+  if (!version) return version.status();
 
   // Replay. Ordered map keyed by the old id keeps submission order; a
   // resolved record erases its submission. Any malformed record is treated
@@ -345,7 +264,7 @@ Expected<std::vector<RecoveredJob>> recover_jobs(const std::string& path) {
     if (type != static_cast<std::uint8_t>(RecordType::kSubmitted)) {
       break;  // unknown record type: written by a future version, stop
     }
-    auto job = decode_submitted(body, version);
+    auto job = decode_submitted(body, *version);
     if (!job) break;
     const JobId id = job->id;
     open.insert_or_assign(id, std::move(*job));

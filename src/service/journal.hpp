@@ -13,13 +13,14 @@
 //
 //   u8 type | u32 crc32(body) | u32 body_len | body
 //
-// Appends are written with a single write(2) followed by fsync, so a crash
-// leaves at most one torn record — always at the tail. The reader treats any
-// malformed tail (short header, impossible length, CRC mismatch) as the
-// crash point and cleanly stops there; everything before it is trusted. The
-// journal therefore gives at-least-once semantics: a job resolved in the
-// instant between its run and the resolved-record fsync runs again after
-// restart, which is safe because solves are idempotent.
+// Appends are written with a single write(2) followed by fsync
+// (durable::File::append), so a crash leaves at most one torn record —
+// always at the tail. The reader treats any malformed tail (short header,
+// impossible length, CRC mismatch) as the crash point and cleanly stops
+// there; everything before it is trusted. The journal therefore gives
+// at-least-once semantics: a job resolved in the instant between its run and
+// the resolved-record fsync runs again after restart, which is safe because
+// solves are idempotent.
 //
 // Record bodies are field lists (parallel/codec.hpp): the instance is the
 // wire's Instance leaf and the options are JobOptions' list below, so the
@@ -35,6 +36,7 @@
 
 #include "mkp/instance.hpp"
 #include "parallel/codec.hpp"
+#include "parallel/durable_file.hpp"
 #include "parallel/wire.hpp"
 #include "service/job.hpp"
 #include "util/status.hpp"
@@ -49,8 +51,8 @@ namespace pts::service::journal {
 /// new record type simply never appears.
 inline constexpr std::uint8_t kJournalVersion = 3;
 inline constexpr std::uint8_t kJournalMinVersion = 1;
-/// File header: 4 magic bytes + 1 version byte.
-inline constexpr std::size_t kJournalHeaderBytes = 5;
+/// File header: 4 magic bytes + 1 version byte (durable::tag).
+inline constexpr std::size_t kJournalHeaderBytes = parallel::durable::kTagBytes;
 /// Record frame: type (1) + crc (4) + body_len (4).
 inline constexpr std::size_t kRecordHeaderBytes = 9;
 /// Per-record body ceiling — far above any real instance, far below an
@@ -104,8 +106,6 @@ struct LiveJob {
 /// submit path, the scheduler and every job thread.
 class JobJournal {
  public:
-  ~JobJournal();
-
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
 
@@ -139,13 +139,13 @@ class JobJournal {
   Status append_resolved(JobId id);
 
   /// Rewrites the journal in place to exactly the still-open jobs, without a
-  /// restart: full image (header + one kSubmitted per job + kDispatched for
-  /// the already-started ones) to `path.tmp`, fsync, rename over `path`,
-  /// directory fsync — the snapshot discipline — then future appends go to
-  /// the new file. A crash at ANY point replays either the old log or the
-  /// compacted one, never a mix. The caller must guarantee no concurrent
-  /// submissions race the `live` set (the service compacts under its own
-  /// mutex, which also serializes append_submitted).
+  /// restart: the full image (header + one kSubmitted per job + kDispatched
+  /// for the already-started ones) replaces `path` through `path.tmp`
+  /// (DESIGN.md §9 "Durable files"), then future appends go to the new
+  /// file. A crash at ANY point replays either the old log or the compacted
+  /// one, never a mix. The caller must guarantee no concurrent submissions
+  /// race the `live` set (the service compacts under its own mutex, which
+  /// also serializes append_submitted).
   Status compact(const std::vector<LiveJob>& live);
 
   /// Records appended (or rewritten by compact) since open — the size signal
@@ -153,11 +153,12 @@ class JobJournal {
   [[nodiscard]] std::uint64_t records_appended() const;
 
  private:
-  JobJournal(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  JobJournal(std::unique_ptr<parallel::durable::File> file, std::string path)
+      : file_(std::move(file)), path_(std::move(path)) {}
   Status append(RecordType type, const std::vector<std::uint8_t>& body);
 
   mutable std::mutex mutex_;
-  int fd_ = -1;
+  std::unique_ptr<parallel::durable::File> file_;
   std::string path_;
   std::uint64_t records_appended_ = 0;
 };

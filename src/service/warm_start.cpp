@@ -1,19 +1,14 @@
 #include "service/warm_start.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "obs/metrics.hpp"
 #include "parallel/codec.hpp"
+#include "parallel/durable_file.hpp"
 #include "parallel/wire.hpp"
-#include "util/crc32.hpp"
 
 namespace pts::service {
 
@@ -21,26 +16,11 @@ namespace {
 
 using parallel::codec::Reader;
 using parallel::codec::Writer;
+namespace durable = parallel::durable;
 
-constexpr std::uint8_t kMagic[4] = {'P', 'T', 'S', 'W'};
-
-Status io_error(const std::string& what) {
-  return Status::internal("warm-start store: " + what + ": " +
-                          std::strerror(errno));
-}
-
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+constexpr durable::Format kFormat{"warm-start store", "warm-start entry",
+                                  {'P', 'T', 'S', 'W'}, kWarmStartVersion,
+                                  kWarmStartVersion};
 
 std::string entry_name(std::uint64_t content_hash) {
   char buf[32];
@@ -92,83 +72,11 @@ WarmStartStore::Hit make_hit(const EntryPrefix& prefix, bool exact) {
   return hit;
 }
 
-/// Reads one entry file into validated body bytes. Any malformation is a
-/// Status — lookup treats it as a miss for that entry.
-Expected<std::vector<std::uint8_t>> read_body(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const auto n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  ::close(fd);
-
-  if (bytes.size() < kWarmStartHeaderBytes ||
-      std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    return Status::invalid_argument("warm-start store: bad magic in " + path);
-  }
-  const std::span<const std::uint8_t> head(bytes.data(), kWarmStartHeaderBytes);
-  Reader header(head);
-  (void)header.u32();  // magic, already compared
-  const auto version = header.u8();
-  const auto crc = header.u32();
-  const auto size = header.u64();
-  if (version != kWarmStartVersion) {
-    return Status::invalid_argument("warm-start store: unsupported version " +
-                                    std::to_string(version));
-  }
-  if (size > kMaxWarmStartBytes ||
-      size != bytes.size() - kWarmStartHeaderBytes) {
-    return Status::invalid_argument("warm-start store: size mismatch in " + path);
-  }
-  std::vector<std::uint8_t> body(bytes.begin() + kWarmStartHeaderBytes,
-                                 bytes.end());
-  if (crc32(body) != crc) {
-    return Status::invalid_argument("warm-start store: CRC mismatch in " + path);
-  }
-  return body;
-}
-
 /// How much of an entry the kSimilar scan reads per file. The feature +
 /// strategy prefix is a few hundred bytes even for wide pools; 64 KiB is
 /// ludicrously generous while still bounding the scan's I/O — a directory
 /// of large entries no longer costs a full read + CRC of every file.
 constexpr std::size_t kScanPrefixBytes = 64u << 10;
-
-/// Reads at most `limit` bytes from the head of `path` (bounded pread;
-/// never the whole file). Returns however many bytes the file had, up to
-/// the limit.
-Expected<std::vector<std::uint8_t>> read_prefix(const std::string& path,
-                                                std::size_t limit) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return io_error("open " + path);
-  std::vector<std::uint8_t> bytes(limit);
-  std::size_t off = 0;
-  while (off < limit) {
-    const auto n = ::pread(fd, bytes.data() + off, limit - off,
-                           static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const auto status = io_error("read " + path);
-      ::close(fd);
-      return status;
-    }
-    if (n == 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  bytes.resize(off);
-  return bytes;
-}
 
 /// Decodes the feature + strategy prefix; leaves `r` positioned at the
 /// solutions section.
@@ -177,6 +85,27 @@ Expected<EntryPrefix> get_prefix(Reader& r) {
   fields(r, prefix);
   if (auto status = r.status("warm-start entry"); !status.ok()) return status;
   return prefix;
+}
+
+/// One entry read whole and unsealed (ceiling, magic, version, length and
+/// CRC checked) with its prefix decoded; `tail` reads on into the solutions
+/// section of `file`. Any malformation is nullopt: a miss for that entry.
+struct Entry {
+  std::vector<std::uint8_t> file;
+  EntryPrefix prefix;
+  Reader tail;
+};
+
+std::optional<Entry> read_entry(const std::string& path) {
+  auto file = durable::read(kFormat, path, durable::kMaxSealedFileBytes);
+  if (!file) return std::nullopt;
+  auto sealed = durable::unseal(kFormat, *file);
+  if (!sealed) return std::nullopt;
+  Reader tail(sealed->body);
+  auto prefix = get_prefix(tail);
+  if (!prefix) return std::nullopt;
+  // Moving the vector keeps its buffer, so `tail` stays valid.
+  return Entry{std::move(*file), std::move(*prefix), tail};
 }
 
 }  // namespace
@@ -242,25 +171,22 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
   // Exact: one file, addressed by content.
   const auto exact_path =
       (std::filesystem::path(dir_) / entry_name(content_hash)).string();
-  if (auto body = read_body(exact_path)) {
-    const std::span<const std::uint8_t> body_span(body->data(), body->size());
-    Reader r(body_span);
-    if (auto prefix = get_prefix(r); prefix &&
-                                     prefix->content_hash == content_hash) {
-      Hit hit = make_hit(*prefix, /*exact=*/true);
-      // Exact hit: the saved elite solutions are solutions OF this
-      // instance — decode and seed them as initials.
-      const auto nsol = r.u32();
-      if (r.plausible_count(nsol, 8 + inst.num_items() / 8)) {
-        for (std::uint32_t k = 0; k < nsol; ++k) {
-          auto solution = parallel::wire::get_solution(r, inst);
-          if (!solution) break;  // partial seed beats none
-          hit.warm.initials.push_back(*std::move(solution));
-        }
+  if (auto entry = read_entry(exact_path);
+      entry && entry->prefix.content_hash == content_hash) {
+    Hit hit = make_hit(entry->prefix, /*exact=*/true);
+    // Exact hit: the saved elite solutions are solutions OF this instance —
+    // decode and seed them as initials.
+    Reader& r = entry->tail;
+    const auto nsol = r.u32();
+    if (r.plausible_count(nsol, 8 + inst.num_items() / 8)) {
+      for (std::uint32_t k = 0; k < nsol; ++k) {
+        auto solution = parallel::wire::get_solution(r, inst);
+        if (!solution) break;  // partial seed beats none
+        hit.warm.initials.push_back(*std::move(solution));
       }
-      obs::metrics().counter("warm_start_exact_hits_total").add();
-      return hit;
     }
+    obs::metrics().counter("warm_start_exact_hits_total").add();
+    return hit;
   }
   if (policy != WarmStartPolicy::kSimilar) return std::nullopt;
 
@@ -271,8 +197,8 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
   // + features + strategies — no solution tails, no CRC over megabytes of
   // body) to rank candidates; the full read + CRC validation then runs
   // only on the ranked candidates, best first, and the first one that
-  // validates wins. A store full of large entries costs a handful of
-  // page-sized preads per lookup instead of a full read of every file.
+  // validates wins. A store full of large entries costs a bounded head
+  // read per entry instead of a full read of every file.
   const double t = mean_tightness(inst);
   struct Candidate {
     std::string path;
@@ -285,23 +211,16 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
        std::filesystem::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file(ec)) continue;
     if (entry.path().extension() != ".ptsw") continue;
-    auto head = read_prefix(entry.path().string(), kScanPrefixBytes);
+    auto head =
+        durable::read_head(kFormat, entry.path().string(), kScanPrefixBytes);
     if (!head) continue;  // unreadable entry: skip, never fatal
-    if (head->size() < kWarmStartHeaderBytes ||
-        std::memcmp(head->data(), kMagic, 4) != 0) {
-      continue;
-    }
-    Reader header({head->data(), kWarmStartHeaderBytes});
-    (void)header.u32();  // magic, already compared
-    const auto version = header.u8();
-    (void)header.u32();  // CRC deferred to the validation pass
-    const auto size = header.u64();
-    if (version != kWarmStartVersion || size > kMaxWarmStartBytes) continue;
+    // The CRC is deferred to the validation pass.
+    auto sealed = durable::unseal_head(kFormat, *head);
+    if (!sealed) continue;
     // A prefix that outruns the 64 KiB window decodes as truncated and the
     // entry is skipped — fine, a legitimate strategy section never gets
     // anywhere near that large.
-    Reader r({head->data() + kWarmStartHeaderBytes,
-              head->size() - kWarmStartHeaderBytes});
+    Reader r(sealed->body);
     auto prefix = get_prefix(r);
     if (!prefix) continue;
     if (prefix->m != inst.num_constraints() || prefix->n != inst.num_items()) {
@@ -317,14 +236,10 @@ std::optional<WarmStartStore::Hit> WarmStartStore::lookup(
               return a.best_value > b.best_value;
             });
   for (const auto& candidate : candidates) {
-    auto body = read_body(candidate.path);  // full read + CRC, only now
-    if (!body) continue;  // corrupt entry: fall through to the runner-up
-    const std::span<const std::uint8_t> body_span(body->data(), body->size());
-    Reader r(body_span);
-    auto prefix = get_prefix(r);
-    if (!prefix) continue;
+    auto entry = read_entry(candidate.path);  // full read + CRC, only now
+    if (!entry) continue;  // corrupt entry: fall through to the runner-up
     obs::metrics().counter("warm_start_similar_hits_total").add();
-    return make_hit(*prefix, /*exact=*/false);
+    return make_hit(entry->prefix, /*exact=*/false);
   }
   return std::nullopt;
 }
@@ -346,13 +261,9 @@ Status WarmStartStore::save(
   std::lock_guard save_lock(save_mutex_);
 
   // Keep-the-best policy: a weaker run never clobbers a stronger entry.
-  if (auto body = read_body(path)) {
-    const std::span<const std::uint8_t> body_span(body->data(), body->size());
-    Reader r(body_span);
-    if (auto prefix = get_prefix(r);
-        prefix && prefix->best_value > best_value) {
-      return Status{};
-    }
+  if (auto entry = read_entry(path);
+      entry && entry->prefix.best_value > best_value) {
+    return Status{};
   }
 
   EntryPrefix prefix{content_hash,
@@ -380,43 +291,15 @@ Status WarmStartStore::save(
   }
   body.u32(static_cast<std::uint32_t>(seeds.size()));
   for (const auto* seed : seeds) fields(body, *seed);
-  const auto body_bytes = body.take();
+  const auto image = durable::seal(kFormat, body.take());
 
-  Writer file;
-  for (const auto b : kMagic) file.u8(b);
-  file.u8(kWarmStartVersion);
-  file.u32(crc32(body_bytes));
-  file.u64(body_bytes.size());
-  file.bytes(body_bytes);
-  const auto image = file.take();
-
-  // Snapshot write discipline: tmp + fsync + rename + directory fsync, so a
-  // crash leaves the old entry or the new one, never a torn file. The tmp
-  // name is unique per (process, save) so writers never share a tmp file —
-  // the mutex above covers this process, the pid covers siblings on a
+  // A tmp name unique per (process, save), so writers never share a tmp
+  // file: the mutex above covers this process, the pid covers siblings on a
   // shared store directory.
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long long>(::getpid())) +
-                          "." + std::to_string(tmp_seq_.fetch_add(1));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return io_error("open " + tmp);
-  if (!write_all(fd, image) || ::fsync(fd) != 0) {
-    const auto status = io_error("write " + tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const auto status = io_error("rename " + tmp + " -> " + path);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  const int dir_fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  const auto replaced = durable::replace(
+      kFormat, path, durable::unique_tmp_path(path, tmp_seq_.fetch_add(1)),
+      image);
+  if (!replaced) return replaced.status();
   obs::metrics().counter("warm_start_saves_total").add();
   return Status{};
 }

@@ -9,22 +9,15 @@
 // it instead of cold-starting.
 //
 // One entry per content hash, file `ws_<hash hex>.ptsw` in the store
-// directory:
-//
-//   offset 0   u8[4]  magic   'P' 'T' 'S' 'W'
-//   offset 4   u8     version kWarmStartVersion
-//   offset 5   u32    crc     CRC-32 of the body bytes
-//   offset 9   u64    size    body byte count
-//   offset 17  ...    body
-//
-// Body: u64 content_hash | u32 m | u32 n | f64 mean_tightness |
+// directory: the sealed container of DESIGN.md §9 "Durable files" (magic
+// 'PTSW', parallel/durable_file.hpp) around this body: u64 content_hash | u32 m | u32 n | f64 mean_tightness |
 // f64 best_value | u32 nslaves | nslaves x (strategy, i32 score) |
 // u32 nsolutions | nsolutions x solution. The solutions tail is only decoded
 // on an EXACT hit — a similar instance's solutions reference different
 // variables and cannot seed anything, so feature-match lookups stop after
-// the strategy section. Writes follow the snapshot discipline (tmp + fsync +
-// rename + directory fsync); the loader is total (truncation, bitflips and
-// oversized counts come back as a Status, never a crash).
+// the strategy section. Entries are replaced and read through that module;
+// the loader is total (truncation, bitflips, oversized files and counts are
+// a miss, never a crash).
 
 #include <atomic>
 #include <cstdint>
@@ -34,6 +27,7 @@
 #include <vector>
 
 #include "mkp/instance.hpp"
+#include "parallel/durable_file.hpp"
 #include "parallel/master.hpp"
 #include "parallel/snapshot.hpp"
 #include "service/job.hpp"
@@ -42,9 +36,8 @@
 namespace pts::service {
 
 inline constexpr std::uint8_t kWarmStartVersion = 1;
-inline constexpr std::size_t kWarmStartHeaderBytes = 17;
-/// Per-entry body ceiling, mirroring the snapshot loader's allocation guard.
-inline constexpr std::uint64_t kMaxWarmStartBytes = 256ull << 20;
+inline constexpr std::size_t kWarmStartHeaderBytes =
+    parallel::durable::kSealHeaderBytes;
 
 /// Mean constraint tightness capacity(i)/sum_j w(i,j) — the approximate-
 /// match feature alongside (m, n). Matches mkp::profile_instance's

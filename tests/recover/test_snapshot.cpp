@@ -3,19 +3,25 @@
 // truncation, flipped bytes, foreign magic, version drift, oversized length
 // prefixes, a checkpoint for a different instance — must come back as a
 // Status from the total decoder, never a crash or an unbounded allocation.
+// The truncation and flip sweeps also run over a warm-start entry, the other
+// sealed format, which must then miss.
 #include "parallel/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "mkp/generator.hpp"
 #include "parallel/runner.hpp"
+#include "service/warm_start.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 
@@ -91,43 +97,78 @@ TEST(Snapshot, EncodeDecodeRoundTripsInMemory) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, TruncatedFileIsRejectedAtEveryLength) {
-  const auto inst = test_instance();
-  const auto path = temp_path("snapshot_trunc.ckpt");
-  ASSERT_TRUE(run_with_checkpoint(inst, path).status.ok());
-  auto image = read_file(path);
-  ASSERT_GT(image.size(), kSnapshotHeaderBytes);
+/// A sealed image and a judge of whether a copy of it is accepted. The
+/// corruption sweeps below run over two: a checkpoint decoded in memory, and
+/// a warm-start entry handed on disk to a real store, looked up under
+/// kSimilar so both the exact read and the feature scan see the damage.
+struct SealedInput {
+  std::string name;
+  std::vector<std::uint8_t> image;
+  std::function<bool(const std::vector<std::uint8_t>&)> accepts;
+};
 
-  // Sample truncation points across the whole file, including the header.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{3}, kSnapshotHeaderBytes - 1,
-        kSnapshotHeaderBytes, image.size() / 2, image.size() - 1}) {
-    auto cut = image;
-    cut.resize(keep);
-    const auto decoded = decode_checkpoint(cut, inst);
-    EXPECT_FALSE(decoded) << "accepted a " << keep << "-byte prefix";
-  }
+std::vector<SealedInput> sealed_inputs(const std::string& tag) {
+  const auto inst = std::make_shared<const mkp::Instance>(test_instance());
+  const auto path = temp_path(("snapshot_" + tag + ".ckpt").c_str());
+  EXPECT_TRUE(run_with_checkpoint(*inst, path).status.ok());
+  const auto checkpoint = load_checkpoint(path, *inst);
+  EXPECT_TRUE(checkpoint) << checkpoint.status().to_string();
+  std::vector<SealedInput> inputs;
+  inputs.push_back({"checkpoint", read_file(path), [inst](const auto& bytes) {
+                      return decode_checkpoint(bytes, *inst).has_value();
+                    }});
   std::remove(path.c_str());
+
+  const auto dir = temp_path(("snapshot_" + tag + "_warm").c_str());
+  std::filesystem::remove_all(dir);
+  const auto store = std::make_shared<service::WarmStartStore>(dir);
+  const auto hash = instance_hash64(*inst);
+  EXPECT_TRUE(
+      store->save(*inst, hash, checkpoint->best, checkpoint->slaves).ok());
+  std::string entry;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    entry = file.path().string();
+  }
+  inputs.push_back({"warm-start entry", read_file(entry),
+                    [inst, store, hash, entry](const auto& bytes) {
+                      write_file(entry, bytes);
+                      return store
+                          ->lookup(*inst, hash,
+                                   service::WarmStartPolicy::kSimilar)
+                          .has_value();
+                    }});
+  return inputs;
+}
+
+TEST(Snapshot, TruncatedFileIsRejectedAtEveryLength) {
+  for (const auto& input : sealed_inputs("trunc")) {
+    ASSERT_GT(input.image.size(), kSnapshotHeaderBytes) << input.name;
+    ASSERT_TRUE(input.accepts(input.image)) << input.name;
+    for (std::size_t keep = 0; keep < input.image.size(); ++keep) {
+      const std::vector<std::uint8_t> cut(input.image.begin(),
+                                          input.image.begin() + keep);
+      EXPECT_FALSE(input.accepts(cut))
+          << input.name << ": accepted a " << keep << "-byte prefix";
+    }
+  }
+  std::filesystem::remove_all(temp_path("snapshot_trunc_warm"));
 }
 
 TEST(Snapshot, AnySingleFlippedByteIsRejected) {
-  // Every byte of the image is load-bearing: magic, version, CRC, length and
-  // body are each covered by a dedicated check. Fuzz positions across the
-  // file; no flip may decode (and none may crash or over-allocate).
-  const auto inst = test_instance();
-  const auto path = temp_path("snapshot_flip.ckpt");
-  ASSERT_TRUE(run_with_checkpoint(inst, path).status.ok());
-  const auto image = read_file(path);
-
+  // Every byte of an image is load-bearing: magic, version, CRC, length and
+  // body are each covered by a dedicated check. No flip at any position may
+  // be accepted (and none may crash or over-allocate).
   Rng rng(2026);
-  for (int trial = 0; trial < 64; ++trial) {
-    auto fuzzed = image;
-    const auto pos = rng.index(fuzzed.size());
-    fuzzed[pos] ^= static_cast<std::uint8_t>(1 + rng.index(255));
-    const auto decoded = decode_checkpoint(fuzzed, inst);
-    EXPECT_FALSE(decoded) << "accepted a flip at byte " << pos;
+  for (const auto& input : sealed_inputs("flip")) {
+    ASSERT_TRUE(input.accepts(input.image)) << input.name;
+    for (std::size_t pos = 0; pos < input.image.size(); ++pos) {
+      auto fuzzed = input.image;
+      fuzzed[pos] ^= static_cast<std::uint8_t>(1 + rng.index(255));
+      EXPECT_FALSE(input.accepts(fuzzed))
+          << input.name << ": accepted a flip at byte " << pos;
+    }
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(temp_path("snapshot_flip_warm"));
 }
 
 TEST(Snapshot, FlippedCrcOnDiskIsRejected) {
