@@ -28,13 +28,11 @@
 
 #include "bounds/core.hpp"
 #include "bounds/greedy.hpp"
-#include "bounds/lagrangian.hpp"
 #include "bounds/reduction.hpp"
 #include "bounds/simplex.hpp"
 #include "mkp/generator.hpp"
 #include "parallel/runner.hpp"
 #include "tabu/cets.hpp"
-#include "tabu/elite_pool.hpp"
 #include "tabu/kernels.hpp"
 #include "tabu/moves.hpp"
 #include "tabu/path_relink.hpp"
@@ -412,19 +410,6 @@ void BM_HammingDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_HammingDistance)->Arg(500)->Arg(2000);
 
-void BM_ElitePoolSpread(benchmark::State& state) {
-  const auto inst = bench_instance(250, 10);
-  Rng rng(3);
-  tabu::ElitePool pool(static_cast<std::size_t>(state.range(0)));
-  for (int k = 0; k < state.range(0) * 3; ++k) {
-    pool.offer(bounds::random_feasible(inst, rng));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.mean_pairwise_hamming());
-  }
-}
-BENCHMARK(BM_ElitePoolSpread)->Arg(5)->Arg(20);
-
 void BM_CetsStep(benchmark::State& state) {
   // One add/drop oscillation step, amortized over a bounded run.
   const auto inst = bench_instance(static_cast<std::size_t>(state.range(0)), 10);
@@ -457,16 +442,6 @@ void BM_ReducedCostFixing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReducedCostFixing)->Arg(100)->Arg(250);
-
-void BM_LagrangianDual(benchmark::State& state) {
-  const auto inst = bench_instance(250, static_cast<std::size_t>(state.range(0)));
-  bounds::LagrangianOptions options;
-  options.max_iterations = 100;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bounds::solve_lagrangian(inst, options));
-  }
-}
-BENCHMARK(BM_LagrangianDual)->Arg(5)->Arg(25);
 
 void BM_GenerateGk(benchmark::State& state) {
   std::uint64_t seed = 0;

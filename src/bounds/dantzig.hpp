@@ -1,8 +1,7 @@
 #pragma once
 // Dantzig's continuous bound for a single knapsack constraint, and the
 // aggregate min-over-constraints bound it induces for the MKP. These are the
-// cheap per-node bounds of the branch-and-bound exact solver and the inner
-// evaluation of the surrogate relaxation.
+// cheap per-node bounds of the branch-and-bound exact solver.
 
 #include <cstddef>
 #include <span>

@@ -151,28 +151,6 @@ Instance generate_weakly_correlated(std::size_t num_items, std::size_t num_const
                   std::move(profits), std::move(weights), std::move(capacities));
 }
 
-Instance generate_strongly_correlated(std::size_t num_items, std::size_t num_constraints,
-                                      std::uint64_t seed, double max_value, double offset,
-                                      double tightness) {
-  Rng rng(seed);
-  std::vector<double> weights(num_constraints * num_items);
-  for (auto& w : weights) {
-    w = static_cast<double>(rng.uniform_int(1, static_cast<std::int64_t>(max_value)));
-  }
-  std::vector<double> profits(num_items);
-  for (std::size_t j = 0; j < num_items; ++j) {
-    double column_sum = 0.0;
-    for (std::size_t i = 0; i < num_constraints; ++i) {
-      column_sum += weights[i * num_items + j];
-    }
-    profits[j] = std::floor(column_sum / static_cast<double>(num_constraints) + offset);
-  }
-  auto capacities =
-      capacities_from_tightness(weights, num_constraints, num_items, tightness);
-  return Instance(default_name("strong", num_constraints, num_items, seed),
-                  std::move(profits), std::move(weights), std::move(capacities));
-}
-
 std::vector<GkClass> generate_gk_table1_classes(std::uint64_t seed,
                                                 std::size_t instances_per_class,
                                                 double size_scale) {

@@ -11,8 +11,8 @@
 // * generate_fp: Fréville–Plateau-style "hard small" problems: the published
 //   set spans n in [6,105], m in [2,30] with tight capacities; we reproduce
 //   that regime with uncorrelated weights and a 0.5 tightness.
-// * generate_uncorrelated / weakly / strongly correlated: classic knapsack
-//   families for tests and ablations.
+// * generate_uncorrelated / weakly correlated: classic knapsack families for
+//   tests and ablations.
 //
 // All values are integer-valued doubles so arithmetic is exact.
 
@@ -58,11 +58,6 @@ Instance generate_uncorrelated(std::size_t num_items, std::size_t num_constraint
 Instance generate_weakly_correlated(std::size_t num_items, std::size_t num_constraints,
                                     std::uint64_t seed, double max_value = 1000.0,
                                     double spread = 100.0, double tightness = 0.5);
-
-/// c_j = sum_i a_ij / m + offset: density identical up to the offset.
-Instance generate_strongly_correlated(std::size_t num_items, std::size_t num_constraints,
-                                      std::uint64_t seed, double max_value = 1000.0,
-                                      double offset = 100.0, double tightness = 0.5);
 
 /// The paper's Table-1 grid of Glover–Kochenberger classes:
 /// m in {3,5,10,15,25} crossed with a size ladder ending at 25x500.

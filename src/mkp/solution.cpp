@@ -59,16 +59,6 @@ void Solution::clear() {
 
 bool Solution::is_feasible() const { return min_slack_ >= 0.0; }
 
-double Solution::total_violation() const {
-  double violation = 0.0;
-  const std::size_t m = inst_->num_constraints();
-  for (std::size_t i = 0; i < m; ++i) {
-    const double excess = loads_[i] - inst_->capacity(i);
-    if (excess > 0.0) violation += excess;
-  }
-  return violation;
-}
-
 bool Solution::fits(std::size_t j) const {
   PTS_DCHECK(!bits_.test(j));
   // Column-summary fast paths: an item whose largest weight is within the
@@ -151,11 +141,6 @@ bool Solution::check_consistency(double tolerance) const {
     if (inv_slack_[i] != 1.0 / std::max(slack, kSlackFloor)) return false;
   }
   return min_slack == min_slack_;
-}
-
-void copy_assignment(const Solution& from, Solution& to) {
-  PTS_CHECK(&from.instance() == &to.instance());
-  to = from;
 }
 
 }  // namespace pts::mkp

@@ -80,10 +80,6 @@ class Solution {
   /// True iff no constraint is violated.
   [[nodiscard]] bool is_feasible() const;
 
-  /// Sum over constraints of max(0, load_i - b_i); 0 iff feasible. This is
-  /// the infeasibility measure strategic oscillation drives back to zero.
-  [[nodiscard]] double total_violation() const;
-
   /// True iff adding item j keeps every constraint satisfied.
   [[nodiscard]] bool fits(std::size_t j) const;
 
@@ -121,8 +117,5 @@ class Solution {
   double min_slack_ = 0.0;
   std::size_t cardinality_ = 0;
 };
-
-/// Copy assignment between solutions over the same instance.
-void copy_assignment(const Solution& from, Solution& to);
 
 }  // namespace pts::mkp

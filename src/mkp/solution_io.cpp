@@ -1,37 +1,8 @@
 #include "mkp/solution_io.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <sstream>
 
 namespace pts::mkp {
-
-namespace {
-
-std::string expect_token(std::istream& in, const char* what) {
-  std::string token;
-  if (!(in >> token)) {
-    throw SolutionIoError(std::string("unexpected end of input, expected ") + what);
-  }
-  return token;
-}
-
-void expect_keyword(std::istream& in, const std::string& keyword) {
-  const auto token = expect_token(in, keyword.c_str());
-  if (token != keyword) {
-    throw SolutionIoError("expected keyword '" + keyword + "', got '" + token + "'");
-  }
-}
-
-double expect_number(std::istream& in, const char* what) {
-  double value = 0.0;
-  if (!(in >> value)) {
-    throw SolutionIoError(std::string("expected a number for ") + what);
-  }
-  return value;
-}
-
-}  // namespace
 
 void write_solution(std::ostream& out, const Solution& solution) {
   const auto items = solution.selected_items();
@@ -48,59 +19,6 @@ void write_solution_file(const std::string& path, const Solution& solution) {
   std::ofstream out(path);
   if (!out) throw SolutionIoError("cannot open for writing: " + path);
   write_solution(out, solution);
-}
-
-Solution read_solution(std::istream& in, const Instance& inst) {
-  expect_keyword(in, "mkpsol");
-  const double version = expect_number(in, "format version");
-  if (version != 1.0) {
-    throw SolutionIoError("unsupported mkpsol version " + std::to_string(version));
-  }
-  expect_keyword(in, "instance");
-  (void)expect_token(in, "instance name");  // informational; not validated
-
-  expect_keyword(in, "items");
-  const auto items = static_cast<std::size_t>(expect_number(in, "item count"));
-  if (items != inst.num_items()) {
-    throw SolutionIoError("solution is for " + std::to_string(items) +
-                          " items, instance has " + std::to_string(inst.num_items()));
-  }
-
-  expect_keyword(in, "value");
-  const double recorded_value = expect_number(in, "objective value");
-
-  expect_keyword(in, "selected");
-  const auto count = static_cast<std::size_t>(expect_number(in, "selected count"));
-  Solution solution(inst);
-  for (std::size_t k = 0; k < count; ++k) {
-    const double raw = expect_number(in, "selected index");
-    if (raw < 0.0 || raw >= static_cast<double>(inst.num_items()) ||
-        raw != std::floor(raw)) {
-      throw SolutionIoError("selected index out of range: " + std::to_string(raw));
-    }
-    const auto j = static_cast<std::size_t>(raw);
-    if (solution.contains(j)) {
-      throw SolutionIoError("duplicate selected index " + std::to_string(j));
-    }
-    solution.add(j);
-  }
-
-  if (std::fabs(solution.value() - recorded_value) > 1e-6) {
-    std::ostringstream message;
-    message << "recorded value " << recorded_value << " does not match recomputed "
-            << solution.value() << " — wrong instance?";
-    throw SolutionIoError(message.str());
-  }
-  if (!solution.is_feasible()) {
-    throw SolutionIoError("solution violates the instance's constraints");
-  }
-  return solution;
-}
-
-Solution read_solution_file(const std::string& path, const Instance& inst) {
-  std::ifstream in(path);
-  if (!in) throw SolutionIoError("cannot open: " + path);
-  return read_solution(in, inst);
 }
 
 }  // namespace pts::mkp

@@ -1,23 +1,17 @@
 #pragma once
 // Solution persistence: a small line-oriented text format so solver runs can
-// be saved, diffed and re-validated later (orlib_solver --save, and test
-// fixtures).
+// be saved and diffed (orlib_solver --save).
 //
 //   mkpsol 1                    <- magic + format version
 //   instance <name>
 //   items <n>
 //   value <objective>
 //   selected <k> j1 j2 ... jk   <- ascending indices
-//
-// Loading validates against the instance: index range, recomputed value,
-// feasibility. A mismatch throws SolutionIoError (a saved solution for a
-// different instance must never be silently accepted).
 
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
 
-#include "mkp/instance.hpp"
 #include "mkp/solution.hpp"
 
 namespace pts::mkp {
@@ -29,11 +23,5 @@ class SolutionIoError : public std::runtime_error {
 
 void write_solution(std::ostream& out, const Solution& solution);
 void write_solution_file(const std::string& path, const Solution& solution);
-
-/// Reads and validates against `inst`. Throws SolutionIoError on malformed
-/// input, out-of-range indices, value mismatch (tolerance 1e-6) or
-/// infeasibility w.r.t. `inst`.
-Solution read_solution(std::istream& in, const Instance& inst);
-Solution read_solution_file(const std::string& path, const Instance& inst);
 
 }  // namespace pts::mkp

@@ -58,9 +58,4 @@ class AnytimeRecorder {
   std::vector<AnytimeSample> samples_;
 };
 
-/// The monotone best-so-far envelope over every sample (any source), in
-/// time order — what an anytime plot actually draws.
-[[nodiscard]] std::vector<AnytimeSample> global_envelope(
-    std::vector<AnytimeSample> samples);
-
 }  // namespace pts::obs

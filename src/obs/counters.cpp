@@ -5,9 +5,7 @@
 namespace pts::obs {
 
 namespace detail {
-#if PTS_TELEMETRY
 constinit thread_local Counters* tl_sink = nullptr;
-#endif
 }  // namespace detail
 
 namespace {
@@ -17,7 +15,7 @@ std::atomic<bool> g_enabled{true};
 void set_telemetry_enabled(bool enabled) { g_enabled.store(enabled); }
 
 bool telemetry_enabled() {
-  return kTelemetryCompiled && g_enabled.load(std::memory_order_relaxed);
+  return g_enabled.load(std::memory_order_relaxed);
 }
 
 const char* counter_name(Counter c) {

@@ -6,8 +6,8 @@
 // nothing for TSan to complain about). Free functions that sit below the
 // engine (the move kernels) publish through a thread-local sink pointer
 // installed by `CounterScope` for the duration of a run; when no scope is
-// active — or telemetry is compiled out via PTS_TELEMETRY=0 — a bump is a
-// no-op costing one thread-local load and a predictable branch.
+// active, a bump is a no-op costing one thread-local load and a predictable
+// branch.
 //
 // The master merges the snapshots it gathers from slave Reports into a
 // `CounterStats` (one RunningStats per counter over per-(slave, round)
@@ -19,13 +19,11 @@
 
 #include "util/stats.hpp"
 
-#ifndef PTS_TELEMETRY
-#define PTS_TELEMETRY 1
-#endif
-
 namespace pts::obs {
 
-inline constexpr bool kTelemetryCompiled = PTS_TELEMETRY != 0;
+/// Telemetry is always compiled in; set_telemetry_enabled() is the one
+/// switch. Kept as a constant because perfbench's stamp line reads it.
+inline constexpr bool kTelemetryCompiled = true;
 
 /// The counter taxonomy. One enumerator per fact the cooperation analysis
 /// needs; keep names in sync with counter_name().
@@ -74,11 +72,9 @@ struct Counters {
 };
 
 namespace detail {
-#if PTS_TELEMETRY
 // constinit: the sink is constant-initialized, so other translation units
 // reach it directly instead of through a TLS init wrapper.
 extern constinit thread_local Counters* tl_sink;
-#endif
 }  // namespace detail
 
 /// Global kill switch for the always-on counter paths (the engine checks it
@@ -89,12 +85,7 @@ void set_telemetry_enabled(bool enabled);
 
 /// Publish into the current thread's bound sink, if any.
 inline void bump(Counter c, std::uint64_t n = 1) {
-#if PTS_TELEMETRY
   if (detail::tl_sink != nullptr) (*detail::tl_sink)[c] += n;
-#else
-  (void)c;
-  (void)n;
-#endif
 }
 
 /// Binds `sink` as the calling thread's counter sink for the scope's
@@ -102,21 +93,15 @@ inline void bump(Counter c, std::uint64_t n = 1) {
 /// Binding nullptr suppresses publication inside the scope.
 class CounterScope {
  public:
-#if PTS_TELEMETRY
   explicit CounterScope(Counters* sink) : previous_(detail::tl_sink) {
     detail::tl_sink = sink;
   }
   ~CounterScope() { detail::tl_sink = previous_; }
-#else
-  explicit CounterScope(Counters*) {}
-#endif
   CounterScope(const CounterScope&) = delete;
   CounterScope& operator=(const CounterScope&) = delete;
 
  private:
-#if PTS_TELEMETRY
   Counters* previous_;
-#endif
 };
 
 /// Master-side aggregation: per-counter distribution over the per-(slave,

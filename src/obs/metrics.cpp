@@ -179,11 +179,6 @@ void MetricsRegistry::reset_values() {
   drained_totals_.clear();
 }
 
-bool MetricsRegistry::empty() const {
-  std::scoped_lock lock(mutex_);
-  return counters_.empty() && gauges_.empty() && histograms_.empty();
-}
-
 bool MetricsRegistry::has_histogram_samples() const {
   std::scoped_lock lock(mutex_);
   for (const auto& [name, histogram] : histograms_) {

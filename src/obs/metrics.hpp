@@ -82,10 +82,6 @@ class MetricHistogram {
     std::scoped_lock lock(mutex_);
     hist_.record(value);
   }
-  void merge(const LogHistogram& other) {
-    std::scoped_lock lock(mutex_);
-    hist_.merge(other);
-  }
   [[nodiscard]] LogHistogram snapshot() const {
     std::scoped_lock lock(mutex_);
     return hist_;
@@ -133,7 +129,6 @@ class MetricsRegistry {
   /// (tests and bench isolate runs this way).
   void reset_values();
 
-  [[nodiscard]] bool empty() const;
   /// True when at least one histogram has recorded a sample — the report_io
   /// writer skips the latency CSV otherwise.
   [[nodiscard]] bool has_histogram_samples() const;

@@ -62,10 +62,6 @@ TelemetrySession::TelemetrySession(TelemetryOptions options)
   if (tracing()) {
     tracer().clear();
     tracer().set_enabled(true);
-    if (!tracer().enabled()) {
-      std::fprintf(stderr,
-                   "--trace-out ignored: telemetry compiled out (PTS_TELEMETRY=0)\n");
-    }
   }
   if (!options_.metrics_out_path.empty() && options_.metrics_every_seconds > 0) {
     writer_ = std::thread([this] {

@@ -96,7 +96,6 @@ TidScope::TidScope(std::uint32_t tid) : previous_(tl_tid) { tl_tid = tid; }
 TidScope::~TidScope() { tl_tid = previous_; }
 
 void Tracer::set_enabled(bool enabled) {
-  if (!kTelemetryCompiled) return;
   if (enabled) {
     std::scoped_lock lock(mutex_);
     if (events_.empty()) epoch_ = std::chrono::steady_clock::now();
@@ -113,22 +112,6 @@ std::int64_t Tracer::now_us() const {
 void Tracer::record_event(TraceEvent event) {
   std::scoped_lock lock(mutex_);
   events_.push_back(std::move(event));
-}
-
-void Tracer::span(const char* name, std::int64_t start_us,
-                  std::initializer_list<TraceArg> args, const char* detail_key,
-                  std::string detail) {
-  if (!enabled()) return;
-  TraceEvent event;
-  event.name = name;
-  event.phase = 'X';
-  event.tid = tl_tid;
-  event.ts_us = start_us;
-  event.dur_us = std::max<std::int64_t>(0, now_us() - start_us);
-  event.args = args;
-  event.detail_key = detail_key;
-  event.detail = std::move(detail);
-  record_event(std::move(event));
 }
 
 void Tracer::instant(const char* name, std::initializer_list<TraceArg> args,

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/counters.hpp"  // PTS_TELEMETRY / kTelemetryCompiled
+#include "obs/counters.hpp"
 
 namespace pts::obs {
 
@@ -72,8 +72,7 @@ class TidScope {
 
 class Tracer {
  public:
-  /// Enabling also (re)starts the epoch when the buffer is empty. A no-op
-  /// when telemetry is compiled out (enabled() then always reports false).
+  /// Enabling also (re)starts the epoch when the buffer is empty.
   void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -81,11 +80,6 @@ class Tracer {
 
   /// Microseconds since the tracer epoch (monotonic clock).
   [[nodiscard]] std::int64_t now_us() const;
-
-  /// Complete span: began at `start_us` (from now_us()), ends now.
-  void span(const char* name, std::int64_t start_us,
-            std::initializer_list<TraceArg> args = {},
-            const char* detail_key = nullptr, std::string detail = {});
 
   void instant(const char* name, std::initializer_list<TraceArg> args = {},
                const char* detail_key = nullptr, std::string detail = {});

@@ -30,50 +30,6 @@ Status too_large(const Format& format) {
                  std::string("file exceeds the ") + format.noun + " ceiling");
 }
 
-/// Closes an fd on every way out of scope.
-class Closer {
- public:
-  explicit Closer(int fd) : fd_(fd) {}
-  Closer(const Closer&) = delete;
-  Closer& operator=(const Closer&) = delete;
-  ~Closer() { ::close(fd_); }
-
- private:
-  int fd_;
-};
-
-/// Reads `path` from its start until EOF or until `cap` bytes are in. A file
-/// whose size is over `ceiling` is refused before a byte is read; a missing
-/// one is kUnavailable.
-Expected<std::vector<std::uint8_t>> read_bounded(const Format& format,
-                                                 const std::string& path,
-                                                 std::uint64_t cap,
-                                                 std::uint64_t ceiling) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0 && errno == ENOENT) {
-    return Status::unavailable(std::string(format.owner) + ": no " +
-                               format.noun + " at " + path);
-  }
-  if (fd < 0) return io_error(format.owner, "open " + path);
-  const Closer closer(fd);
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) return io_error(format.owner, "stat " + path);
-  if (static_cast<std::uint64_t>(st.st_size) > ceiling) {
-    return too_large(format);
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  while (bytes.size() < cap) {
-    const auto n = ::read(
-        fd, buf, std::min<std::uint64_t>(sizeof buf, cap - bytes.size()));
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) return io_error(format.owner, "read " + path);
-    if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  return bytes;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> tag(const Format& format) {
@@ -142,14 +98,49 @@ Expected<Sealed> unseal(const Format& format,
   return sealed;
 }
 
+Source::~Source() { ::close(fd_); }
+
+Expected<std::vector<std::uint8_t>> Source::next(std::uint64_t n) {
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[1 << 16];
+  while (bytes.size() < n) {
+    const auto got = ::read(
+        fd_, buf, std::min<std::uint64_t>(sizeof buf, n - bytes.size()));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return io_error(owner_, "read " + path_);
+    if (got == 0) break;
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  return bytes;
+}
+
+Expected<std::unique_ptr<Source>> open(const Format& format,
+                                       const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0 && errno == ENOENT) {
+    return Status::unavailable(std::string(format.owner) + ": no " +
+                               format.noun + " at " + path);
+  }
+  if (fd < 0) return io_error(format.owner, "open " + path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const auto status = io_error(format.owner, "stat " + path);
+    ::close(fd);
+    return status;
+  }
+  return std::make_unique<Source>(fd, format.owner, path,
+                                  static_cast<std::uint64_t>(st.st_size));
+}
+
 Expected<std::vector<std::uint8_t>> read(const Format& format,
                                          const std::string& path,
                                          std::uint64_t max_bytes) {
+  auto source = open(format, path);
+  if (!source) return source.status();
+  if ((*source)->size() > max_bytes) return too_large(format);
   // One byte past the ceiling, so a file that grew since its size was
   // checked is refused too rather than cut short.
-  auto bytes = read_bounded(format, path,
-                            max_bytes == kUnbounded ? max_bytes : max_bytes + 1,
-                            max_bytes);
+  auto bytes = (*source)->next(max_bytes + 1);
   if (bytes && bytes->size() > max_bytes) return too_large(format);
   return bytes;
 }
@@ -157,7 +148,9 @@ Expected<std::vector<std::uint8_t>> read(const Format& format,
 Expected<std::vector<std::uint8_t>> read_head(const Format& format,
                                               const std::string& path,
                                               std::size_t limit) {
-  return read_bounded(format, path, limit, kUnbounded);
+  auto source = open(format, path);
+  if (!source) return source.status();
+  return (*source)->next(limit);
 }
 
 File::~File() { ::close(fd_); }

@@ -3,8 +3,9 @@
 // the on-disk formats — master checkpoints (PTSC), warm-start entries (PTSW)
 // and the job journal (PTSJ) — touch the file system. Each format keeps only
 // its body and its record framing. read() refuses a file over its ceiling by
-// size before reading a byte; replace() is tmp + fsync + rename + directory
-// fsync; seal()/unseal() are the CRC-guarded container PTSC and PTSW share.
+// size before reading a byte; a Source reads one piece at a time; replace()
+// is tmp + fsync + rename + directory fsync; seal()/unseal() are the
+// CRC-guarded container PTSC and PTSW share.
 // Every failure is a Status whose message starts with the format's owner.
 
 #include <array>
@@ -38,8 +39,6 @@ inline constexpr std::size_t kSealHeaderBytes = 17;
 inline constexpr std::uint64_t kMaxBodyBytes = 256ull << 20;
 inline constexpr std::uint64_t kMaxSealedFileBytes =
     kSealHeaderBytes + kMaxBodyBytes;
-/// read() ceiling for a file no single record bounds (the journal).
-inline constexpr std::uint64_t kUnbounded = ~std::uint64_t{0};
 
 [[nodiscard]] std::vector<std::uint8_t> tag(const Format& format);
 /// Checks the tag at the head of `bytes`; returns its version.
@@ -65,9 +64,35 @@ struct Sealed {
 [[nodiscard]] Expected<Sealed> unseal(const Format& format,
                                       std::span<const std::uint8_t> image);
 
+/// A file open for reading from its start; closes on destruction. The
+/// journal reads its records through one, so it never holds more than one.
+class Source {
+ public:
+  /// Owns `fd`; `size` is the file's size when it was opened.
+  Source(int fd, const char* owner, std::string path, std::uint64_t size)
+      : fd_(fd), owner_(owner), path_(std::move(path)), size_(size) {}
+  Source(const Source&) = delete;
+  Source& operator=(const Source&) = delete;
+  ~Source();
+
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+  /// The next `n` bytes of the file; fewer only at its end.
+  [[nodiscard]] Expected<std::vector<std::uint8_t>> next(std::uint64_t n);
+
+ private:
+  int fd_;
+  const char* owner_;
+  std::string path_;  ///< named in error messages
+  std::uint64_t size_;
+};
+
+/// Opens `path` for reading. A missing file is kUnavailable ("<owner>: no
+/// <noun> at <path>"); I/O failures are kInternal.
+[[nodiscard]] Expected<std::unique_ptr<Source>> open(const Format& format,
+                                                     const std::string& path);
+
 /// Reads all of `path`. A file over `max_bytes` is rejected by its size
-/// before any byte is read (kInvalidArgument); a missing file is
-/// kUnavailable ("<owner>: no <noun> at <path>"); I/O failures kInternal.
+/// before any byte is read (kInvalidArgument); otherwise as open().
 [[nodiscard]] Expected<std::vector<std::uint8_t>> read(
     const Format& format, const std::string& path, std::uint64_t max_bytes);
 /// Reads at most `limit` bytes from the head of `path`.

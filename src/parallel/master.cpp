@@ -70,7 +70,7 @@ MasterResult run_master(const mkp::Instance& inst, MasterTransport& links,
 
   // Telemetry. The master runs under logical trace tid 0; the per-round
   // check keeps the disabled path at one relaxed load per round.
-  const bool telemetry_on = obs::kTelemetryCompiled && obs::telemetry_enabled();
+  const bool telemetry_on = obs::telemetry_enabled();
   if (obs::tracer().enabled()) {
     obs::tracer().name_thread(0, "master");
     for (std::size_t i = 0; i < config.num_slaves; ++i) {

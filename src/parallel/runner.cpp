@@ -189,7 +189,7 @@ ParallelResult run_parallel_impl(const mkp::Instance& inst,
     master_result.dropped_messages +=
         slave_drops.load(std::memory_order_relaxed);
   }
-  if (obs::kTelemetryCompiled && obs::telemetry_enabled()) {
+  if (obs::telemetry_enabled()) {
     master_result.counters[obs::Counter::kDroppedMessages] =
         master_result.dropped_messages;
   }

@@ -56,6 +56,12 @@ Status read_solution(Reader& r, mkp::Solution& solution) {
   if (!(std::abs(claimed - rebuilt) <= tol)) {
     return Status::invalid_argument("wire: solution value does not match its bits");
   }
+  // No writer ships an infeasible solution, so one that breaks a constraint
+  // comes from a faulty peer or a foreign file; adopting it would poison the
+  // incumbent just the same. O(1): add() keeps the minimum slack.
+  if (!solution.is_feasible()) {
+    return Status::invalid_argument("wire: solution breaks a constraint");
+  }
   return Status{};
 }
 
@@ -65,24 +71,10 @@ Status read_solution(Reader& r, mkp::Solution& solution) {
 // Open-stream sub-codecs: thin shells over the field lists.
 // ---------------------------------------------------------------------------
 
-void put_solution(Writer& w, const mkp::Solution& solution) {
-  fields(w, solution);
-}
-
 Expected<mkp::Solution> get_solution(Reader& r, const mkp::Instance& inst) {
   mkp::Solution solution(inst);
   if (auto status = read_solution(r, solution); !status.ok()) return status;
   return solution;
-}
-
-void put_strategy(Writer& w, const tabu::Strategy& strategy) {
-  fields(w, strategy);
-}
-
-tabu::Strategy get_strategy(Reader& r) {
-  tabu::Strategy strategy;
-  fields(r, strategy);
-  return strategy;
 }
 
 void put_instance(Writer& w, const mkp::Instance& inst) {

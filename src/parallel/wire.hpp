@@ -201,16 +201,13 @@ template <class M>
     std::span<const std::uint8_t> bytes);
 
 // -- Open-stream sub-codecs over the shared codec (parallel/codec.hpp), for
-//    callers that hold a Writer/Reader mid-stream. get_* latch failures in
-//    the reader (or return a Status where rebuilding needs an instance);
-//    callers check once, per the total-decoder convention. --
+//    callers that hold a Writer/Reader mid-stream (writers that need no
+//    put_* call the value's field list). get_* return a Status where
+//    rebuilding needs an instance or a check; callers check once, per the
+//    total-decoder convention. --
 
-void put_solution(codec::Writer& w, const mkp::Solution& solution);
 [[nodiscard]] Expected<mkp::Solution> get_solution(codec::Reader& r,
                                                    const mkp::Instance& inst);
-
-void put_strategy(codec::Writer& w, const tabu::Strategy& strategy);
-[[nodiscard]] tabu::Strategy get_strategy(codec::Reader& r);
 
 /// The instance section of the Hello handshake (name, sizes, profits,
 /// weights, capacities, known optimum), reusable standalone: the journal
@@ -244,7 +241,8 @@ namespace pts::mkp {
 
 // Solutions and instances are leaves: they are built through validating
 // constructors, and a solution's decode re-checks its value against its
-// bits, so both codecs are explicit code (wire.cpp). Layouts:
+// bits and refuses one that breaks a constraint, so both codecs are explicit
+// code (wire.cpp). Layouts:
 //   Solution: u32 items | u32 words | words x u64 | f64 value
 //   Instance: str name | u32 n | u32 m | n profits | n*m weights (row-major)
 //             | m capacities | u8 has_optimum | f64 optimum

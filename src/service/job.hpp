@@ -50,7 +50,6 @@ enum class WarmStartPolicy : std::uint8_t {
   kSimilar = 2,
 };
 
-[[nodiscard]] std::string to_string(WarmStartPolicy policy);
 /// Parses "off" / "exact" / "similar" (case-insensitive) — the --warm-start
 /// flag vocabulary.
 [[nodiscard]] Expected<WarmStartPolicy> warm_start_policy_from_string(

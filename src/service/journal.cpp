@@ -199,34 +199,37 @@ Status JobJournal::compact(const std::vector<LiveJob>& live) {
 }
 
 Expected<std::vector<RecoveredJob>> recover_jobs(const std::string& path) {
-  const auto file = durable::read(kFormat, path, durable::kUnbounded);
-  if (!file && file.status().code() != StatusCode::kUnavailable) {
-    return file.status();
+  // Read a record at a time: a journal compaction never shrank, or a huge
+  // foreign file at this path, costs one record of memory, not its size.
+  auto source = durable::open(kFormat, path);
+  if (!source && source.status().code() != StatusCode::kUnavailable) {
+    return source.status();
   }
   // No file, or an empty one: a fresh start.
-  if (!file || file->empty()) return std::vector<RecoveredJob>{};
-  const auto& bytes = *file;
-  const auto version = durable::check_tag(kFormat, bytes);
+  if (!source) return std::vector<RecoveredJob>{};
+  const auto head = (*source)->next(kJournalHeaderBytes);
+  if (!head) return head.status();
+  if (head->empty()) return std::vector<RecoveredJob>{};
+  const auto version = durable::check_tag(kFormat, *head);
   if (!version) return version.status();
 
   // Replay. Ordered map keyed by the old id keeps submission order; a
   // resolved record erases its submission. Any malformed record is treated
   // as the torn tail of a crashed append: stop there, trust what came before.
   std::map<JobId, RecoveredJob> open;
-  std::span<const std::uint8_t> rest =
-      std::span(bytes).subspan(kJournalHeaderBytes);
-  while (rest.size() >= kRecordHeaderBytes) {
-    Reader header(rest.first(kRecordHeaderBytes));
+  while (true) {
+    const auto header_bytes = (*source)->next(kRecordHeaderBytes);
+    if (!header_bytes) return header_bytes.status();
+    if (header_bytes->size() < kRecordHeaderBytes) break;  // torn tail
+    Reader header(*header_bytes);
     const auto type = header.u8();
     const auto crc = header.u32();
     const auto body_len = header.u32();
-    if (body_len > kMaxRecordBytes ||
-        body_len > rest.size() - kRecordHeaderBytes) {
-      break;  // torn tail
-    }
-    const auto body = rest.subspan(kRecordHeaderBytes, body_len);
-    if (crc32(body) != crc) break;  // torn tail
-    rest = rest.subspan(kRecordHeaderBytes + body_len);
+    if (body_len > kMaxRecordBytes) break;  // torn tail
+    const auto body_bytes = (*source)->next(body_len);
+    if (!body_bytes) return body_bytes.status();
+    const std::span<const std::uint8_t> body = *body_bytes;
+    if (body.size() < body_len || crc32(body) != crc) break;  // torn tail
 
     if (type == static_cast<std::uint8_t>(RecordType::kResolved)) {
       const auto record = decode(body, Resolved{}, "resolved");

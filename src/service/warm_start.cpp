@@ -110,15 +110,6 @@ std::optional<Entry> read_entry(const std::string& path) {
 
 }  // namespace
 
-std::string to_string(WarmStartPolicy policy) {
-  switch (policy) {
-    case WarmStartPolicy::kDisabled: return "off";
-    case WarmStartPolicy::kExact: return "exact";
-    case WarmStartPolicy::kSimilar: return "similar";
-  }
-  return "?";
-}
-
 Expected<WarmStartPolicy> warm_start_policy_from_string(const std::string& text) {
   std::string lower = text;
   for (char& c : lower) {

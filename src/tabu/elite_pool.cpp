@@ -27,17 +27,4 @@ const mkp::Solution& ElitePool::best() const {
   return pool_.front();
 }
 
-double ElitePool::mean_pairwise_hamming() const {
-  if (pool_.size() < 2) return 0.0;
-  std::size_t total = 0;
-  std::size_t pairs = 0;
-  for (std::size_t a = 0; a < pool_.size(); ++a) {
-    for (std::size_t b = a + 1; b < pool_.size(); ++b) {
-      total += pool_[a].hamming_distance(pool_[b]);
-      ++pairs;
-    }
-  }
-  return static_cast<double>(total) / static_cast<double>(pairs);
-}
-
 }  // namespace pts::tabu

@@ -28,10 +28,6 @@ class ElitePool {
   /// Best pooled solution; pool must be non-empty.
   [[nodiscard]] const mkp::Solution& best() const;
 
-  /// Mean pairwise Hamming distance of the pooled solutions (0 when < 2).
-  /// This is the spread statistic the master's SGP consumes.
-  [[nodiscard]] double mean_pairwise_hamming() const;
-
   void clear() { pool_.clear(); }
 
  private:

@@ -256,7 +256,7 @@ class Run {
   // binds the thread-local sink that kernels.cpp / moves.cpp bump through to
   // this run's counter block (members initialize in declaration order, so
   // result_ exists by the time the scope captures its address).
-  const bool telemetry_on_ = obs::kTelemetryCompiled && obs::telemetry_enabled();
+  const bool telemetry_on_ = obs::telemetry_enabled();
   obs::CounterScope counter_scope_{telemetry_on_ ? &result_.counters : nullptr};
 };
 

@@ -47,9 +47,4 @@ std::size_t ReverseElimination::forbidden_count() const {
   return count;
 }
 
-void ReverseElimination::clear() {
-  moves_.clear();
-  for (std::size_t j = 0; j < num_items_; ++j) forbidden_[j] = false;
-}
-
 }  // namespace pts::tabu

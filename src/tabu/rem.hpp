@@ -34,7 +34,6 @@ class ReverseElimination {
   [[nodiscard]] std::uint64_t flips_scanned_total() const { return flips_scanned_; }
   [[nodiscard]] std::size_t forbidden_count() const;
 
-  void clear();
 
  private:
   std::size_t num_items_;

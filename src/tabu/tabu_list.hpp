@@ -48,9 +48,6 @@ class TabuList {
 
   [[nodiscard]] std::size_t num_items() const { return add_expiry_.size(); }
 
-  /// Number of items currently add-tabu (diagnostics / tests).
-  [[nodiscard]] std::size_t active_add_tabu_count(std::uint64_t iter) const;
-
  private:
   std::vector<std::uint64_t> add_expiry_;
   std::vector<std::uint64_t> drop_expiry_;

@@ -60,20 +60,6 @@ void LogHistogram::record(double value) {
   sum_ += clean;
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  for (std::size_t i = 0; i < kBucketCount; ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 void LogHistogram::reset() { *this = LogHistogram{}; }
 
 double LogHistogram::percentile(double q) const {

@@ -1,6 +1,5 @@
 #pragma once
-// Log-bucketed latency histogram (DESIGN.md §6): fixed-size, mergeable, and
-// cheap enough to live on every latency-shaped path in the system (job
+// Log-bucketed latency histogram (DESIGN.md §6): fixed-size and cheap enough to live on every latency-shaped path in the system (job
 // submit→dispatch→done, cooperation rounds, frame RTTs, checkpoint writes).
 //
 // Buckets are log-scaled: each octave (factor-of-two range) is split into
@@ -8,11 +7,7 @@
 // whose bounds are within a factor of (kSubBuckets + 1) / kSubBuckets = 9/8
 // of each other — percentile estimates carry at most 12.5% relative error
 // (the first slice of an octave is the widest; interior slices narrow toward
-// 2^(1/kSubBuckets)) while the whole histogram is a fixed ~4 KiB array. Merging two histograms is
-// element-wise addition of counts, which makes the type exactly as
-// aggregatable as a counter: per-worker histograms sum into a run-wide one,
-// per-run histograms into a fleet-wide one (the hybrid-flow-shop speedup
-// accounting needs exactly this).
+// 2^(1/kSubBuckets)) while the whole histogram is a fixed ~4 KiB array.
 //
 // Exact count/min/max travel alongside the buckets, so percentile results
 // are always clamped into the true observed range. Values <= 0 (and NaN)
@@ -41,9 +36,6 @@ class LogHistogram {
 
   void record(double value);
 
-  /// Element-wise addition: exact for counts/min/max, and associative for
-  /// practical purposes (the sum is a double accumulation).
-  void merge(const LogHistogram& other);
 
   void reset();
 

@@ -25,8 +25,6 @@ const char* level_tag(LogLevel level) {
 
 void set_log_level(LogLevel level) { g_level.store(static_cast<int>(level)); }
 
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
-
 std::optional<LogLevel> parse_log_level(const std::string& name) {
   if (name == "debug") return LogLevel::kDebug;
   if (name == "info") return LogLevel::kInfo;

@@ -12,7 +12,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global threshold; messages below it are dropped. Default: kWarn (quiet).
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Parses the --log-level spelling ("debug", "info", "warn", "error",
 /// "off"); nullopt for anything else.

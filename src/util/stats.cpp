@@ -44,31 +44,6 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-double percentile(std::span<const double> values, double q) {
-  PTS_CHECK(!values.empty());
-  PTS_CHECK(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double mean_of(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.mean();
-}
-
-double stddev_of(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
-}
-
 double deviation_percent(double achieved, double reference) {
   if (reference == 0.0) return 0.0;
   return 100.0 * (reference - achieved) / reference;

@@ -30,12 +30,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Percentile with linear interpolation; q in [0,1]. Copies & sorts.
-double percentile(std::span<const double> values, double q);
-
-double mean_of(std::span<const double> values);
-double stddev_of(std::span<const double> values);
-
 /// Relative gap of `achieved` below `reference`, in percent (paper's "Dev. in %").
 /// reference must be > 0 for a meaningful result.
 double deviation_percent(double achieved, double reference);

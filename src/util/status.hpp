@@ -6,8 +6,8 @@
 // caller passed an unknown preset name" or "the job's deadline passed" are
 // not bugs; a service serving many callers must hand them back as values, not
 // abort the process. Status carries a coarse code plus a human-readable
-// message; Expected<T> is the result-or-error sum type the redesigned APIs
-// (parallel::solve, the solver service) return.
+// message; Expected<T> is the result-or-error sum type the outward-facing
+// APIs (the solver service, the codecs, the durable files) return.
 
 #include <cstdint>
 #include <string>

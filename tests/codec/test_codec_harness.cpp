@@ -8,12 +8,16 @@
 //   - truncation at every byte comes back as a Status;
 //   - random bit flips (header included, for frames) never crash;
 //   - a forged count or length at every offset never crashes and never
-//     allocates what the input cannot hold (fatal under the ASan smoke).
+//     allocates what the input cannot hold (fatal under the ASan smoke);
+//   - every sample that carries a solution is refused once one of its
+//     solutions is swapped for one whose value matches its bits but which
+//     breaks a constraint.
 //
 // A frame type added without a table entry fails TableCoversEveryHeaderType.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -53,9 +57,18 @@ const mkp::Instance& instance() {
   return inst;
 }
 
+/// The feasible sample solutions; the samples below use seeds 1 to 11.
 mkp::Solution solution(std::uint64_t seed) {
   Rng rng(seed);
   return bounds::greedy_randomized(instance(), rng);
+}
+constexpr std::uint64_t kSolutionSeeds = 11;
+
+/// Every item selected: over capacity, with a value that matches its bits.
+mkp::Solution infeasible_solution() {
+  mkp::Solution all(instance());
+  for (std::size_t j = 0; j < instance().num_items(); ++j) all.add(j);
+  return all;
 }
 
 /// Per-process directory for the file-backed bodies; removed at exit.
@@ -418,6 +431,34 @@ TEST(CodecFuzz, ForgedCountsNeverAllocateUnboundedly) {
       }
     }
   }
+}
+
+TEST(CodecHarness, InfeasibleSolutionIsRefusedByEveryCarrier) {
+  const auto forged = wire::encode_solution(infeasible_solution());
+  ASSERT_FALSE(infeasible_solution().is_feasible());
+  EXPECT_EQ(wire::decode_solution(forged, instance()).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Splice the forged encoding over one sample solution in each case that
+  // carries any; both encodings have the same length.
+  std::set<std::string> carriers;
+  for (const auto& c : all_cases()) {
+    for (std::uint64_t seed = 1; seed <= kSolutionSeeds; ++seed) {
+      const auto sample = wire::encode_solution(solution(seed));
+      const auto at =
+          std::search(c.bytes.begin(), c.bytes.end(), sample.begin(), sample.end());
+      if (at == c.bytes.end()) continue;
+      Bytes bytes = c.bytes;
+      std::copy(forged.begin(), forged.end(),
+                bytes.begin() + (at - c.bytes.begin()));
+      EXPECT_EQ(c.decode(bytes).code(), StatusCode::kInvalidArgument)
+          << c.name << " took an infeasible solution";
+      carriers.insert(c.name);
+      break;
+    }
+  }
+  // Assignment, report, job result, snapshot and warm-start entry.
+  EXPECT_EQ(carriers.size(), 5U);
 }
 
 // The same generic sweeps, split so each protocol range keeps its suite.

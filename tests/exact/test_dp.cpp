@@ -47,6 +47,16 @@ TEST(DpDeath, RequiresIntegerWeights) {
 
 class DpOracleSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Strongly correlated: every profit is its weight plus 10.
+mkp::Instance strongly_correlated(std::uint64_t seed) {
+  const auto base = mkp::generate_uncorrelated(15, 1, seed, 30.0, 0.5);
+  const auto weights = base.weights_row(0);
+  std::vector<double> profits(weights.begin(), weights.end());
+  for (auto& p : profits) p += 10.0;
+  return mkp::Instance("strong", std::move(profits),
+                       {weights.begin(), weights.end()}, {base.capacity(0)});
+}
+
 TEST_P(DpOracleSweep, MatchesBruteForce) {
   const auto inst = mkp::generate_uncorrelated(18, 1, GetParam(), 40.0, 0.5);
   const auto oracle = brute_force(inst);
@@ -55,7 +65,7 @@ TEST_P(DpOracleSweep, MatchesBruteForce) {
 }
 
 TEST_P(DpOracleSweep, MatchesBruteForceStronglyCorrelated) {
-  const auto inst = mkp::generate_strongly_correlated(15, 1, GetParam(), 30.0, 10.0);
+  const auto inst = strongly_correlated(GetParam());
   const auto oracle = brute_force(inst);
   const auto result = dp_single_knapsack(inst);
   EXPECT_DOUBLE_EQ(result.optimum, oracle.optimum);

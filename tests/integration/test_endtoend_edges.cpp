@@ -1,6 +1,7 @@
 // Last-mile end-to-end edges: behaviors at the seams between modules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "bounds/greedy.hpp"
@@ -8,12 +9,23 @@
 #include "mkp/generator.hpp"
 #include "mkp/parser.hpp"
 #include "mkp/solution_io.hpp"
-#include "parallel/solve.hpp"
+#include "parallel/presets.hpp"
 #include "exact/brute_force.hpp"
 #include "tabu/engine.hpp"
 
 namespace pts {
 namespace {
+
+/// The "quick" preset scaled to `inst`, stopped by a wall budget rather
+/// than by its round count.
+parallel::ParallelConfig quick_config(const mkp::Instance& inst, double seconds) {
+  auto config = parallel::preset_quick();
+  parallel::scale_budget_to_instance(config, inst);
+  config.search_iterations = std::max<std::size_t>(config.search_iterations, 1000);
+  config.time_limit_seconds = seconds;
+  config.relink_elites = true;
+  return config;
+}
 
 TEST(EndToEndEdges, TargetAlreadyMetByInitialSolution) {
   // The engine's starting greedy fill can itself satisfy the target; the
@@ -30,24 +42,28 @@ TEST(EndToEndEdges, TargetAlreadyMetByInitialSolution) {
 }
 
 TEST(EndToEndEdges, ParsedInstanceSolvesAndPersists) {
-  // Full loop: generate -> write orlib -> read -> solve -> write solution ->
-  // read solution, validated against the reread instance.
+  // Full loop: generate -> write orlib -> read -> solve -> write solution,
+  // and the saved text names exactly the solution's items and value.
   const auto original = mkp::generate_gk({.num_items = 30, .num_constraints = 4}, 2);
   std::stringstream file;
   mkp::write_orlib_single(file, original);
   const auto reread = mkp::read_orlib_single(file, "rt");
 
-  parallel::SolveOptions options;
-  options.time_budget_seconds = 0.1;
-  options.preset = "quick";
-  const auto summary = parallel::solve(reread, options);
-  ASSERT_TRUE(summary.has_value()) << summary.status().to_string();
+  const auto result =
+      parallel::run_parallel_tabu_search(reread, quick_config(reread, 0.1));
+  EXPECT_TRUE(result.best.is_feasible());
+  EXPECT_DOUBLE_EQ(result.best.value(), result.best_value);
 
   std::stringstream solution_file;
-  mkp::write_solution(solution_file, summary->best);
-  const auto restored = mkp::read_solution(solution_file, reread);
-  EXPECT_EQ(restored, summary->best);
-  EXPECT_TRUE(restored.is_feasible());
+  mkp::write_solution(solution_file, result.best);
+  const auto items = result.best.selected_items();
+  std::ostringstream selected;
+  selected << "selected " << items.size();
+  for (const auto j : items) selected << ' ' << j;
+  std::ostringstream value;
+  value << "value " << result.best.value() << '\n';
+  EXPECT_NE(solution_file.str().find(selected.str() + '\n'), std::string::npos);
+  EXPECT_NE(solution_file.str().find(value.str()), std::string::npos);
 }
 
 TEST(EndToEndEdges, CatalogDominantTrapDefeatsDensityGreedy) {
@@ -79,14 +95,11 @@ TEST(EndToEndEdges, NestedCapacitiesOnlyTightOneBinds) {
 
 TEST(EndToEndEdges, SolveOnCatalogReachesOptimaFast) {
   for (const auto& entry : mkp::catalog()) {
-    parallel::SolveOptions options;
-    options.time_budget_seconds = 2.0;
-    options.preset = "quick";
-    options.target_value = entry.optimum;
-    const auto summary = parallel::solve(entry.instance, options);
-    ASSERT_TRUE(summary.has_value()) << summary.status().to_string();
-    EXPECT_DOUBLE_EQ(summary->best_value, entry.optimum) << entry.instance.name();
-    EXPECT_TRUE(summary->reached_target) << entry.instance.name();
+    auto config = quick_config(entry.instance, 2.0);
+    config.target_value = entry.optimum;
+    const auto result = parallel::run_parallel_tabu_search(entry.instance, config);
+    EXPECT_DOUBLE_EQ(result.best_value, entry.optimum) << entry.instance.name();
+    EXPECT_TRUE(result.reached_target) << entry.instance.name();
   }
 }
 

@@ -4,32 +4,12 @@
 
 #include <sstream>
 
-#include "bounds/greedy.hpp"
 #include "mkp/generator.hpp"
 
 namespace pts::mkp {
 namespace {
 
 Instance make_inst() { return generate_gk({.num_items = 20, .num_constraints = 3}, 1); }
-
-TEST(SolutionIo, RoundTripPreservesAssignment) {
-  const auto inst = make_inst();
-  const auto original = bounds::greedy_construct(inst);
-  std::stringstream buffer;
-  write_solution(buffer, original);
-  const auto reread = read_solution(buffer, inst);
-  EXPECT_EQ(reread, original);
-  EXPECT_DOUBLE_EQ(reread.value(), original.value());
-}
-
-TEST(SolutionIo, EmptySolutionRoundTrips) {
-  const auto inst = make_inst();
-  Solution empty(inst);
-  std::stringstream buffer;
-  write_solution(buffer, empty);
-  const auto reread = read_solution(buffer, inst);
-  EXPECT_EQ(reread.cardinality(), 0U);
-}
 
 TEST(SolutionIo, FormatIsHumanReadable) {
   const auto inst = make_inst();
@@ -42,73 +22,6 @@ TEST(SolutionIo, FormatIsHumanReadable) {
   EXPECT_NE(text.find("mkpsol 1"), std::string::npos);
   EXPECT_NE(text.find("items 20"), std::string::npos);
   EXPECT_NE(text.find("selected 2 3 7"), std::string::npos);
-}
-
-TEST(SolutionIo, RejectsWrongItemCount) {
-  const auto inst = make_inst();
-  const auto other = generate_gk({.num_items = 25, .num_constraints = 3}, 1);
-  std::stringstream buffer;
-  write_solution(buffer, Solution(other));
-  EXPECT_THROW((void)read_solution(buffer, inst), SolutionIoError);
-}
-
-TEST(SolutionIo, RejectsValueMismatch) {
-  const auto inst = make_inst();
-  std::stringstream buffer;
-  buffer << "mkpsol 1\ninstance x\nitems 20\nvalue 99999\nselected 1 0\n";
-  EXPECT_THROW((void)read_solution(buffer, inst), SolutionIoError);
-}
-
-TEST(SolutionIo, RejectsOutOfRangeIndex) {
-  const auto inst = make_inst();
-  std::stringstream buffer;
-  buffer << "mkpsol 1\ninstance x\nitems 20\nvalue 0\nselected 1 25\n";
-  EXPECT_THROW((void)read_solution(buffer, inst), SolutionIoError);
-}
-
-TEST(SolutionIo, RejectsDuplicateIndex) {
-  const auto inst = make_inst();
-  const double v = 2.0 * inst.profit(0);
-  std::stringstream buffer;
-  buffer << "mkpsol 1\ninstance x\nitems 20\nvalue " << v << "\nselected 2 0 0\n";
-  EXPECT_THROW((void)read_solution(buffer, inst), SolutionIoError);
-}
-
-TEST(SolutionIo, RejectsInfeasibleSolution) {
-  // Tight instance where both items together violate the constraint.
-  Instance tight("tight", {5, 5}, {3, 3}, {4});
-  std::stringstream buffer;
-  buffer << "mkpsol 1\ninstance tight\nitems 2\nvalue 10\nselected 2 0 1\n";
-  EXPECT_THROW((void)read_solution(buffer, tight), SolutionIoError);
-}
-
-TEST(SolutionIo, RejectsBadMagicAndVersion) {
-  const auto inst = make_inst();
-  std::stringstream bad_magic("nope 1\n");
-  EXPECT_THROW((void)read_solution(bad_magic, inst), SolutionIoError);
-  std::stringstream bad_version("mkpsol 9\n");
-  EXPECT_THROW((void)read_solution(bad_version, inst), SolutionIoError);
-}
-
-TEST(SolutionIo, RejectsTruncation) {
-  const auto inst = make_inst();
-  std::stringstream truncated("mkpsol 1\ninstance x\nitems 20\nvalue 0\nselected 3 1\n");
-  EXPECT_THROW((void)read_solution(truncated, inst), SolutionIoError);
-}
-
-TEST(SolutionIo, FileRoundTrip) {
-  const auto inst = make_inst();
-  const auto original = bounds::greedy_construct(inst);
-  const std::string path = ::testing::TempDir() + "/pts_solution_rt.mkpsol";
-  write_solution_file(path, original);
-  const auto reread = read_solution_file(path, inst);
-  EXPECT_EQ(reread, original);
-}
-
-TEST(SolutionIo, MissingFileThrows) {
-  const auto inst = make_inst();
-  EXPECT_THROW((void)read_solution_file("/nonexistent/file.mkpsol", inst),
-               SolutionIoError);
 }
 
 }  // namespace

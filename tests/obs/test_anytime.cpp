@@ -42,45 +42,5 @@ TEST(AnytimeRecorder, ConcurrentAppendsAllLand) {
   EXPECT_EQ(recorder.size(), static_cast<std::size_t>(kThreads) * kEach);
 }
 
-TEST(GlobalEnvelope, KeepsOnlyMonotoneImprovements) {
-  // Two interleaved sources; the envelope is the best-so-far over both.
-  std::vector<AnytimeSample> samples{
-      {0, 0.30, 30, 105.0},  // out of time order on purpose
-      {1, 0.10, 5, 100.0},
-      {0, 0.20, 20, 95.0},   // below the running best: dropped
-      {1, 0.40, 40, 103.0},  // not an improvement over 105: dropped
-      {0, 0.50, 50, 110.0},
-  };
-  const auto envelope = global_envelope(std::move(samples));
-  ASSERT_EQ(envelope.size(), 3U);
-  EXPECT_DOUBLE_EQ(envelope[0].value, 100.0);
-  EXPECT_DOUBLE_EQ(envelope[1].value, 105.0);
-  EXPECT_DOUBLE_EQ(envelope[2].value, 110.0);
-  for (std::size_t i = 0; i < envelope.size(); ++i) {
-    EXPECT_EQ(envelope[i].source, kGlobalSource);
-    if (i > 0) {
-      EXPECT_GE(envelope[i].seconds, envelope[i - 1].seconds);
-      EXPECT_GT(envelope[i].value, envelope[i - 1].value);
-    }
-  }
-}
-
-TEST(GlobalEnvelope, EmptyInAndSingleSample) {
-  EXPECT_TRUE(global_envelope({}).empty());
-  const auto one = global_envelope({{3, 1.0, 7, 42.0}});
-  ASSERT_EQ(one.size(), 1U);
-  EXPECT_EQ(one[0].source, kGlobalSource);
-  EXPECT_DOUBLE_EQ(one[0].value, 42.0);
-}
-
-TEST(GlobalEnvelope, StableForEqualTimestamps) {
-  // Ties in seconds must not reorder improvements (stable sort): the later
-  // recorded, larger value survives as the second envelope point.
-  const auto envelope = global_envelope({{0, 1.0, 1, 10.0}, {1, 1.0, 2, 12.0}});
-  ASSERT_EQ(envelope.size(), 2U);
-  EXPECT_DOUBLE_EQ(envelope[0].value, 10.0);
-  EXPECT_DOUBLE_EQ(envelope[1].value, 12.0);
-}
-
 }  // namespace
 }  // namespace pts::obs

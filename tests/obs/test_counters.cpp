@@ -51,15 +51,10 @@ TEST(Bump, NoOpWithoutScope) {
     bump(Counter::kMovesTried, 2);
   }
   bump(Counter::kMovesTried, 100);  // scope ended: dropped again
-  if (kTelemetryCompiled) {
-    EXPECT_EQ(sink[Counter::kMovesTried], 2U);
-  } else {
-    EXPECT_EQ(sink[Counter::kMovesTried], 0U);
-  }
+  EXPECT_EQ(sink[Counter::kMovesTried], 2U);
 }
 
 TEST(Bump, ScopesNestAndRestore) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Counters outer, inner;
   CounterScope outer_scope(&outer);
   bump(Counter::kAdds);
@@ -77,7 +72,6 @@ TEST(Bump, ScopesNestAndRestore) {
 }
 
 TEST(Bump, SinkIsPerThread) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   Counters main_sink;
   CounterScope scope(&main_sink);
   Counters worker_sink;
@@ -132,7 +126,6 @@ TEST(CounterStats, MergeEqualsCombinedObservation) {
 
 // End-to-end: a real engine run fills the counter block consistently.
 TEST(EngineCounters, RunFillsConsistentCounters) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const auto inst = mkp::generate_gk({.num_items = 60, .num_constraints = 5}, 7);
   Rng rng(7);
   tabu::TsParams params;
@@ -162,7 +155,6 @@ TEST(EngineCounters, RunFillsConsistentCounters) {
 }
 
 TEST(EngineCounters, KillSwitchSuppressesCollection) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 4}, 9);
   tabu::TsParams params;
   params.max_moves = 200;

@@ -35,9 +35,7 @@ TEST_F(TraceTest, DisabledByDefaultAndScopesAreInert) {
 
 TEST_F(TraceTest, RecordsSpansInstantsAndSamples) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
-  const auto start = tracer().now_us();
-  tracer().span("phase", start, {{"round", 2.0}});
+  { SpanScope span("phase", {{"round", 2.0}}); }
   tracer().instant("event", {{"x", 1.5}}, "kind", "diversified");
   tracer().sample("queue_depth", 4.0);
   ASSERT_EQ(tracer().size(), 3U);
@@ -56,7 +54,6 @@ TEST_F(TraceTest, RecordsSpansInstantsAndSamples) {
 
 TEST_F(TraceTest, SpanScopeMeasuresItsOwnLifetime) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   {
     SpanScope span("scoped", {{"a", 1.0}});
   }
@@ -70,7 +67,6 @@ TEST_F(TraceTest, SpanScopeMeasuresItsOwnLifetime) {
 
 TEST_F(TraceTest, SpanArmedAtConstructionSurvivesDisable) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   {
     SpanScope span("armed_early");
     tracer().set_enabled(false);
@@ -81,7 +77,6 @@ TEST_F(TraceTest, SpanArmedAtConstructionSurvivesDisable) {
 
 TEST_F(TraceTest, TidScopeTagsEventsAndRestores) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   EXPECT_EQ(thread_tid(), 0U);
   {
     TidScope tid(3);
@@ -102,7 +97,6 @@ TEST_F(TraceTest, TidScopeTagsEventsAndRestores) {
 
 TEST_F(TraceTest, TidIsPerThread) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   TidScope main_tid(1);
   std::thread worker([] {
     EXPECT_EQ(thread_tid(), 0U);  // scopes do not leak across threads
@@ -119,7 +113,6 @@ TEST_F(TraceTest, TidIsPerThread) {
 
 TEST_F(TraceTest, ChromeTraceIsWellFormedAndSorted) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   // Append a later-starting event first: the writer must sort by start
   // timestamp. Hand-built events pin the timestamps (µs clock ties would
   // make real calls land on the same tick and defeat the point).
@@ -141,7 +134,6 @@ TEST_F(TraceTest, ChromeTraceIsWellFormedAndSorted) {
 
 TEST_F(TraceTest, JsonlHasOneObjectPerEvent) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   tracer().instant("a");
   tracer().instant("b", {}, "note", "quote\"and\\slash");
   std::ostringstream out;
@@ -163,7 +155,6 @@ TEST_F(TraceTest, JsonlHasOneObjectPerEvent) {
 
 TEST_F(TraceTest, ClearEmptiesTheBuffer) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   tracer().instant("x");
   EXPECT_EQ(tracer().size(), 1U);
   tracer().clear();
@@ -172,7 +163,6 @@ TEST_F(TraceTest, ClearEmptiesTheBuffer) {
 
 TEST_F(TraceTest, ConcurrentRecordingIsSafe) {
   tracer().set_enabled(true);
-  if (!tracer().enabled()) GTEST_SKIP() << "telemetry compiled out";
   constexpr int kThreads = 4;
   constexpr int kEach = 100;
   {

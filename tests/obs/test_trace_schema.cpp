@@ -51,7 +51,6 @@ std::size_t count_events(const std::vector<std::string>& lines,
 }
 
 TEST(TraceSchema, Cts2TraceSatisfiesTheContract) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const std::string path = ::testing::TempDir() + "pts_schema_trace.json";
 
   const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 4}, 77);

@@ -172,7 +172,6 @@ TEST(Runner, CoreReductionLiftsToFullSpace) {
 }
 
 TEST(Runner, CoreReductionMatchesTelemetryOffsets) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   // Timeline values and anytime samples are reported in FULL-space profit:
   // the banked constant is folded back in, so a plot of a core-reduced run
   // is directly comparable with an unreduced one.

@@ -1,4 +1,4 @@
-// The one-call solve() facade and the CSV report writers.
+// The CSV report writers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,75 +7,10 @@
 
 #include "mkp/generator.hpp"
 #include "parallel/report_io.hpp"
-#include "parallel/solve.hpp"
+#include "parallel/runner.hpp"
 
 namespace pts::parallel {
 namespace {
-
-TEST(Solve, OneCallProducesAGoodFeasibleSolution) {
-  const auto inst = mkp::generate_gk({.num_items = 80, .num_constraints = 8}, 1);
-  SolveOptions options;
-  options.time_budget_seconds = 0.3;
-  options.seed = 2;
-  const auto summary = solve(inst, options);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_TRUE(summary->best.is_feasible());
-  EXPECT_DOUBLE_EQ(summary->best.value(), summary->best_value);
-  EXPECT_GT(summary->total_moves, 0U);
-  ASSERT_FALSE(std::isnan(summary->lp_gap_percent));
-  EXPECT_GE(summary->lp_gap_percent, 0.0);
-  EXPECT_LT(summary->lp_gap_percent, 10.0);
-}
-
-TEST(Solve, RespectsTheTimeBudget) {
-  const auto inst = mkp::generate_gk({.num_items = 200, .num_constraints = 10}, 2);
-  SolveOptions options;
-  options.time_budget_seconds = 0.15;
-  const auto summary = solve(inst, options);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_LT(summary->seconds, 5.0);  // generous slack for slow machines
-}
-
-TEST(Solve, TargetShortCircuits) {
-  const auto inst = mkp::generate_gk({.num_items = 60, .num_constraints = 6}, 3);
-  SolveOptions options;
-  options.time_budget_seconds = 30.0;
-  options.target_value = 1.0;
-  const auto summary = solve(inst, options);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_TRUE(summary->reached_target);
-  EXPECT_LT(summary->seconds, 10.0);
-}
-
-TEST(Solve, PresetNamesWork) {
-  const auto inst = mkp::generate_gk({.num_items = 40, .num_constraints = 4}, 4);
-  for (const char* preset : {"quick", "balanced"}) {
-    SolveOptions options;
-    options.preset = preset;
-    options.time_budget_seconds = 0.1;
-    EXPECT_TRUE(solve(inst, options)->best.is_feasible()) << preset;
-  }
-}
-
-TEST(Solve, UnknownPresetIsAStructuredErrorNotAnAbort) {
-  const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 5);
-  SolveOptions options;
-  options.preset = "warp-speed";
-  const auto summary = solve(inst, options);
-  ASSERT_FALSE(summary.has_value());
-  EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(summary.status().message().find("warp-speed"), std::string::npos);
-  EXPECT_NE(summary.status().message().find("quick"), std::string::npos);
-}
-
-TEST(Solve, NonPositiveBudgetIsRejected) {
-  const auto inst = mkp::generate_gk({.num_items = 20, .num_constraints = 3}, 5);
-  SolveOptions options;
-  options.time_budget_seconds = 0.0;
-  const auto summary = solve(inst, options);
-  ASSERT_FALSE(summary.has_value());
-  EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
-}
 
 ParallelResult small_run(std::uint64_t seed) {
   static const auto inst =

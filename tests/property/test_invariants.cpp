@@ -6,7 +6,6 @@
 
 #include "bounds/greedy.hpp"
 #include "bounds/simplex.hpp"
-#include "bounds/surrogate.hpp"
 #include "mkp/generator.hpp"
 #include "mkp/parser.hpp"
 #include "tabu/engine.hpp"
@@ -54,16 +53,6 @@ TEST_P(InstanceSweep, GreedySandwichedByLp) {
   ASSERT_TRUE(lp.optimal());
   EXPECT_LE(greedy.value(), lp.objective + 1e-6);
   EXPECT_GT(greedy.value(), 0.0);
-}
-
-TEST_P(InstanceSweep, SurrogateDominatesLp) {
-  const auto inst = make();
-  const auto lp = bounds::solve_lp_relaxation(inst);
-  ASSERT_TRUE(lp.optimal());
-  bounds::SurrogateOptions options;
-  options.refinement_rounds = 3;
-  const auto surrogate = bounds::solve_surrogate(inst, options);
-  EXPECT_GE(surrogate.bound, lp.objective - 1e-6);
 }
 
 TEST_P(InstanceSweep, EngineInvariants) {

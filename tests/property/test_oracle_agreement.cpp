@@ -2,14 +2,12 @@
 // tell a mutually consistent story on instances small enough to enumerate:
 //
 //   greedy <= optimum(BF) == optimum(B&B) [== optimum(DP) when m == 1]
-//          <= LP <= surrogate(u) for all evaluated u
-//          <= min-constraint Dantzig bound
+//          <= LP <= min-constraint Dantzig bound
 #include <gtest/gtest.h>
 
 #include "bounds/dantzig.hpp"
 #include "bounds/greedy.hpp"
 #include "bounds/simplex.hpp"
-#include "bounds/surrogate.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/dp_single.hpp"
@@ -31,15 +29,11 @@ TEST_P(OracleChain, FullChainOnMultiConstraintInstances) {
   ASSERT_TRUE(bnb.proven_optimal);
   const auto lp = bounds::solve_lp_relaxation(inst);
   ASSERT_TRUE(lp.optimal());
-  bounds::SurrogateOptions surrogate_options;
-  surrogate_options.refinement_rounds = 5;
-  const auto surrogate = bounds::solve_surrogate(inst, surrogate_options);
   const double dantzig = bounds::min_constraint_bound(inst);
 
   EXPECT_LE(greedy, bf.optimum + 1e-9);
   EXPECT_DOUBLE_EQ(bnb.objective, bf.optimum);
   EXPECT_GE(lp.objective, bf.optimum - 1e-7);
-  EXPECT_GE(surrogate.bound, lp.objective - 1e-6);
   EXPECT_GE(dantzig, lp.objective - 1e-6);
 }
 

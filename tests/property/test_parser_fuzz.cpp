@@ -8,7 +8,6 @@
 
 #include "mkp/generator.hpp"
 #include "mkp/parser.hpp"
-#include "mkp/solution_io.hpp"
 #include "util/rng.hpp"
 
 namespace pts::mkp {
@@ -80,29 +79,6 @@ TEST_P(ParserFuzz, TokenDeletionNeverCrashes) {
     try {
       (void)read_orlib(in, "fuzz");
     } catch (const ParseError&) {
-    }
-  }
-}
-
-TEST_P(ParserFuzz, SolutionFormatCorruptionNeverCrashes) {
-  const auto inst = generate_gk({.num_items = 15, .num_constraints = 3}, GetParam());
-  Solution solution(inst);
-  for (std::size_t j = 0; j < 15; j += 3) {
-    if (solution.fits(j)) solution.add(j);
-  }
-  std::ostringstream out;
-  write_solution(out, solution);
-  const auto document = out.str();
-  Rng rng(GetParam() + 300);
-  for (int round = 0; round < 50; ++round) {
-    auto corrupted = document;
-    corrupted[rng.index(corrupted.size())] =
-        static_cast<char>('0' + rng.index(10));
-    std::istringstream in(corrupted);
-    try {
-      const auto reread = read_solution(in, inst);
-      EXPECT_TRUE(reread.is_feasible());  // validation catches everything else
-    } catch (const SolutionIoError&) {
     }
   }
 }

@@ -5,7 +5,6 @@
 
 #include "bounds/greedy.hpp"
 #include "bounds/simplex.hpp"
-#include "bounds/surrogate.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "parallel/runner.hpp"
 #include "tabu/cets.hpp"
@@ -117,13 +116,6 @@ TEST(Pathological, ParallelRunnerHandlesTinyInstances) {
   config.work_per_slave_round = 100;
   const auto result = parallel::run_parallel_tabu_search(inst, config);
   EXPECT_DOUBLE_EQ(result.best_value, 3.0);
-}
-
-TEST(Pathological, SurrogateOnDegenerateConstraint) {
-  // Second constraint is all zeros with positive capacity: harmless.
-  mkp::Instance inst("degen", {3, 4}, {1, 2, 0, 0}, {2, 5});
-  const auto result = bounds::solve_surrogate(inst);
-  EXPECT_GE(result.bound, 4.0 - 1e-9);  // optimum is {1} = 4 (w=2 <= 2)
 }
 
 }  // namespace

@@ -17,7 +17,9 @@
 
 #include "mkp/generator.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/durable_file.hpp"
 #include "parallel/snapshot.hpp"
+#include "read_accounting.hpp"
 #include "service/solver_service.hpp"
 
 namespace pts::service::journal {
@@ -200,6 +202,31 @@ TEST(Journal, CorruptTailCrcStopsReplayAtTheCrashPoint) {
   ASSERT_TRUE(recovered);
   ASSERT_EQ(recovered->size(), 1U);
   EXPECT_EQ((*recovered)[0].id, 1U);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, RecoveryReadsRecordsNotTheWholeFile) {
+  const auto path = temp_path("journal_sparse.jnl");
+  {
+    auto opened = JobJournal::open_truncate(path);
+    ASSERT_TRUE(opened);
+    ASSERT_TRUE((*opened)->append_submitted(1, test_instance(1), JobOptions{}).ok());
+    ASSERT_TRUE((*opened)->append_submitted(2, test_instance(2), JobOptions{}).ok());
+  }
+  // Extend the journal sparsely past 256 MiB (truncate(2): no disk blocks).
+  // Replay stops at the first all-zero record header, so it must return both
+  // jobs having read the records and not the hole behind them.
+  std::filesystem::resize_file(path, parallel::durable::kMaxSealedFileBytes + 1);
+  const auto before = bytes_read_so_far();
+  const auto recovered = recover_jobs(path);
+  const auto after = bytes_read_so_far();
+  ASSERT_TRUE(recovered) << recovered.status().to_string();
+  ASSERT_EQ(recovered->size(), 2U);
+  EXPECT_EQ((*recovered)[0].id, 1U);
+  EXPECT_EQ((*recovered)[1].id, 2U);
+  if (before && after) {
+    EXPECT_LT(*after - *before, 1u << 20);
+  }
   std::remove(path.c_str());
 }
 

@@ -134,7 +134,6 @@ TEST(Resume, UnwritableCheckpointPathDegradesGracefully) {
 }
 
 TEST(Resume, AnytimeEnvelopeReanchorsAtTheCheckpointedBest) {
-  if (!obs::kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
   const auto inst = test_instance();
   const auto path = temp_path("resume_anytime.ckpt");
   auto first = cts2_config(3);

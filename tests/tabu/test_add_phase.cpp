@@ -110,9 +110,7 @@ TEST_P(AddPhaseEquivalence, MatchesFreshSelectAddOnRandomMidSearchStates) {
     aspiration_hits += masked.stats.aspiration_hits;
   }
   EXPECT_GT(aspiration_hits, 0U);
-  if (obs::kTelemetryCompiled) {
-    EXPECT_LT(masked_calls, fresh_calls);
-  }
+  EXPECT_LT(masked_calls, fresh_calls);
 }
 
 INSTANTIATE_TEST_SUITE_P(Budgets, AddPhaseEquivalence, ::testing::Values(0, 1, 3),

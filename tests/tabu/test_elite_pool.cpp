@@ -93,20 +93,6 @@ TEST(ElitePool, EqualValuesDistinctContentBothKept) {
   EXPECT_EQ(pool.size(), 2U);
 }
 
-TEST(ElitePool, MeanPairwiseHamming) {
-  const auto inst = make_inst();
-  ElitePool pool(3);
-  EXPECT_DOUBLE_EQ(pool.mean_pairwise_hamming(), 0.0);
-  pool.offer(make_solution(inst, {5}));
-  EXPECT_DOUBLE_EQ(pool.mean_pairwise_hamming(), 0.0);  // single solution
-  pool.offer(make_solution(inst, {4}));
-  // {5} vs {4}: distance 2.
-  EXPECT_DOUBLE_EQ(pool.mean_pairwise_hamming(), 2.0);
-  pool.offer(make_solution(inst, {3, 4}));
-  // pairs: {5}-{4}:2, {5}-{3,4}:3, {4}-{3,4}:1 -> mean 2.
-  EXPECT_DOUBLE_EQ(pool.mean_pairwise_hamming(), 2.0);
-}
-
 TEST(ElitePool, ClearEmptiesPool) {
   const auto inst = make_inst();
   ElitePool pool(3);

@@ -84,16 +84,5 @@ TEST(Rem, FlipsScannedGrowsQuadratically) {
   EXPECT_EQ(rem.running_list_moves(), 10U);
 }
 
-TEST(Rem, ClearResets) {
-  ReverseElimination rem(4);
-  rem.record_move(move({2}));
-  rem.compute_forbidden();
-  rem.clear();
-  EXPECT_EQ(rem.running_list_moves(), 0U);
-  EXPECT_FALSE(rem.is_forbidden(2));
-  rem.compute_forbidden();
-  EXPECT_EQ(rem.forbidden_count(), 0U);
-}
-
 }  // namespace
 }  // namespace pts::tabu

@@ -60,10 +60,17 @@ TEST(TabuList, ActiveCountTracksExpiry) {
   tabu.forbid_add(0, 0, 2);
   tabu.forbid_add(1, 0, 5);
   tabu.forbid_add(2, 0, 10);
-  EXPECT_EQ(tabu.active_add_tabu_count(1), 3U);
-  EXPECT_EQ(tabu.active_add_tabu_count(3), 2U);
-  EXPECT_EQ(tabu.active_add_tabu_count(7), 1U);
-  EXPECT_EQ(tabu.active_add_tabu_count(20), 0U);
+  const auto active = [&tabu](std::uint64_t iter) {
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < tabu.num_items(); ++j) {
+      count += tabu.is_add_tabu(j, iter) ? 1 : 0;
+    }
+    return count;
+  };
+  EXPECT_EQ(active(1), 3U);
+  EXPECT_EQ(active(3), 2U);
+  EXPECT_EQ(active(7), 1U);
+  EXPECT_EQ(active(20), 0U);
 }
 
 TEST(TabuList, NumItems) {

@@ -118,64 +118,6 @@ TEST(LogHistogram, PercentileIsMonotoneInQ) {
   }
 }
 
-// Exactly-representable samples: integer multiples of 2^-10 with magnitude
-// <= 1024 keep every partial sum exact in a double, so merged sums compare
-// bitwise and operator== is meaningful.
-std::vector<double> exact_samples(std::uint64_t seed, std::size_t n) {
-  Rng rng(seed);
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(static_cast<double>(1 + rng.index(1024 * 1024)) / 1024.0);
-  }
-  return out;
-}
-
-LogHistogram from(const std::vector<double>& values) {
-  LogHistogram h;
-  for (const double v : values) h.record(v);
-  return h;
-}
-
-TEST(LogHistogram, MergeMatchesBulkRecord) {
-  const auto a = exact_samples(1, 300);
-  const auto b = exact_samples(2, 500);
-  auto concatenated = a;
-  concatenated.insert(concatenated.end(), b.begin(), b.end());
-
-  LogHistogram merged = from(a);
-  merged.merge(from(b));
-  EXPECT_EQ(merged, from(concatenated));
-}
-
-TEST(LogHistogram, MergeIsAssociative) {
-  const auto ha = from(exact_samples(3, 200));
-  const auto hb = from(exact_samples(4, 350));
-  const auto hc = from(exact_samples(5, 150));
-
-  LogHistogram left = ha;       // (a + b) + c
-  left.merge(hb);
-  left.merge(hc);
-
-  LogHistogram bc = hb;         // a + (b + c)
-  bc.merge(hc);
-  LogHistogram right = ha;
-  right.merge(bc);
-
-  EXPECT_EQ(left, right);
-}
-
-TEST(LogHistogram, MergeWithEmptyIsIdentity) {
-  const auto h = from(exact_samples(6, 100));
-  LogHistogram left = h;
-  left.merge(LogHistogram{});
-  EXPECT_EQ(left, h);
-
-  LogHistogram right;
-  right.merge(h);
-  EXPECT_EQ(right, h);
-}
-
 TEST(LogHistogram, PercentileTracksSortedVectorReference) {
   // Fuzz the 12.5% relative-error contract: the histogram's percentile must
   // stay within one bucket width of the exact order statistic.

@@ -140,53 +140,6 @@ TEST(RunningStats, SelfMergeOfEmptyStaysEmpty) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(Percentile, MedianOfOddSample) {
-  const std::vector<double> v{3.0, 1.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 2.0);
-}
-
-TEST(Percentile, Extremes) {
-  const std::vector<double> v{5.0, 1.0, 9.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 9.0);
-}
-
-TEST(Percentile, InterpolatesBetweenPoints) {
-  const std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 2.5);
-}
-
-TEST(Percentile, SingleElement) {
-  const std::vector<double> v{7.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.9), 7.0);
-}
-
-TEST(Percentile, AllEqualValuesAreFlat) {
-  const std::vector<double> v{4.0, 4.0, 4.0, 4.0};
-  for (double q : {0.0, 0.1, 0.5, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(percentile(v, q), 4.0) << "q=" << q;
-  }
-}
-
-TEST(Percentile, DuplicatedExtremesInterpolateWithinTies) {
-  // Sorted: {1, 1, 9, 9}. q=0.5 lands between the tie groups.
-  const std::vector<double> v{9.0, 1.0, 9.0, 1.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0 / 3.0), 1.0);  // still inside the low tie
-}
-
-TEST(Percentile, UnsortedInputIsSortedInternally) {
-  const std::vector<double> v{50.0, 10.0, 40.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.25), 20.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.75), 40.0);
-}
-
-TEST(MeanStddevOf, Basics) {
-  const std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(mean_of(v), 2.0);
-  EXPECT_NEAR(stddev_of(v), 1.0, 1e-12);
-}
-
 TEST(DeviationPercent, PaperConvention) {
   // achieved 95 against reference 100 -> 5% below.
   EXPECT_DOUBLE_EQ(deviation_percent(95.0, 100.0), 5.0);
