@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       if (ts_best >= exact_result.objective - 1e-9) ++matched;
     } else {
       std::string kind;
-      unproven_gap.add(bench::reference_gap_percent(inst, ts_best, 0.0, &kind));
+      unproven_gap.add(bench::reference_gap_percent(inst, ts_best, 0, &kind));
     }
   }
 

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       seconds += watch.elapsed_seconds();
       values.add(result.best_value);
       std::string kind;
-      gaps.add(bench::reference_gap_percent(inst, result.best_value, 0.0, &kind));
+      gaps.add(bench::reference_gap_percent(inst, result.best_value, 0, &kind));
     }
     table.add_row({cls.label, TextTable::fmt(cls.tightness, 2),
                    TextTable::fmt(values.mean(), 1), TextTable::fmt(gaps.mean(), 2),

@@ -44,11 +44,12 @@ void emit(const BenchOptions& options, const std::string& experiment_id,
 }
 
 double reference_gap_percent(const mkp::Instance& inst, double achieved,
-                             double exact_budget_seconds,
+                             std::uint64_t exact_node_cap,
                              std::string* reference_kind) {
-  if (inst.num_items() <= 60 && exact_budget_seconds > 0.0) {
+  if (inst.num_items() <= 60 && exact_node_cap > 0) {
     exact::BnbOptions options;
-    options.time_limit_seconds = exact_budget_seconds;
+    options.time_limit_seconds = 0.0;
+    options.node_limit = exact_node_cap;
     const auto result = exact::branch_and_bound(inst, options);
     if (result.proven_optimal) {
       if (reference_kind) *reference_kind = "opt";

@@ -50,10 +50,11 @@ void emit(const BenchOptions& options, const std::string& experiment_id,
           const std::string& footnote = "");
 
 /// % deviation of `achieved` below the tightest available reference bound:
-/// the exact optimum when the instance is small enough to solve within
-/// `exact_budget_seconds`, else the LP-relaxation bound. Returns the label
-/// of the reference used through `reference_kind`.
+/// the exact optimum when the instance is small enough for branch & bound to
+/// prove it within `exact_node_cap` nodes (no time limit, so the reference
+/// does not depend on the machine), else the LP-relaxation bound. Returns
+/// the label of the reference used through `reference_kind`.
 double reference_gap_percent(const mkp::Instance& inst, double achieved,
-                             double exact_budget_seconds, std::string* reference_kind);
+                             std::uint64_t exact_node_cap, std::string* reference_kind);
 
 }  // namespace pts::bench

@@ -1,9 +1,9 @@
 #include "cluster/coordinator.hpp"
 
-#include <sys/socket.h>
+#include <poll.h>
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "net/client.hpp"
@@ -20,7 +20,7 @@ namespace {
 /// One batch ceiling per tick per peer keeps tick latency bounded even
 /// mid-catch-up; the next tick sends the next batch 20ms later.
 constexpr int kMaxReplicateBatchesPerTick = 4;
-constexpr auto kTickPeriod = std::chrono::milliseconds(20);
+constexpr double kTickSeconds = 0.02;
 
 }  // namespace
 
@@ -62,12 +62,13 @@ struct Coordinator::Peer {
   PeerAddress addr;
   std::string name;
 
-  State state = State::kDown;  // guarded by mutex_
+  // Every field is guarded by mutex_. Only the tick thread reads the
+  // socket, replaces it or changes the state; a submitter may send on it.
+  State state = State::kDown;
   parallel::FrameSocket socket;
-  std::mutex write_mutex;
-  std::thread reader;
-  std::atomic<bool> reader_exited{false};
-  std::atomic<double> last_heard{0.0};
+  /// kAlive: when the last whole frame arrived. kConnecting: when the
+  /// PeerHello went out, which starts the join deadline.
+  double last_heard = 0.0;
 
   std::uint64_t ping_seq = 0;
   double last_ping = 0.0;
@@ -81,7 +82,6 @@ struct Coordinator::Peer {
 
   double reconnect_not_before = 0.0;
   int reconnect_attempts = 0;
-  bool down_handled = true;  ///< on_peer_down ran for the current incarnation
 };
 
 Coordinator::Coordinator(CoordinatorConfig config)
@@ -152,20 +152,11 @@ Coordinator::~Coordinator() { stop(); }
 
 void Coordinator::stop() {
   if (stopping_.exchange(true)) return;
-  stop_source_.request_cancel();
   if (tick_.joinable()) tick_.join();
-  {
-    std::scoped_lock lock(mutex_);
-    for (auto& peer : peers_) {
-      if (peer->socket.valid()) ::shutdown(peer->socket.fd(), SHUT_RDWR);
-    }
-  }
-  for (auto& peer : peers_) {
-    if (peer->reader.joinable()) peer->reader.join();
-  }
+  std::scoped_lock lock(mutex_);
+  for (auto& peer : peers_) peer->socket.close();
   // Resolve whatever is left kUnavailable WITHOUT striking the journal: a
   // restarted (or promoted) coordinator replays exactly these jobs.
-  std::scoped_lock lock(mutex_);
   while (!jobs_.empty()) {
     fail_job_locked(jobs_.begin()->first,
                     Status::unavailable("cluster: coordinator shutting down"),
@@ -220,6 +211,7 @@ std::string Coordinator::make_key_locked(const service::SubmitRequest& request,
 }
 
 void Coordinator::log_append_locked(ReplicateRecord record) {
+  if (journal_) (void)append(*journal_, record);
   record.seq = next_seq_++;
   log_.push_back(std::move(record));
   if (log_.size() > 512) compact_log_locked();
@@ -277,35 +269,27 @@ Expected<service::JobTicket> Coordinator::submit_locked(
   obs::metrics().counter("cluster_submissions_total").add();
 
   // Journal the waiter (priority folded into the options so recovery keeps
-  // it), mirror the record to the replication log.
-  service::JobOptions journal_options = request.options;
-  journal_options.priority = request.priority;
+  // it). Every waiter, a coalesced follower too, gets its own kSubmitted so
+  // a promoted coordinator can re-run it standalone.
+  ReplicateRecord submitted;
+  submitted.kind = ReplicateRecord::Kind::kSubmitted;
+  submitted.job_id = waiter->id;
+  submitted.instance = *request.instance;
+  submitted.options = request.options;
+  submitted.options.priority = request.priority;
+  submitted.tenant = request.tenant;
+  submitted.warm_start = request.warm_start;
+  log_append_locked(std::move(submitted));
 
   auto it = jobs_.find(key);
   if (it != jobs_.end()) {
-    // Coalesce: one more waiter on the in-flight (or pending) solve.
+    // Coalesce: one more waiter on the in-flight (or pending) solve. The
+    // kDedup provenance link goes AFTER the follower's kSubmitted: replay
+    // only honors a link whose follower is already open.
     ClusterJob& job = *it->second;
     waiter->attached_dedup = true;
     ticket.deduplicated = true;
     ++stats_.dedup_hits;
-    if (journal_) {
-      // A follower needs its own kSubmitted so a promoted coordinator can
-      // re-run it standalone, plus the kDedup provenance link. kSubmitted
-      // goes FIRST: replay only honors a kDedup link whose follower is
-      // already open (the replication log uses the same order).
-      (void)journal_->append_submitted(waiter->id, *request.instance,
-                                       journal_options, request.tenant,
-                                       request.warm_start);
-      (void)journal_->append_dedup(waiter->id, job.primary_id);
-    }
-    ReplicateRecord submitted;
-    submitted.kind = ReplicateRecord::Kind::kSubmitted;
-    submitted.job_id = waiter->id;
-    submitted.instance = *request.instance;
-    submitted.options = journal_options;
-    submitted.tenant = request.tenant;
-    submitted.warm_start = request.warm_start;
-    log_append_locked(std::move(submitted));
     ReplicateRecord dedup;
     dedup.kind = ReplicateRecord::Kind::kDedup;
     dedup.job_id = waiter->id;
@@ -325,20 +309,6 @@ Expected<service::JobTicket> Coordinator::submit_locked(
   // The coordinator enforces per-waiter deadlines itself; the remote solve
   // runs its time budget for everyone.
   job->canonical.deadline_seconds.reset();
-  if (journal_) {
-    (void)journal_->append_submitted(waiter->id, *job->canonical.instance,
-                                     journal_options, job->canonical.tenant,
-                                     job->canonical.warm_start);
-  }
-  ReplicateRecord submitted;
-  submitted.kind = ReplicateRecord::Kind::kSubmitted;
-  submitted.job_id = waiter->id;
-  submitted.instance = *job->canonical.instance;
-  submitted.options = journal_options;
-  submitted.tenant = job->canonical.tenant;
-  submitted.warm_start = job->canonical.warm_start;
-  log_append_locked(std::move(submitted));
-
   waiter_index_.emplace(waiter->id, key);
   job->waiters.push_back(std::move(waiter));
   jobs_.emplace(std::move(key), std::move(job));
@@ -393,7 +363,6 @@ void Coordinator::resolve_waiter_locked(Waiter& waiter,
   ++stats_.resolved;
   waiter_index_.erase(waiter.id);
   if (strike_journal) {
-    if (journal_) (void)journal_->append_resolved(waiter.id);
     ReplicateRecord record;
     record.kind = ReplicateRecord::Kind::kResolved;
     record.job_id = waiter.id;
@@ -418,102 +387,122 @@ void Coordinator::fail_job_locked(const std::string& key, const Status& status,
 
 void Coordinator::send_to_peer_locked(Peer& peer,
                                       const std::vector<std::uint8_t>& frame) {
-  std::scoped_lock wlock(peer.write_mutex);
   if (!peer.socket.valid()) return;
-  (void)peer.socket.send_frame(frame);  // reader/heartbeat notices failures
+  (void)peer.socket.send_frame(frame);  // the poll or heartbeat notices failures
 }
 
 void Coordinator::tick_loop() {
-  const CancelToken stop = stop_source_.token();
-  while (!stop.cancel_requested()) {
+  while (!stopping_.load(std::memory_order_acquire)) {
     connect_peers();
-    {
-      std::scoped_lock lock(mutex_);
-      heartbeat_locked();
-      replicate_locked();
-      dispatch_locked();
-      sweep_deadlines_locked();
-    }
-    std::this_thread::sleep_for(kTickPeriod);
+    // Read every peer as its frames arrive until the next tick. At least one
+    // poll follows the dials above, so no peer is judged on a tick before
+    // what it already sent has been read.
+    const double next_tick = now_seconds() + kTickSeconds;
+    do {
+      poll_peers(next_tick - now_seconds());
+    } while (now_seconds() < next_tick &&
+             !stopping_.load(std::memory_order_acquire));
+    std::scoped_lock lock(mutex_);
+    heartbeat_locked();
+    replicate_locked();
+    dispatch_locked();
+    sweep_deadlines_locked();
   }
 }
 
 void Coordinator::connect_peers() {
-  const double now = now_seconds();
-  std::vector<Peer*> ready;
+  std::vector<Peer*> due;
   {
     std::scoped_lock lock(mutex_);
+    const double now = now_seconds();
     for (auto& peer : peers_) {
-      if (peer->state != Peer::State::kDown) continue;
-      if (now < peer->reconnect_not_before) continue;
-      // A previous reader must be fully out before the socket is replaced;
-      // reader_exited is its very last store, so this join cannot block on
-      // the mutex this thread holds.
-      if (peer->reader.joinable() &&
-          !peer->reader_exited.load(std::memory_order_acquire)) {
-        continue;
+      if (peer->state == Peer::State::kDown && now >= peer->reconnect_not_before) {
+        due.push_back(peer.get());
       }
-      if (peer->reader.joinable()) peer->reader.join();
-      peer->state = Peer::State::kConnecting;
-      ready.push_back(peer.get());
     }
   }
-
-  for (Peer* peer : ready) {
+  for (Peer* peer : due) {
     auto socket = net::dial(peer->addr.host, peer->addr.port,
                             config_.connect_timeout_seconds);
-    bool joined = false;
-    PeerWelcome welcome;
-    if (socket) {
-      PeerHello hello;
-      hello.cluster_name = config_.cluster_name;
-      hello.coordinator_epoch = config_.epoch;
-      if (socket->send_frame(encode_peer_hello(hello)).ok()) {
-        auto frame =
-            socket->read_frame(config_.connect_timeout_seconds, stop_source_.token());
-        if (frame &&
-            frame->type == parallel::wire::MessageType::kPeerWelcome) {
-          if (auto decoded = decode_peer_welcome(frame->payload); decoded) {
-            welcome = std::move(*decoded);
-            joined = true;
-          }
-        }
-      }
-    }
-
+    const bool sent =
+        socket &&
+        socket->send_frame(encode_peer_hello({config_.cluster_name, config_.epoch}))
+            .ok();
     std::scoped_lock lock(mutex_);
-    if (stopping_.load(std::memory_order_acquire)) return;
-    if (!joined) {
-      peer->state = Peer::State::kDown;
-      ++peer->reconnect_attempts;
-      peer->reconnect_not_before =
-          now_seconds() + jittered_backoff_locked(config_.resubmit_backoff_seconds,
-                                                  peer->reconnect_attempts);
+    if (!sent) {
+      reconnect_later_locked(*peer);
       continue;
     }
     peer->socket = std::move(*socket);
-    peer->name = welcome.node_name;
-    peer->num_workers = std::max<std::uint32_t>(1, welcome.num_workers);
-    // The welcome's cursor drives catch-up: replicate_locked resends every
-    // record past it (a truncated replica reports 0 → the full live image).
-    peer->sent_seq = welcome.last_applied_seq;
-    peer->acked_seq = welcome.last_applied_seq;
-    peer->running_jobs = 0;
-    peer->queued_jobs = 0;
-    peer->last_heard.store(now_seconds(), std::memory_order_release);
-    peer->last_ping = 0.0;
-    peer->reconnect_attempts = 0;
-    peer->down_handled = false;
-    peer->reader_exited.store(false, std::memory_order_release);
-    peer->state = Peer::State::kAlive;
-    ++stats_.nodes_connected;
-    obs::metrics().counter("cluster_peer_connects_total").add();
-    PTS_LOG_INFO("cluster: peer %zu ('%s' %s:%u) joined, applied_seq=%llu",
-                 peer->index, peer->name.c_str(), peer->addr.host.c_str(),
-                 static_cast<unsigned>(peer->addr.port),
-                 static_cast<unsigned long long>(welcome.last_applied_seq));
-    peer->reader = std::thread([this, peer] { reader_loop(*peer); });
+    peer->state = Peer::State::kConnecting;
+    peer->last_heard = now_seconds();
   }
+}
+
+void Coordinator::poll_peers(double timeout_seconds) {
+  std::vector<pollfd> fds(peers_.size(), pollfd{-1, POLLIN, 0});
+  {
+    std::scoped_lock lock(mutex_);
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      if (peers_[i]->state != Peer::State::kDown) fds[i].fd = peers_[i]->socket.fd();
+    }
+  }
+  const int wait_ms =
+      static_cast<int>(std::ceil(std::max(timeout_seconds, 0.0) * 1000.0));
+  if (::poll(fds.data(), fds.size(), wait_ms) <= 0) return;  // timeout or EINTR
+  std::scoped_lock lock(mutex_);
+  for (std::size_t i = 0; i < peers_.size(); ++i) {
+    if (fds[i].revents != 0) drain_peer_locked(*peers_[i]);
+  }
+}
+
+void Coordinator::drain_peer_locked(Peer& peer) {
+  while (peer.state != Peer::State::kDown) {
+    auto frame = peer.socket.poll_frame();
+    if (!frame) {
+      // EOF (node died), a socket error or a malformed header.
+      if (peer.state == Peer::State::kConnecting) {
+        reconnect_later_locked(peer);
+      } else {
+        on_peer_down_locked(peer);
+      }
+      return;
+    }
+    if (!*frame) return;  // the rest is still in flight
+    if (peer.state == Peer::State::kConnecting) {
+      join_locked(peer, **frame);
+    } else {
+      peer.last_heard = now_seconds();
+      handle_frame_locked(peer, std::move(**frame));
+    }
+  }
+}
+
+void Coordinator::join_locked(Peer& peer, const parallel::wire::Frame& frame) {
+  // Anything but a PeerWelcome (a refusal's Goodbye included) fails the join.
+  auto welcome = decode_peer_welcome(frame.payload);
+  if (frame.type != parallel::wire::MessageType::kPeerWelcome || !welcome) {
+    reconnect_later_locked(peer);
+    return;
+  }
+  peer.name = welcome->node_name;
+  peer.num_workers = std::max<std::uint32_t>(1, welcome->num_workers);
+  // The welcome's cursor drives catch-up: replicate_locked resends every
+  // record past it (a truncated replica reports 0 → the full live image).
+  peer.sent_seq = welcome->last_applied_seq;
+  peer.acked_seq = welcome->last_applied_seq;
+  peer.running_jobs = 0;
+  peer.queued_jobs = 0;
+  peer.last_heard = now_seconds();
+  peer.last_ping = 0.0;
+  peer.reconnect_attempts = 0;
+  peer.state = Peer::State::kAlive;
+  ++stats_.nodes_connected;
+  obs::metrics().counter("cluster_peer_connects_total").add();
+  PTS_LOG_INFO("cluster: peer %zu ('%s' %s:%u) joined, applied_seq=%llu",
+               peer.index, peer.name.c_str(), peer.addr.host.c_str(),
+               static_cast<unsigned>(peer.addr.port),
+               static_cast<unsigned long long>(welcome->last_applied_seq));
 }
 
 void Coordinator::heartbeat_locked() {
@@ -521,8 +510,13 @@ void Coordinator::heartbeat_locked() {
   const double budget =
       config_.heartbeat_interval_seconds * config_.heartbeat_misses;
   for (auto& peer : peers_) {
+    if (peer->state == Peer::State::kConnecting &&
+        now - peer->last_heard > config_.connect_timeout_seconds) {
+      reconnect_later_locked(*peer);  // no PeerWelcome in time: a failed join
+      continue;
+    }
     if (peer->state != Peer::State::kAlive) continue;
-    if (now - peer->last_heard.load(std::memory_order_acquire) > budget) {
+    if (now - peer->last_heard > budget) {
       PTS_LOG_WARN("cluster: peer %zu ('%s') missed %d heartbeats — failing over",
                    peer->index, peer->name.c_str(), config_.heartbeat_misses);
       on_peer_down_locked(*peer);
@@ -638,11 +632,7 @@ void Coordinator::sweep_deadlines_locked() {
 }
 
 void Coordinator::on_peer_down_locked(Peer& peer) {
-  if (peer.down_handled) return;
   if (stopping_.load(std::memory_order_acquire)) return;  // stop() owns cleanup
-  peer.down_handled = true;
-  peer.state = Peer::State::kDown;
-  if (peer.socket.valid()) ::shutdown(peer.socket.fd(), SHUT_RDWR);
   ++stats_.nodes_lost;
   obs::metrics().counter("cluster_peer_losses_total").add();
 
@@ -680,11 +670,16 @@ void Coordinator::on_peer_down_locked(Peer& peer) {
     obs::metrics().counter("cluster_failovers_total").add();
   }
   peer.inflight.clear();
+  reconnect_later_locked(peer);
+}
 
+void Coordinator::reconnect_later_locked(Peer& peer) {
+  peer.socket.close();
+  peer.state = Peer::State::kDown;
   ++peer.reconnect_attempts;
   peer.reconnect_not_before =
-      now + jittered_backoff_locked(config_.resubmit_backoff_seconds,
-                                    peer.reconnect_attempts);
+      now_seconds() + jittered_backoff_locked(config_.resubmit_backoff_seconds,
+                                              peer.reconnect_attempts);
 }
 
 void Coordinator::handle_result_locked(Peer& peer, std::uint64_t request_id,
@@ -741,107 +736,84 @@ void Coordinator::handle_result_locked(Peer& peer, std::uint64_t request_id,
   jobs_.erase(it);
 }
 
-void Coordinator::reader_loop(Peer& peer) {
-  const CancelToken stop = stop_source_.token();
-  for (;;) {
-    auto frame = peer.socket.read_frame(0.1, stop);
-    if (!frame) {
-      if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-        if (stop.cancel_requested()) break;
-        continue;  // liveness is the heartbeat's job, not this timeout's
-      }
-      break;  // kUnavailable (node died), kCancelled (stop), or garbage
+void Coordinator::handle_frame_locked(Peer& peer, parallel::wire::Frame frame) {
+  using parallel::wire::MessageType;
+  switch (frame.type) {
+    case MessageType::kPeerPong: {
+      auto pong = decode_peer_pong(frame.payload);
+      if (!pong) break;
+      peer.running_jobs = pong->running_jobs;
+      peer.queued_jobs = pong->queued_jobs;
+      peer.acked_seq = std::max(peer.acked_seq, pong->last_applied_seq);
+      break;
     }
-    peer.last_heard.store(now_seconds(), std::memory_order_release);
-
-    using parallel::wire::MessageType;
-    switch (frame->type) {
-      case MessageType::kPeerPong: {
-        auto pong = decode_peer_pong(frame->payload);
-        if (!pong) break;
-        std::scoped_lock lock(mutex_);
-        peer.running_jobs = pong->running_jobs;
-        peer.queued_jobs = pong->queued_jobs;
-        peer.acked_seq = std::max(peer.acked_seq, pong->last_applied_seq);
-        break;
-      }
-      case MessageType::kPeerReplicateAck: {
-        auto ack = decode_peer_replicate_ack(frame->payload);
-        if (!ack) break;
-        std::scoped_lock lock(mutex_);
-        peer.acked_seq = std::max(peer.acked_seq, ack->last_applied_seq);
-        break;
-      }
-      case MessageType::kSubmitAck: {
-        auto ack = net::decode_submit_ack(frame->payload);
-        if (!ack) break;
-        std::scoped_lock lock(mutex_);
-        auto inflight = peer.inflight.find(ack->request_id);
-        if (inflight == peer.inflight.end()) break;
-        auto it = jobs_.find(inflight->second);
-        if (it == jobs_.end()) break;
-        ClusterJob& job = *it->second;
-        if (!ack->status.ok()) {
-          // The node refused the submission (backpressure, draining):
-          // surface the verdict to every waiter rather than retrying into
-          // the same wall.
-          const std::string key = inflight->second;
-          peer.inflight.erase(inflight);
-          fail_job_locked(key, ack->status, /*strike_journal=*/true);
-          break;
-        }
-        job.acked = true;
-        if (job.remote_hash == 0) {
-          job.remote_hash = ack->content_hash;
-        } else if (job.remote_hash != ack->content_hash) {
-          PTS_LOG_ERROR(
-              "cluster: resubmission of job %llu acked hash %016llx, "
-              "expected %016llx",
-              static_cast<unsigned long long>(job.primary_id),
-              static_cast<unsigned long long>(ack->content_hash),
-              static_cast<unsigned long long>(job.remote_hash));
-        }
-        // A cancel that raced the dispatch: everyone left before the ack.
-        if (job.waiters.empty() && !job.cancel_sent) {
-          send_to_peer_locked(peer, net::encode_cancel_job({job.request_id}));
-          job.cancel_sent = true;
-        }
-        break;
-      }
-      case MessageType::kJobEvent: {
-        auto event = net::decode_job_event(frame->payload);
-        if (!event) break;
-        std::scoped_lock lock(mutex_);
-        auto inflight = peer.inflight.find(event->request_id);
-        if (inflight == peer.inflight.end()) break;
-        auto it = jobs_.find(inflight->second);
-        if (it == jobs_.end()) break;
-        auto& anytime = it->second->anytime;
-        anytime.insert(anytime.end(), event->anytime.begin(),
-                       event->anytime.end());
-        break;
-      }
-      case MessageType::kJobResult: {
-        std::scoped_lock lock(mutex_);
-        // Peek the request id to route; decode happens against the job's
-        // own instance inside.
-        parallel::codec::Reader r(frame->payload);
-        const std::uint64_t request_id = r.u64();
-        if (!r.ok()) break;
-        handle_result_locked(peer, request_id, std::move(frame->payload));
-        break;
-      }
-      case MessageType::kGoodbye:
-        break;  // the node is draining; EOF follows and failover handles it
-      default:
-        break;  // tolerate unknown-but-well-framed traffic from a newer node
+    case MessageType::kPeerReplicateAck: {
+      auto ack = decode_peer_replicate_ack(frame.payload);
+      if (!ack) break;
+      peer.acked_seq = std::max(peer.acked_seq, ack->last_applied_seq);
+      break;
     }
+    case MessageType::kSubmitAck: {
+      auto ack = net::decode_submit_ack(frame.payload);
+      if (!ack) break;
+      auto inflight = peer.inflight.find(ack->request_id);
+      if (inflight == peer.inflight.end()) break;
+      auto it = jobs_.find(inflight->second);
+      if (it == jobs_.end()) break;
+      ClusterJob& job = *it->second;
+      if (!ack->status.ok()) {
+        // The node refused the submission (backpressure, draining):
+        // surface the verdict to every waiter rather than retrying into
+        // the same wall.
+        const std::string key = inflight->second;
+        peer.inflight.erase(inflight);
+        fail_job_locked(key, ack->status, /*strike_journal=*/true);
+        break;
+      }
+      job.acked = true;
+      if (job.remote_hash == 0) {
+        job.remote_hash = ack->content_hash;
+      } else if (job.remote_hash != ack->content_hash) {
+        PTS_LOG_ERROR(
+            "cluster: resubmission of job %llu acked hash %016llx, "
+            "expected %016llx",
+            static_cast<unsigned long long>(job.primary_id),
+            static_cast<unsigned long long>(ack->content_hash),
+            static_cast<unsigned long long>(job.remote_hash));
+      }
+      // A cancel that raced the dispatch: everyone left before the ack.
+      if (job.waiters.empty() && !job.cancel_sent) {
+        send_to_peer_locked(peer, net::encode_cancel_job({job.request_id}));
+        job.cancel_sent = true;
+      }
+      break;
+    }
+    case MessageType::kJobEvent: {
+      auto event = net::decode_job_event(frame.payload);
+      if (!event) break;
+      auto inflight = peer.inflight.find(event->request_id);
+      if (inflight == peer.inflight.end()) break;
+      auto it = jobs_.find(inflight->second);
+      if (it == jobs_.end()) break;
+      auto& anytime = it->second->anytime;
+      anytime.insert(anytime.end(), event->anytime.begin(),
+                     event->anytime.end());
+      break;
+    }
+    case MessageType::kJobResult: {
+      // Peek the request id to route; decode happens against the job's
+      // own instance inside.
+      parallel::codec::Reader r(frame.payload);
+      const std::uint64_t request_id = r.u64();
+      if (!r.ok()) break;
+      handle_result_locked(peer, request_id, std::move(frame.payload));
+      break;
+    }
+    case MessageType::kGoodbye:
+      break;  // the node is draining; EOF follows and failover handles it
+    default:
+      break;  // tolerate unknown-but-well-framed traffic from a newer node
   }
-  {
-    std::scoped_lock lock(mutex_);
-    on_peer_down_locked(peer);
-  }
-  peer.reader_exited.store(true, std::memory_order_release);
 }
 
 }  // namespace pts::cluster

@@ -8,12 +8,18 @@
 // Ownership and identity. Every accepted submission gets a coordinator-side
 // JobId and a completion callback the coordinator calls exactly once —
 // through node death, resubmission, cancel, deadline and shutdown. It calls
-// it under its own mutex (from a submitter, the tick thread or a peer
-// reader), which the JobGateway contract allows. Identical submissions
-// (instance content hash + solve-shape options, the PR 8 dedup key) coalesce
-// into one ClusterJob with many waiters: ONE remote solve, every waiter
-// answered from its result. A request with allow_dedup=false gets a
-// private key and never coalesces.
+// it under its own mutex (from a submitter or the tick thread), which the
+// JobGateway contract allows. Identical submissions (instance content hash
+// + solve-shape options, the service's dedup key) coalesce into one
+// ClusterJob with many waiters: ONE remote solve, every waiter answered from
+// its result. A request with allow_dedup=false gets a private key and never
+// coalesces.
+//
+// Threading. One thread, the tick thread, owns every peer link: it dials,
+// polls all peer sockets at once and handles each frame inline under the
+// mutex, the way ProcSupervisor's master polls its worker links. Between
+// 20 ms ticks (heartbeat, replication, dispatch, deadline sweep) it waits in
+// that poll, so a peer that never answers its handshake holds up no one.
 //
 // Failover. Peer liveness is heartbeat-based (PeerPing every interval; a
 // node that misses `heartbeat_misses` intervals is declared dead — kill -9,
@@ -55,7 +61,6 @@
 #include "parallel/transport.hpp"
 #include "service/gateway.hpp"
 #include "service/journal.hpp"
-#include "util/cancel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -128,7 +133,7 @@ class Coordinator final : public service::JobGateway {
   [[nodiscard]] CoordinatorStats stats() const;
 
   /// Resolves every outstanding waiter kUnavailable (journal records left
-  /// open — recovery picks them up), closes peer links, joins all threads.
+  /// open — recovery picks them up), joins the tick thread, closes peer links.
   void stop();
 
  private:
@@ -158,22 +163,30 @@ class Coordinator final : public service::JobGateway {
                        bool strike_journal);
 
   void tick_loop();
-  void connect_peers();  ///< dials outside the lock; installs under it
+  /// Dials every peer due a (re)connect outside the lock and sends its
+  /// PeerHello; the PeerWelcome arrives through poll_peers.
+  void connect_peers();
+  /// One poll() over every connecting and live peer socket, for at most
+  /// `timeout_seconds`; drains each readable one under the lock.
+  void poll_peers(double timeout_seconds);
+  void drain_peer_locked(Peer& peer);
+  void join_locked(Peer& peer, const parallel::wire::Frame& frame);
+  void handle_frame_locked(Peer& peer, parallel::wire::Frame frame);
   void heartbeat_locked();
   void replicate_locked();
   void dispatch_locked();
   void sweep_deadlines_locked();
-  void reader_loop(Peer& peer);
   void on_peer_down_locked(Peer& peer);
+  /// Closes the link and schedules the next dial after a jittered backoff.
+  void reconnect_later_locked(Peer& peer);
   void handle_result_locked(Peer& peer, std::uint64_t request_id,
                             std::vector<std::uint8_t> payload);
-  /// Sends one frame on the peer socket (write mutex). Failure is left for
-  /// the reader/heartbeat to notice — sends are fire-and-forget here.
+  /// Sends one frame on the peer socket. Failure is left for the poll or
+  /// the heartbeat to notice — sends are fire-and-forget here.
   void send_to_peer_locked(Peer& peer, const std::vector<std::uint8_t>& frame);
 
   CoordinatorConfig config_;
   Stopwatch clock_;  ///< coordinator-relative monotonic time
-  CancelSource stop_source_;
   std::atomic<bool> stopping_{false};
 
   mutable std::mutex mutex_;

@@ -177,21 +177,7 @@ Expected<std::vector<std::vector<std::uint8_t>>> WorkerNode::on_peer_frame(
           // truthfully reports how far this node's replica actually reaches
           // instead of claiming durability that does not exist.
           if (!replica_) break;
-          Status appended;
-          switch (record.kind) {
-            case ReplicateRecord::Kind::kSubmitted:
-              appended = replica_->append_submitted(
-                  record.job_id, *record.instance, record.options,
-                  record.tenant, record.warm_start);
-              break;
-            case ReplicateRecord::Kind::kResolved:
-              appended = replica_->append_resolved(record.job_id);
-              break;
-            case ReplicateRecord::Kind::kDedup:
-              appended = replica_->append_dedup(record.job_id,
-                                                record.dedup_primary);
-              break;
-          }
+          const Status appended = append(*replica_, record);
           if (!appended.ok()) {
             PTS_LOG_WARN(
                 "cluster: replica append failed (cursor frozen at %llu): %s",

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include <poll.h>
@@ -93,26 +95,26 @@ Expected<std::optional<wire::Frame>> FrameSocket::poll_frame() {
   return errno_status("recv");
 }
 
-Expected<wire::Frame> FrameSocket::read_frame(std::optional<double> timeout_seconds,
-                                              const CancelToken& cancel) {
+Expected<wire::Frame> FrameSocket::read_frame(std::optional<double> timeout_seconds) {
   // The heartbeat bound runs from the call to the LAST byte of the frame:
   // a peer that stalls mid-header or mid-payload times out like a silent one.
   const auto deadline = timeout_seconds ? Deadline::after_seconds(*timeout_seconds)
                                         : Deadline::unbounded();
   for (;;) {
-    // A fired token wins even over bytes already waiting: a draining server
-    // must not pick up a request after its stop.
-    if (cancel.stop_requested()) {
-      return Status::cancelled("cancelled while waiting for a frame");
-    }
     auto frame = poll_frame();
     if (!frame) return frame.status();
     if (*frame) return std::move(**frame);
     if (deadline.expired()) {
       return Status::deadline_exceeded("no whole frame within the heartbeat timeout");
     }
+    const int wait_ms =
+        timeout_seconds
+            ? static_cast<int>(std::clamp(
+                  std::ceil(deadline.remaining_seconds() * 1000.0), 0.0,
+                  static_cast<double>(std::numeric_limits<int>::max())))
+            : -1;
     pollfd pfd{fd_, POLLIN, 0};
-    if (::poll(&pfd, 1, kPollSliceMs) < 0 && errno != EINTR) {
+    if (::poll(&pfd, 1, wait_ms) < 0 && errno != EINTR) {
       return errno_status("poll");
     }
   }

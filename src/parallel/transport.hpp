@@ -24,8 +24,8 @@
 
 namespace pts::parallel {
 
-/// Poll slice of every socket wait: short enough that a fired cancel token
-/// is honoured promptly, long enough not to spin.
+/// Poll slice of the proc backend's gather: short enough that a fired cancel
+/// token is honoured promptly, long enough not to spin.
 inline constexpr int kPollSliceMs = 50;
 
 /// A slave's view of its link to the master: where the next directive comes
@@ -122,8 +122,8 @@ class MailboxMasterTransport final : public MasterTransport {
 /// number of pieces and a reader never blocks in the middle of one.
 ///
 /// Not internally synchronized: at most one reading and one writing thread
-/// (the net server and the coordinator split them; the proc backend's
-/// master thread does both for every worker link).
+/// at a time (the net server splits them; the coordinator's tick thread and
+/// the proc backend's master thread read every link they own).
 class FrameSocket {
  public:
   FrameSocket() = default;
@@ -148,12 +148,10 @@ class FrameSocket {
 
   /// Reads one full frame. `timeout_seconds` bounds the whole frame, header
   /// and payload (the heartbeat bound), so a peer that stalls mid-frame times
-  /// out too; nullopt blocks indefinitely. `cancel` is honoured within one
-  /// kPollSliceMs. Errors: kDeadlineExceeded (timeout), kCancelled,
-  /// kUnavailable (EOF or socket error — a dead peer), kInvalidArgument
-  /// (malformed header, from wire::decode_header).
-  Expected<wire::Frame> read_frame(std::optional<double> timeout_seconds,
-                                   const CancelToken& cancel = {});
+  /// out too; nullopt blocks indefinitely. Errors: kDeadlineExceeded
+  /// (timeout), kUnavailable (EOF or socket error — a dead peer),
+  /// kInvalidArgument (malformed header, from wire::decode_header).
+  Expected<wire::Frame> read_frame(std::optional<double> timeout_seconds);
 
   /// Non-blocking read_frame: pops a complete frame from what has arrived;
   /// nullopt while the next frame is incomplete (poll and call again).

@@ -9,10 +9,15 @@
 // test_cluster_bin.cpp against the pts_cluster binary.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -203,6 +208,51 @@ TEST(Cluster, WorkerDeathFailsJobOverToSurvivor) {
   EXPECT_GE(stats.nodes_lost, 1u);
   EXPECT_GE(stats.dispatched, 2u);  // original + at least one resubmission
   EXPECT_EQ(stats.exhausted, 0u);
+}
+
+TEST(Cluster, SilentPeerDoesNotFailOverHealthyPeer) {
+  // A roster entry that accepts TCP (the kernel queues the connection) but
+  // never answers the PeerHello. Waiting for its PeerWelcome must not stop
+  // the pings to the healthy node, or the heartbeat fails that node over.
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(silent, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(silent, SOMAXCONN), 0);
+  ASSERT_EQ(::getsockname(silent, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  auto w1 = start_worker();
+  ASSERT_TRUE(w1);
+  auto coordinator =
+      Coordinator::start(fast_config({w1->port(), ntohs(addr.sin_port)}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 1);
+  std::this_thread::sleep_for(3s);
+  const auto stats = (*coordinator)->stats();
+  EXPECT_EQ(stats.nodes_lost, 0u) << "nodes_connected=" << stats.nodes_connected;
+  (*coordinator)->stop();
+  ::close(silent);
+}
+
+TEST(Cluster, CoordinatorAddsOneThread) {
+  // The tick thread reads every peer link itself. The only other new
+  // threads are each node's server reader for the coordinator's connection.
+  const auto threads = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator{});
+  };
+  auto w1 = start_worker();
+  auto w2 = start_worker();
+  ASSERT_TRUE(w1 && w2);
+  const auto before = threads();
+  auto coordinator =
+      Coordinator::start(fast_config({w1->port(), w2->port()}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 2);
+  EXPECT_EQ(threads() - before, 3);
 }
 
 TEST(Cluster, DeadlineExpiresWhileNoNodeIsAlive) {

@@ -173,18 +173,6 @@ TEST(FrameSocket, CorruptHeaderIsInvalidArgument) {
   EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(FrameSocket, CancelAbortsTheWait) {
-  auto [a, b] = make_pair_sockets();
-  CancelSource cancel;
-  std::jthread firer([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    cancel.request_cancel();
-  });
-  const auto frame = b.read_frame(/*timeout_seconds=*/30.0, cancel.token());
-  ASSERT_FALSE(frame);
-  EXPECT_EQ(frame.status().code(), StatusCode::kCancelled);
-}
-
 TEST(SocketTransport, DeliversDirectivesAndOutcomes) {
   const auto inst = make_instance();
   auto [master_side, worker_side] = make_pair_sockets();
