@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "net/client.hpp"
@@ -56,7 +57,7 @@ struct Coordinator::ClusterJob {
 };
 
 struct Coordinator::Peer {
-  enum class State { kDown, kConnecting, kAlive };
+  enum class State { kDown, kDialing, kConnecting, kAlive };
 
   std::size_t index = 0;
   PeerAddress addr;
@@ -65,9 +66,11 @@ struct Coordinator::Peer {
   // Every field is guarded by mutex_. Only the tick thread reads the
   // socket, replaces it or changes the state; a submitter may send on it.
   State state = State::kDown;
-  parallel::FrameSocket socket;
-  /// kAlive: when the last whole frame arrived. kConnecting: when the
-  /// PeerHello went out, which starts the join deadline.
+  std::optional<net::PendingDial> dial;  ///< set while kDialing
+  parallel::FrameSocket socket;          ///< set while kConnecting or kAlive
+  /// kAlive: when the last whole frame arrived. kDialing: when the TCP
+  /// connect started. kConnecting: when the PeerHello went out. The last
+  /// two start the connect and the join deadline.
   double last_heard = 0.0;
 
   std::uint64_t ping_seq = 0;
@@ -154,7 +157,10 @@ void Coordinator::stop() {
   if (stopping_.exchange(true)) return;
   if (tick_.joinable()) tick_.join();
   std::scoped_lock lock(mutex_);
-  for (auto& peer : peers_) peer->socket.close();
+  for (auto& peer : peers_) {
+    peer->dial.reset();
+    peer->socket.close();
+  }
   // Resolve whatever is left kUnavailable WITHOUT striking the journal: a
   // restarted (or promoted) coordinator replays exactly these jobs.
   while (!jobs_.empty()) {
@@ -422,19 +428,14 @@ void Coordinator::connect_peers() {
     }
   }
   for (Peer* peer : due) {
-    auto socket = net::dial(peer->addr.host, peer->addr.port,
-                            config_.connect_timeout_seconds);
-    const bool sent =
-        socket &&
-        socket->send_frame(encode_peer_hello({config_.cluster_name, config_.epoch}))
-            .ok();
+    auto dial = net::PendingDial::start(peer->addr.host, peer->addr.port);
     std::scoped_lock lock(mutex_);
-    if (!sent) {
+    if (!dial) {
       reconnect_later_locked(*peer);
       continue;
     }
-    peer->socket = std::move(*socket);
-    peer->state = Peer::State::kConnecting;
+    peer->dial = std::move(*dial);
+    peer->state = Peer::State::kDialing;
     peer->last_heard = now_seconds();
   }
 }
@@ -444,7 +445,12 @@ void Coordinator::poll_peers(double timeout_seconds) {
   {
     std::scoped_lock lock(mutex_);
     for (std::size_t i = 0; i < peers_.size(); ++i) {
-      if (peers_[i]->state != Peer::State::kDown) fds[i].fd = peers_[i]->socket.fd();
+      const Peer& peer = *peers_[i];
+      if (peer.state == Peer::State::kDialing) {
+        fds[i] = {peer.dial->fd(), POLLOUT, 0};
+      } else if (peer.state != Peer::State::kDown) {
+        fds[i].fd = peer.socket.fd();
+      }
     }
   }
   const int wait_ms =
@@ -452,8 +458,29 @@ void Coordinator::poll_peers(double timeout_seconds) {
   if (::poll(fds.data(), fds.size(), wait_ms) <= 0) return;  // timeout or EINTR
   std::scoped_lock lock(mutex_);
   for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (fds[i].revents != 0) drain_peer_locked(*peers_[i]);
+    if (fds[i].revents == 0) continue;
+    if (peers_[i]->state == Peer::State::kDialing) {
+      finish_dial_locked(*peers_[i]);
+    } else {
+      drain_peer_locked(*peers_[i]);
+    }
   }
+}
+
+void Coordinator::finish_dial_locked(Peer& peer) {
+  auto socket = peer.dial->finish();
+  if (socket && !*socket) return;  // the next address is being dialled
+  // Every address refused: a failed join, like a missed PeerWelcome.
+  if (!socket || !(*socket)->send_frame(encode_peer_hello(
+                                            {config_.cluster_name, config_.epoch}))
+                      .ok()) {
+    reconnect_later_locked(peer);
+    return;
+  }
+  peer.dial.reset();
+  peer.socket = std::move(**socket);
+  peer.state = Peer::State::kConnecting;
+  peer.last_heard = now_seconds();
 }
 
 void Coordinator::drain_peer_locked(Peer& peer) {
@@ -510,9 +537,10 @@ void Coordinator::heartbeat_locked() {
   const double budget =
       config_.heartbeat_interval_seconds * config_.heartbeat_misses;
   for (auto& peer : peers_) {
-    if (peer->state == Peer::State::kConnecting &&
+    if ((peer->state == Peer::State::kDialing ||
+         peer->state == Peer::State::kConnecting) &&
         now - peer->last_heard > config_.connect_timeout_seconds) {
-      reconnect_later_locked(*peer);  // no PeerWelcome in time: a failed join
+      reconnect_later_locked(*peer);  // no connect or PeerWelcome in time
       continue;
     }
     if (peer->state != Peer::State::kAlive) continue;
@@ -674,6 +702,7 @@ void Coordinator::on_peer_down_locked(Peer& peer) {
 }
 
 void Coordinator::reconnect_later_locked(Peer& peer) {
+  peer.dial.reset();
   peer.socket.close();
   peer.state = Peer::State::kDown;
   ++peer.reconnect_attempts;

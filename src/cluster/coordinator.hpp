@@ -19,7 +19,9 @@
 // polls all peer sockets at once and handles each frame inline under the
 // mutex, the way ProcSupervisor's master polls its worker links. Between
 // 20 ms ticks (heartbeat, replication, dispatch, deadline sweep) it waits in
-// that poll, so a peer that never answers its handshake holds up no one.
+// that poll. Dials are non-blocking and their completion is one more event
+// in the poll, so neither a connect that hangs nor a peer that never
+// answers its handshake holds up anyone.
 //
 // Failover. Peer liveness is heartbeat-based (PeerPing every interval; a
 // node that misses `heartbeat_misses` intervals is declared dead — kill -9,
@@ -163,12 +165,16 @@ class Coordinator final : public service::JobGateway {
                        bool strike_journal);
 
   void tick_loop();
-  /// Dials every peer due a (re)connect outside the lock and sends its
-  /// PeerHello; the PeerWelcome arrives through poll_peers.
+  /// Starts a non-blocking dial to every peer due a (re)connect, outside the
+  /// lock; the connect's end and then the PeerWelcome arrive through
+  /// poll_peers.
   void connect_peers();
-  /// One poll() over every connecting and live peer socket, for at most
-  /// `timeout_seconds`; drains each readable one under the lock.
+  /// One poll() over every dialing, connecting and live peer socket, for at
+  /// most `timeout_seconds`; under the lock, finishes each dial that ended
+  /// and drains each readable link.
   void poll_peers(double timeout_seconds);
+  /// The connect ended: sends the PeerHello, or fails the join.
+  void finish_dial_locked(Peer& peer);
   void drain_peer_locked(Peer& peer);
   void join_locked(Peer& peer, const parallel::wire::Frame& frame);
   void handle_frame_locked(Peer& peer, parallel::wire::Frame frame);

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -19,43 +20,9 @@ namespace pts::net {
 
 namespace {
 
-/// Connects one resolved address with a bounded wait (non-blocking connect +
-/// poll), restoring blocking mode on success. Returns -1 on failure.
-int connect_with_timeout(const addrinfo& ai, double timeout_seconds) {
-  const int fd = ::socket(ai.ai_family, ai.ai_socktype | SOCK_CLOEXEC,
-                          ai.ai_protocol);
-  if (fd < 0) return -1;
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  if (::connect(fd, ai.ai_addr, ai.ai_addrlen) != 0) {
-    if (errno != EINPROGRESS) {
-      ::close(fd);
-      return -1;
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    const int timeout_ms =
-        static_cast<int>(std::max(1.0, timeout_seconds * 1000.0));
-    if (::poll(&pfd, 1, timeout_ms) != 1) {
-      ::close(fd);
-      return -1;
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 ||
-        err != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);
-  return fd;
-}
+using AddrInfoList = std::unique_ptr<addrinfo, detail::AddrInfoFree>;
 
-}  // namespace
-
-Expected<parallel::FrameSocket> dial(const std::string& host,
-                                     std::uint16_t port,
-                                     double timeout_seconds) {
+Expected<AddrInfoList> resolve(const std::string& host, std::uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -66,16 +33,80 @@ Expected<parallel::FrameSocket> dial(const std::string& host,
     return Status::unavailable("net: cannot resolve '" + host +
                                "': " + ::gai_strerror(rc));
   }
-  int fd = -1;
-  for (const addrinfo* ai = list; ai != nullptr && fd < 0; ai = ai->ai_next) {
-    fd = connect_with_timeout(*ai, timeout_seconds);
+  return AddrInfoList(list);
+}
+
+Status cannot_connect(const std::string& host, std::uint16_t port) {
+  return Status::unavailable("net: cannot connect to " + host + ":" +
+                             std::to_string(port));
+}
+
+/// Starts a non-blocking connect of one resolved address. Returns the fd,
+/// its connect done or in progress, or -1.
+int start_connect(const addrinfo& ai) {
+  const int fd = ::socket(ai.ai_family, ai.ai_socktype | SOCK_CLOEXEC,
+                          ai.ai_protocol);
+  if (fd < 0) return -1;
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+  if (::connect(fd, ai.ai_addr, ai.ai_addrlen) != 0 && errno != EINPROGRESS) {
+    ::close(fd);
+    return -1;
   }
-  ::freeaddrinfo(list);
-  if (fd < 0) {
-    return Status::unavailable("net: cannot connect to " + host + ":" +
-                               port_text);
+  return fd;
+}
+
+/// Reads how a connect that start_connect began has ended, once its fd polls
+/// writable; on success restores blocking mode.
+bool finish_connect(int fd) {
+  int err = 0;
+  socklen_t err_len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len) != 0 || err != 0) {
+    return false;
   }
-  return parallel::FrameSocket(fd);
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+  return true;
+}
+
+}  // namespace
+
+Expected<parallel::FrameSocket> dial(const std::string& host,
+                                     std::uint16_t port,
+                                     double timeout_seconds) {
+  auto pending = PendingDial::start(host, port);
+  if (!pending) return pending.status();
+  const int timeout_ms = static_cast<int>(std::max(1.0, timeout_seconds * 1000.0));
+  while (true) {
+    pollfd pfd{pending->fd(), POLLOUT, 0};
+    auto socket = pending->finish(::poll(&pfd, 1, timeout_ms) == 1);
+    if (!socket) return cannot_connect(host, port);
+    if (*socket) return std::move(**socket);
+  }
+}
+
+void detail::AddrInfoFree::operator()(addrinfo* list) const { ::freeaddrinfo(list); }
+
+Expected<PendingDial> PendingDial::start(const std::string& host, std::uint16_t port) {
+  auto list = resolve(host, port);
+  if (!list) return list.status();
+  PendingDial dial;
+  dial.addresses_ = std::move(*list);
+  dial.next_ = dial.addresses_.get();
+  if (!dial.connect_next()) return cannot_connect(host, port);
+  return dial;
+}
+
+bool PendingDial::connect_next() {
+  socket_.close();
+  for (; next_ != nullptr && !socket_.valid(); next_ = next_->ai_next) {
+    socket_ = parallel::FrameSocket(start_connect(*next_));
+  }
+  return socket_.valid();
+}
+
+Expected<std::optional<parallel::FrameSocket>> PendingDial::finish(bool polled) {
+  if (polled && finish_connect(socket_.fd())) return std::optional(std::move(socket_));
+  if (!connect_next()) return Status::unavailable("net: connect failed");
+  return std::optional<parallel::FrameSocket>{};
 }
 
 Client::Client(parallel::FrameSocket socket, std::string host,

@@ -41,6 +41,8 @@
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
+struct addrinfo;
+
 namespace pts::net {
 
 /// One accepted remote submission: the connection-local request id (the
@@ -52,11 +54,48 @@ struct RemoteJob {
   bool deduplicated = false;       ///< attached to an in-flight solve server-side
 };
 
-/// Resolve-and-connect with a bounded wait: the TCP dial shared by Client,
-/// its reconnect path and the cluster coordinator's peer links.
+/// Resolve-and-connect with a bounded wait for each resolved address: the
+/// TCP dial of Client and its reconnect path, a PendingDial polled alone.
 [[nodiscard]] Expected<parallel::FrameSocket> dial(const std::string& host,
                                                    std::uint16_t port,
                                                    double timeout_seconds);
+
+namespace detail {
+struct AddrInfoFree {
+  void operator()(addrinfo* list) const;
+};
+}  // namespace detail
+
+/// A TCP connect in progress, for a caller that polls many sockets itself
+/// and bounds the wait on its own clock (the cluster coordinator's peer
+/// links). It tries the resolved addresses in order.
+class PendingDial {
+ public:
+  /// Resolves `host` and starts a non-blocking connect to its first address.
+  [[nodiscard]] static Expected<PendingDial> start(const std::string& host,
+                                                   std::uint16_t port);
+
+  /// The socket to poll for POLLOUT: it polls writable once the connect to
+  /// the current address has ended.
+  [[nodiscard]] int fd() const { return socket_.fd(); }
+
+  /// Call once fd() has polled an event (`polled`), or to give up on the
+  /// current address when its wait ran out. Returns the connected socket,
+  /// in blocking mode; nullopt when that address failed and the connect to
+  /// the next one has started (poll fd() again); kUnavailable when every
+  /// address failed.
+  [[nodiscard]] Expected<std::optional<parallel::FrameSocket>> finish(
+      bool polled = true);
+
+ private:
+  PendingDial() = default;
+  /// Starts the connect to the next address that takes one; false if none.
+  bool connect_next();
+
+  std::unique_ptr<addrinfo, detail::AddrInfoFree> addresses_;
+  const addrinfo* next_ = nullptr;  ///< into addresses_
+  parallel::FrameSocket socket_;
+};
 
 /// How (whether) the client survives a dropped connection. Backoff doubles
 /// per attempt from `initial_backoff_seconds` up to `max_backoff_seconds`,

@@ -27,9 +27,16 @@ struct IntensifyStats {
   std::uint64_t oscillation_drops = 0;
 };
 
+/// Largest n for which swap_intensify builds its table of higher-profit
+/// masks (n * ceil(n/64) words, 2 MB at the cap); past it the scan computes
+/// the mask words from the profits.
+inline constexpr std::size_t kMaxSwapMaskItems = 4096;
+
 /// Applies improving feasible (i -> j) exchanges to fixpoint; returns the
 /// number of exchanges applied. Feasible input stays feasible; the objective
-/// never decreases.
+/// never decreases. First improvement: selected items `i` in index order,
+/// for each the lowest-index feasible `j`, back to the first `i` after
+/// every exchange.
 std::size_t swap_intensify(mkp::Solution& x, IntensifyStats* stats = nullptr);
 
 /// One oscillation excursion of at most `depth` infeasible adds, then

@@ -28,6 +28,7 @@
 #include "cluster/coordinator.hpp"
 #include "cluster/worker_node.hpp"
 #include "mkp/generator.hpp"
+#include "net/client.hpp"
 #include "parallel/wire.hpp"
 
 namespace pts::cluster {
@@ -235,6 +236,44 @@ TEST(Cluster, SilentPeerDoesNotFailOverHealthyPeer) {
   EXPECT_EQ(stats.nodes_lost, 0u) << "nodes_connected=" << stats.nodes_connected;
   (*coordinator)->stop();
   ::close(silent);
+}
+
+TEST(Cluster, HangingConnectDoesNotFailOverHealthyPeer) {
+  // A roster entry whose TCP connect never completes: a listener with
+  // backlog 0 whose accept queue is already full drops every further SYN.
+  // Waiting for that connect must not stop the pings to the healthy node.
+  const int full = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(full, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(full, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(full, 0), 0);
+  ASSERT_EQ(::getsockname(full, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::vector<int> queued;
+  for (int k = 0; k < 3; ++k) {
+    queued.push_back(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+    ASSERT_GE(queued.back(), 0);
+    (void)::connect(queued.back(), reinterpret_cast<sockaddr*>(&addr), len);
+  }
+  std::this_thread::sleep_for(100ms);
+  ASSERT_FALSE(net::dial("127.0.0.1", ntohs(addr.sin_port), 0.2))
+      << "the listener's queue is not full; a connect to it would not hang";
+
+  auto w1 = start_worker();
+  ASSERT_TRUE(w1);
+  auto coordinator =
+      Coordinator::start(fast_config({w1->port(), ntohs(addr.sin_port)}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 1);
+  std::this_thread::sleep_for(3s);
+  const auto stats = (*coordinator)->stats();
+  EXPECT_EQ(stats.nodes_lost, 0u) << "nodes_connected=" << stats.nodes_connected;
+  EXPECT_EQ((*coordinator)->alive_peers(), 1u);
+  (*coordinator)->stop();
+  for (const int fd : queued) ::close(fd);
+  ::close(full);
 }
 
 TEST(Cluster, CoordinatorAddsOneThread) {
