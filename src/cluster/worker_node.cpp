@@ -57,7 +57,7 @@ Expected<std::unique_ptr<WorkerNode>> WorkerNode::start(
 WorkerNode::~WorkerNode() { stop(); }
 
 void WorkerNode::stop() {
-  // Server first (its reader threads call back into this object), then the
+  // Server first (its loop thread calls back into this object), then the
   // service (resolves every outstanding future).
   if (server_) server_->stop();
   if (service_) service_->shutdown();

@@ -86,7 +86,7 @@ class WorkerNode final : public net::PeerHandler {
   bool drain(double timeout_seconds) { return server_->drain(timeout_seconds); }
   void stop();
 
-  // -- net::PeerHandler (called from the server's reader threads). --
+  // -- net::PeerHandler (called on the server's loop thread). --
   [[nodiscard]] Expected<std::vector<std::vector<std::uint8_t>>> on_peer_frame(
       parallel::wire::MessageType type,
       std::span<const std::uint8_t> payload) override;

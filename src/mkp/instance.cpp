@@ -1,6 +1,7 @@
 #include "mkp/instance.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/simd.hpp"
@@ -54,19 +55,21 @@ Instance::Instance(std::string name, std::vector<double> profits,
 std::vector<std::string> Instance::validate() const {
   std::vector<std::string> issues;
   for (std::size_t j = 0; j < n_; ++j) {
-    if (!(profits_[j] > 0.0)) {
-      issues.push_back("profit of item " + std::to_string(j) + " is not positive");
+    if (!(std::isfinite(profits_[j]) && profits_[j] > 0.0)) {
+      issues.push_back("profit of item " + std::to_string(j) +
+                       " is not positive and finite");
     }
   }
   for (std::size_t i = 0; i < m_; ++i) {
-    if (capacities_[i] < 0.0) {
-      issues.push_back("capacity of constraint " + std::to_string(i) + " is negative");
+    if (!(std::isfinite(capacities_[i]) && capacities_[i] >= 0.0)) {
+      issues.push_back("capacity of constraint " + std::to_string(i) +
+                       " is negative or not finite");
     }
     const auto row = weights_row(i);
     for (std::size_t j = 0; j < n_; ++j) {
-      if (row[j] < 0.0) {
+      if (!(std::isfinite(row[j]) && row[j] >= 0.0)) {
         issues.push_back("weight a[" + std::to_string(i) + "][" + std::to_string(j) +
-                         "] is negative");
+                         "] is negative or not finite");
       }
     }
   }

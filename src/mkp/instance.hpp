@@ -135,7 +135,10 @@ class Instance {
   [[nodiscard]] const std::optional<double>& known_optimum() const { return known_optimum_; }
   void set_known_optimum(double value) { known_optimum_ = value; }
 
-  /// Human-readable structural problems (empty means well-formed).
+  /// Human-readable structural problems (empty means well-formed): every
+  /// profit must be finite and positive, every weight and capacity finite
+  /// and non-negative. The parser, the wire decoder and
+  /// SolverService::submit refuse an instance with any.
   [[nodiscard]] std::vector<std::string> validate() const;
 
   /// True when every item alone fits every constraint (no forced zeros).

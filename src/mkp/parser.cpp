@@ -32,20 +32,22 @@ Instance read_orlib_single(std::istream& in, const std::string& name) {
   if (m == 0) throw ParseError("constraint count m must be positive");
   const double opt = next_number(in, "recorded optimum");
 
-  std::vector<double> profits(n);
-  for (auto& c : profits) c = next_number(in, "profit");
-
-  std::vector<double> weights(m * n);
+  // No vector is sized from a header count: each grows only as numbers are
+  // read, so a forged count ends in "unexpected end of input", never in an
+  // allocation the file cannot fill (or an n * m that wraps).
+  std::vector<double> profits;
+  for (std::size_t j = 0; j < n; ++j) profits.push_back(next_number(in, "profit"));
+  std::vector<double> weights;
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      weights[i * n + j] = next_number(in, "weight");
-    }
+    for (std::size_t j = 0; j < n; ++j) weights.push_back(next_number(in, "weight"));
   }
-
-  std::vector<double> capacities(m);
-  for (auto& b : capacities) b = next_number(in, "capacity");
+  std::vector<double> capacities;
+  for (std::size_t i = 0; i < m; ++i) capacities.push_back(next_number(in, "capacity"));
 
   Instance instance(name, std::move(profits), std::move(weights), std::move(capacities));
+  if (const auto issues = instance.validate(); !issues.empty()) {
+    throw ParseError(issues.front());
+  }
   if (opt > 0.0) instance.set_known_optimum(opt);
   return instance;
 }
@@ -53,7 +55,6 @@ Instance read_orlib_single(std::istream& in, const std::string& name) {
 std::vector<Instance> read_orlib(std::istream& in, const std::string& base_name) {
   const std::size_t count = next_count(in, "problem count");
   std::vector<Instance> instances;
-  instances.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     instances.push_back(read_orlib_single(in, base_name + "-" + std::to_string(k + 1)));
   }

@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <deque>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -41,47 +44,54 @@ bool is_peer_type(parallel::wire::MessageType type) {
 
 }  // namespace
 
-/// Per-connection state. The reader thread owns the socket's read side and
-/// sends every frame but drain()'s Goodbye; `write_mutex` serializes the
-/// two, plus the chaos RNG it feeds. `pending` and `outbox` are shared with
-/// the gateway's completion callbacks and drain() under `mutex`.
-struct Server::Connection {
-  Connection(int fd, std::uint64_t chaos_seed)
-      : socket(fd),
-        wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
-        chaos_rng(chaos_seed) {}
-  ~Connection() { ::close(wake_fd); }
+/// Results the gateway delivered, for the loop to ship. Every completion
+/// callback holds it as a weak_ptr. The loop polls `fd`; drain() and
+/// stop() write it too.
+struct Server::Inbox {
+  struct Completion {
+    std::uint64_t connection;
+    std::uint64_t request_id;
+    service::JobResult result;
+  };
 
-  /// Ends the reader's current wait (a result landed, or stop()).
-  void wake() const { (void)::eventfd_write(wake_fd, 1); }
+  Inbox() : fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~Inbox() { ::close(fd); }
+  void wake() const { (void)::eventfd_write(fd, 1); }
 
-  parallel::FrameSocket socket;
-  /// eventfd the reader polls next to the socket. Should it fail to open,
-  /// poll() skips the -1 and results still ship within one wait slice.
-  const int wake_fd;
-
-  std::mutex write_mutex;
-  Rng chaos_rng;  // guarded by write_mutex
-
+  const int fd;
   std::mutex mutex;
-  /// Accepted submissions whose result frame has not shipped yet:
+  std::vector<Completion> completions;  // guarded by mutex
+};
+
+/// Per-connection state, owned by the loop thread.
+struct Server::Connection {
+  Connection(std::uint64_t connection_id, int fd, std::uint64_t chaos_seed)
+      : id(connection_id), socket(fd), chaos_rng(chaos_seed) {}
+
+  const std::uint64_t id;
+  parallel::FrameSocket socket;
+  Rng chaos_rng;
+  /// Accepted submissions whose result frame has not been queued yet:
   /// request_id -> the gateway-side job to cancel if the peer vanishes.
   std::map<std::uint64_t, service::JobId> pending;
-  /// Results the gateway delivered, in arrival order, for the reader to ship.
-  std::vector<std::pair<std::uint64_t, service::JobResult>> outbox;
+  /// Frames the socket has not taken yet, oldest first; the first
+  /// `tx_sent` bytes of the front one are already out.
+  std::deque<std::vector<std::uint8_t>> tx;
+  std::size_t tx_sent = 0;
   /// Sticky tenant tag: the last non-empty tenant this connection submitted
   /// under. Empty-tenant submissions inherit it, so a client can state its
   /// identity once and stay terse afterwards.
   service::TenantId tenant_tag;
-
-  std::atomic<bool> closed{false};       ///< no further sends
-  std::atomic<bool> reader_done{false};  ///< reader exited
-
-  std::thread reader;  // joined by accept-loop reap or stop()
+  /// Restarts when a frame arrives and when a result ships: silence only
+  /// counts once nothing is owed.
+  Stopwatch idle;
+  bool closed = false;  ///< dropped: no further reads or sends
 };
 
 Expected<std::unique_ptr<Server>> Server::start(service::JobGateway& gateway,
                                                 ServerConfig config) {
+  auto inbox = std::make_shared<Inbox>();
+  if (inbox->fd < 0) return errno_status("eventfd");
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return errno_status("socket");
   const int one = 1;
@@ -112,35 +122,28 @@ Expected<std::unique_ptr<Server>> Server::start(service::JobGateway& gateway,
     ::close(fd);
     return status;
   }
-  return std::unique_ptr<Server>(
-      new Server(gateway, std::move(config), fd, ntohs(bound.sin_port)));
+  return std::unique_ptr<Server>(new Server(gateway, std::move(config), fd,
+                                            ntohs(bound.sin_port),
+                                            std::move(inbox)));
 }
 
 Server::Server(service::JobGateway& gateway, ServerConfig config, int listen_fd,
-               std::uint16_t port)
+               std::uint16_t port, std::shared_ptr<Inbox> inbox)
     : gateway_(gateway),
       config_(std::move(config)),
       listen_fd_(listen_fd),
       port_(port),
       chaos_corrupt_ppm_(env_u32("PTS_CHAOS_NET_CORRUPT_PPM")),
-      chaos_drop_ppm_(env_u32("PTS_CHAOS_NET_DROP_PPM")) {
+      chaos_drop_ppm_(env_u32("PTS_CHAOS_NET_DROP_PPM")),
+      inbox_(std::move(inbox)) {
   if (chaos_corrupt_ppm_ != 0 || chaos_drop_ppm_ != 0) {
     PTS_LOG_WARN("net: chaos enabled (corrupt_ppm=%u drop_ppm=%u)",
                  chaos_corrupt_ppm_, chaos_drop_ppm_);
   }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  loop_ = std::thread([this] { loop(); });
 }
 
 Server::~Server() { stop(); }
-
-std::size_t Server::active_connections() const {
-  std::scoped_lock lock(connections_mutex_);
-  std::size_t live = 0;
-  for (const auto& conn : connections_) {
-    if (!conn->reader_done.load(std::memory_order_acquire)) ++live;
-  }
-  return live;
-}
 
 NetStats Server::stats() const {
   NetStats s;
@@ -155,136 +158,94 @@ NetStats Server::stats() const {
   return s;
 }
 
-std::size_t Server::outstanding_submissions() const {
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    conns = connections_;
-  }
-  std::size_t outstanding = 0;
-  for (const auto& conn : conns) {
-    std::scoped_lock lock(conn->mutex);
-    outstanding += conn->pending.size();
-  }
-  return outstanding;
-}
-
 bool Server::drain(double timeout_seconds) {
   draining_.store(true, std::memory_order_release);
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    conns = connections_;
-  }
-  for (const auto& conn : conns) {
-    if (!conn->reader_done.load(std::memory_order_acquire)) {
-      send_frame(conn, encode_goodbye({"server is draining"}));
-    }
-  }
-  const Deadline deadline = Deadline::after_seconds(timeout_seconds);
-  while (outstanding_submissions() != 0) {
-    if (deadline.expired()) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return true;
+  inbox_->wake();
+  std::unique_lock lock(drain_mutex_);
+  drain_cv_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+                     [this] { return drained_ || loop_exited_; });
+  return drained_;
 }
 
 void Server::stop() {
   if (stopped_.exchange(true)) return;
-  draining_.store(true, std::memory_order_release);
-  stop_source_.request_cancel();
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
+  inbox_->wake();
+  if (loop_.joinable()) loop_.join();
+}
+
+void Server::loop() {
+  std::vector<pollfd> fds;
+  int wait_ms = -1;
+  // A stopped server must not pick up a request after its stop, even one
+  // whose bytes are already waiting.
+  while (!stopped_.load(std::memory_order_acquire)) {
+    fds.assign({{inbox_->fd, POLLIN, 0}, {listen_fd_, POLLIN, 0}});
+    for (const auto& [id, conn] : connections_) {
+      const short events = conn.tx.empty() ? POLLIN : POLLIN | POLLOUT;
+      fds.push_back({conn.socket.fd(), events, 0});
+    }
+    (void)::poll(fds.data(), fds.size(), wait_ms);
+    if (stopped_.load(std::memory_order_acquire)) break;
+    if (fds[0].revents != 0) ship_results();
+    if (fds[1].revents != 0) accept_connection();
+    // Nothing is erased before the sweep, and a new connection's id sorts
+    // last: the first fds.size() - 2 entries are the polled ones, in order.
+    auto conn = connections_.begin();
+    for (std::size_t k = 2; k < fds.size(); ++k, ++conn) {
+      if ((fds[k].revents & POLLOUT) != 0) flush(conn->second);
+      if ((fds[k].revents & ~POLLOUT) != 0) read_frames(conn->second);
+    }
+    wait_ms = sweep_connections();
+  }
+  for (auto& [id, conn] : connections_) abandon_connection(conn);
+  connections_.clear();
+  ::close(listen_fd_);
+  {
+    std::scoped_lock lock(drain_mutex_);
+    loop_exited_ = true;
+  }
+  drain_cv_.notify_all();
+}
+
+void Server::accept_connection() {
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd < 0) {
+    if (errno == EINTR || errno == EAGAIN || errno == ECONNABORTED) return;
+    // Stop accepting: the loop skips a negative fd, and the connections
+    // already accepted keep their service.
+    PTS_LOG_ERROR("net: accept failed: %s", std::strerror(errno));
     ::close(listen_fd_);
     listen_fd_ = -1;
+    return;
   }
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    conns.swap(connections_);
+  // Kernel-level liveness probing backs up the application-level idle
+  // reap: a peer that is gone (not merely quiet) eventually errors the fd.
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
+
+  const bool over_cap = connections_.size() >= config_.max_connections;
+  if (draining_.load(std::memory_order_acquire) || over_cap) {
+    // Accept-then-refuse: the peer gets an explicit verdict instead of a
+    // connection parked forever in the kernel backlog. A fresh socket's
+    // buffer takes the frame whole.
+    const auto goodbye = encode_goodbye(
+        {over_cap ? "server at connection capacity" : "server is draining"});
+    (void)::send(fd, goodbye.data(), goodbye.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    ::close(fd);
+    connections_turned_away_.fetch_add(1);
+    return;
   }
-  // Each woken reader sees the cancelled token, cancels its outstanding
-  // submissions and exits; results the gateway delivers later find the
-  // connection closed and are dropped.
-  for (const auto& conn : conns) conn->wake();
-  for (const auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+
+  std::uint64_t mix = ++accepted_;
+  connections_.try_emplace(accepted_, accepted_, fd,
+                           splitmix64(mix) ^ static_cast<std::uint64_t>(fd));
+  connections_accepted_.fetch_add(1);
+  obs::metrics().counter("net_connections_total").add();
 }
 
-void Server::accept_loop() {
-  const CancelToken stop = stop_source_.token();
-  std::uint64_t accept_seq = 0;
-  while (!stop.cancel_requested()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (stop.cancel_requested()) break;
-    if (rc <= 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == ECONNABORTED) continue;
-      PTS_LOG_ERROR("net: accept failed: %s", std::strerror(errno));
-      break;
-    }
-    ++accept_seq;
-    // Kernel-level liveness probing backs up the application-level idle
-    // reap: a peer that is gone (not merely quiet) eventually errors the fd.
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
-
-    // Reap connections whose reader finished, so a long-lived server does
-    // not accrete dead Connection records.
-    {
-      std::scoped_lock lock(connections_mutex_);
-      std::erase_if(connections_, [](const std::shared_ptr<Connection>& conn) {
-        if (!conn->reader_done.load(std::memory_order_acquire)) return false;
-        if (conn->reader.joinable()) conn->reader.join();
-        return true;
-      });
-    }
-
-    const bool over_cap = active_connections() >= config_.max_connections;
-    if (draining_.load(std::memory_order_acquire) || over_cap) {
-      // Accept-then-refuse: the peer gets an explicit verdict instead of a
-      // connection parked forever in the kernel backlog.
-      parallel::FrameSocket refused(fd);
-      (void)refused.send_frame(encode_goodbye(
-          {over_cap ? "server at connection capacity" : "server is draining"}));
-      connections_turned_away_.fetch_add(1);
-      continue;
-    }
-
-    std::uint64_t mix = accept_seq;
-    auto conn = std::make_shared<Connection>(
-        fd, splitmix64(mix) ^ static_cast<std::uint64_t>(fd));
-    connections_accepted_.fetch_add(1);
-    obs::metrics().counter("net_connections_total").add();
-    {
-      std::scoped_lock lock(connections_mutex_);
-      connections_.push_back(conn);
-    }
-    conn->reader = std::thread([this, conn] { reader_loop(conn); });
-  }
-}
-
-void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
-  const CancelToken stop = stop_source_.token();
-  // Waits for bytes or results run in bounded slices so a byte-silent peer
-  // cannot park this thread forever: each slice re-checks the idle clock.
-  // The slice is a quarter of the timeout (capped) so short test timeouts
-  // stay responsive without spinning production readers.
-  const double idle_timeout = config_.idle_timeout_seconds;
-  const int slice_ms =
-      idle_timeout > 0 ? std::clamp(static_cast<int>(idle_timeout * 250.0), 1, 100)
-                       : 100;
-  Stopwatch idle;
-  // A fired token wins even over bytes already waiting: a stopped server
-  // must not pick up a request after its stop.
-  while (!stop.cancel_requested()) {
-    // Silence only counts once nothing is owed: the clock restarts when the
-    // last result ships, as it does when a frame arrives.
-    if (ship_results(conn)) idle.restart();
-    auto polled = conn->socket.poll_frame();
+void Server::read_frames(Connection& conn) {
+  while (!conn.closed && !stopped_.load(std::memory_order_acquire)) {
+    auto polled = conn.socket.poll_frame();
     if (!polled) {
       // kUnavailable = peer gone. kInvalidArgument is a malformed header —
       // a protocol error, same disconnect outcome.
@@ -292,89 +253,56 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
         protocol_errors_.fetch_add(1);
         obs::metrics().counter("net_protocol_errors_total").add();
       }
-      break;
+      conn.closed = true;
+      return;
     }
-    if (!*polled) {
-      if (idle_timeout > 0 && idle.elapsed_seconds() >= idle_timeout) {
-        bool quiescent;
-        {
-          std::scoped_lock lock(conn->mutex);
-          quiescent = conn->pending.empty();
-        }
-        // Never reap a connection that is owed a result: a client blocked
-        // in wait() is legitimately silent for the whole solve.
-        if (quiescent) {
-          connections_reaped_.fetch_add(1);
-          obs::metrics().counter("net_idle_reaps_total").add();
-          PTS_LOG_WARN("net: reaping idle connection (%.1fs silent)",
-                       idle.elapsed_seconds());
-          break;
-        }
-      }
-      pollfd fds[2] = {{conn->socket.fd(), POLLIN, 0},
-                       {conn->wake_fd, POLLIN, 0}};
-      (void)::poll(fds, 2, slice_ms);
-      continue;
+    if (!*polled) return;  // the rest is still in flight
+    conn.idle.restart();
+    if (chaos_drop_ppm_ != 0 &&
+        conn.chaos_rng.next_below(1'000'000) < chaos_drop_ppm_) {
+      chaos_injections_.fetch_add(1);
+      PTS_LOG_WARN("net: chaos dropping connection");
+      conn.closed = true;
+      return;
     }
-    const parallel::wire::Frame& frame = **polled;
-    idle.restart();
-    if (chaos_drop_ppm_ != 0) {
-      std::scoped_lock lock(conn->write_mutex);
-      if (conn->chaos_rng.next_below(1'000'000) < chaos_drop_ppm_) {
-        chaos_injections_.fetch_add(1);
-        PTS_LOG_WARN("net: chaos dropping connection");
-        break;
-      }
-    }
-    bool ok = false;
-    if (is_peer_type(frame.type)) {
-      // The peer range exists only on servers fronting a cluster node; a
-      // plain pts_serve treats it like any other out-of-place frame.
-      if (config_.peer_handler != nullptr) {
-        peer_frames_.fetch_add(1);
-        auto replies =
-            config_.peer_handler->on_peer_frame(frame.type, frame.payload);
-        if (replies) {
-          for (auto& reply : *replies) send_frame(conn, std::move(reply));
-          ok = true;
-        }
-      }
-    } else {
-      switch (frame.type) {
-        case parallel::wire::MessageType::kSubmitJob:
-          ok = handle_submit(conn, frame.payload);
-          break;
-        case parallel::wire::MessageType::kCancelJob: {
-          auto cancel = decode_cancel_job(frame.payload);
-          if (cancel) {
-            service::JobId id = 0;
-            {
-              std::scoped_lock lock(conn->mutex);
-              auto it = conn->pending.find(cancel->request_id);
-              if (it != conn->pending.end()) id = it->second;
-            }
-            // Unknown / already-resolved ids are ignored by contract; the
-            // result frame (kCancelled or the natural outcome) settles it.
-            if (id != 0) (void)gateway_.cancel(id);
-            ok = true;
-          }
-          break;
-        }
-        default:
-          break;  // a client has no business sending any other type
-      }
-    }
-    if (!ok) {
+    if (!handle_frame(conn, **polled)) {
       protocol_errors_.fetch_add(1);
       obs::metrics().counter("net_protocol_errors_total").add();
-      break;
+      conn.closed = true;
+      return;
     }
   }
-  abandon_connection(conn);
-  conn->reader_done.store(true, std::memory_order_release);
 }
 
-bool Server::handle_submit(const std::shared_ptr<Connection>& conn,
+bool Server::handle_frame(Connection& conn, const parallel::wire::Frame& frame) {
+  if (is_peer_type(frame.type)) {
+    // The peer range exists only on servers fronting a cluster node; a
+    // plain pts_serve treats it like any other out-of-place frame.
+    if (config_.peer_handler == nullptr) return false;
+    peer_frames_.fetch_add(1);
+    auto replies = config_.peer_handler->on_peer_frame(frame.type, frame.payload);
+    if (!replies) return false;
+    for (auto& reply : *replies) send_frame(conn, std::move(reply));
+    return true;
+  }
+  switch (frame.type) {
+    case parallel::wire::MessageType::kSubmitJob:
+      return handle_submit(conn, frame.payload);
+    case parallel::wire::MessageType::kCancelJob: {
+      auto cancel = decode_cancel_job(frame.payload);
+      if (!cancel) return false;
+      // Unknown / already-resolved ids are ignored by contract; the result
+      // frame (kCancelled or the natural outcome) settles it.
+      auto it = conn.pending.find(cancel->request_id);
+      if (it != conn.pending.end()) (void)gateway_.cancel(it->second);
+      return true;
+    }
+    default:
+      return false;  // a client has no business sending any other type
+  }
+}
+
+bool Server::handle_submit(Connection& conn,
                            std::span<const std::uint8_t> payload) {
   auto decoded = decode_submit_job(payload);
   if (!decoded) return false;
@@ -390,13 +318,10 @@ bool Server::handle_submit(const std::shared_ptr<Connection>& conn,
     return true;
   }
 
-  {
-    std::scoped_lock lock(conn->mutex);
-    if (m.tenant.empty()) {
-      m.tenant = conn->tenant_tag;
-    } else {
-      conn->tenant_tag = m.tenant;
-    }
+  if (m.tenant.empty()) {
+    m.tenant = conn.tenant_tag;
+  } else {
+    conn.tenant_tag = m.tenant;
   }
 
   service::SubmitRequest request;
@@ -412,18 +337,19 @@ bool Server::handle_submit(const std::shared_ptr<Connection>& conn,
   request.options.proc.worker_path = config_.worker_path;
 
   // The gateway may call back before submit() returns and on any thread;
-  // the callback only queues the result for this connection's reader, which
-  // sends it after the ack below.
+  // the callback only queues the result, and the loop ships it after the
+  // ack below.
   const std::uint64_t request_id = m.request_id;
   auto ticket = gateway_.submit(
       std::move(request),
-      [weak = std::weak_ptr<Connection>(conn),
+      [inbox = std::weak_ptr<Inbox>(inbox_), connection = conn.id,
        request_id](service::JobResult result) {
-        const auto target = weak.lock();
-        if (!target || target->closed.load(std::memory_order_acquire)) return;
+        const auto target = inbox.lock();
+        if (!target) return;  // the server is gone
         {
           std::scoped_lock lock(target->mutex);
-          target->outbox.emplace_back(request_id, std::move(result));
+          target->completions.push_back(
+              {connection, request_id, std::move(result)});
         }
         target->wake();
       });
@@ -436,25 +362,25 @@ bool Server::handle_submit(const std::shared_ptr<Connection>& conn,
   ack.job_id = ticket->id;
   ack.content_hash = ticket->content_hash;
   ack.deduplicated = ticket->deduplicated;
-  {
-    std::scoped_lock lock(conn->mutex);
-    conn->pending.emplace(request_id, ticket->id);
-  }
+  conn.pending.emplace(request_id, ticket->id);
   send_frame(conn, encode_submit_ack(ack));
   return true;
 }
 
-bool Server::ship_results(const std::shared_ptr<Connection>& conn) {
-  // Reset the signal before taking the outbox: a result queued after the
+void Server::ship_results() {
+  // Reset the signal before taking the inbox: a result queued after the
   // swap signals again, so the next poll wakes for it.
   eventfd_t signals = 0;
-  (void)::eventfd_read(conn->wake_fd, &signals);
-  std::vector<std::pair<std::uint64_t, service::JobResult>> done;
+  (void)::eventfd_read(inbox_->fd, &signals);
+  std::vector<Inbox::Completion> done;
   {
-    std::scoped_lock lock(conn->mutex);
-    done.swap(conn->outbox);
+    std::scoped_lock lock(inbox_->mutex);
+    done.swap(inbox_->completions);
   }
-  for (auto& [request_id, result] : done) {
+  for (auto& [connection, request_id, result] : done) {
+    auto it = connections_.find(connection);
+    if (it == connections_.end()) continue;  // the peer vanished: dropped
+    Connection& conn = it->second;
     // Stream the anytime curve in bounded chunks, then the terminal frame.
     for (std::size_t offset = 0; offset < result.anytime.size();
          offset += kMaxAnytimeSamplesPerEvent) {
@@ -483,56 +409,100 @@ bool Server::ship_results(const std::shared_ptr<Connection>& conn) {
     terminal.deduplicated = result.deduplicated;
     terminal.warm_started = result.warm_started;
     send_frame(conn, encode_job_result(terminal));
-    // Retired only once shipped: drain() waits on `pending`.
-    std::scoped_lock lock(conn->mutex);
-    conn->pending.erase(request_id);
+    conn.pending.erase(request_id);
+    conn.idle.restart();
   }
-  return !done.empty();
 }
 
-void Server::abandon_connection(const std::shared_ptr<Connection>& conn) {
-  std::vector<service::JobId> orphans;
-  {
-    std::scoped_lock lock(conn->mutex);
-    orphans.reserve(conn->pending.size());
-    for (const auto& [request_id, job_id] : conn->pending) {
-      orphans.push_back(job_id);
+int Server::sweep_connections() {
+  const bool draining = draining_.load(std::memory_order_acquire);
+  const bool say_goodbye = draining && !std::exchange(goodbye_sent_, true);
+  const double timeout = config_.idle_timeout_seconds;
+  double wait = std::numeric_limits<double>::infinity();
+  bool owed = false;
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    Connection& conn = it->second;
+    if (say_goodbye) send_frame(conn, encode_goodbye({"server is draining"}));
+    // Never reap a connection that is owed a result: a client blocked in
+    // wait() is legitimately silent for the whole solve.
+    if (!conn.closed && timeout > 0 && conn.pending.empty()) {
+      const double silent = conn.idle.elapsed_seconds();
+      if (silent >= timeout) {
+        connections_reaped_.fetch_add(1);
+        obs::metrics().counter("net_idle_reaps_total").add();
+        PTS_LOG_WARN("net: reaping idle connection (%.1fs silent)", silent);
+        conn.closed = true;
+      } else {
+        wait = std::min(wait, timeout - silent);
+      }
     }
-    conn->pending.clear();
+    if (conn.closed) {
+      abandon_connection(conn);
+      it = connections_.erase(it);
+      continue;
+    }
+    owed = owed || !conn.pending.empty() || !conn.tx.empty();
+    ++it;
   }
-  conn->closed.store(true, std::memory_order_release);
-  const bool stopping = stop_source_.token().cancel_requested();
-  for (const auto id : orphans) {
+  if (draining) {
+    {
+      std::scoped_lock lock(drain_mutex_);
+      drained_ = !owed;
+    }
+    if (!owed) drain_cv_.notify_all();
+  }
+  // Capped at a day so the milliseconds fit an int; a later wake re-sweeps.
+  return std::isinf(wait) ? -1
+                          : static_cast<int>(std::ceil(std::min(wait, 86400.0) * 1000.0));
+}
+
+void Server::abandon_connection(Connection& conn) {
+  const bool stopping = stopped_.load(std::memory_order_acquire);
+  for (const auto& [request_id, job_id] : conn.pending) {
     // Cancel exactly this connection's stake: on a deduplicated solve the
     // service detaches one waiter and the run continues for everyone else.
-    if (gateway_.cancel(id) && !stopping) {
+    if (gateway_.cancel(job_id) && !stopping) {
       disconnect_cancels_.fetch_add(1);
       obs::metrics().counter("net_disconnect_cancels_total").add();
     }
   }
-  // Wake anything blocked on the fd; the fd itself stays allocated until the
-  // Connection (and with it the FrameSocket) is destroyed, so concurrent
-  // sends cannot race a reused descriptor.
-  if (conn->socket.valid()) ::shutdown(conn->socket.fd(), SHUT_RDWR);
+  conn.pending.clear();
+  conn.closed = true;
 }
 
-void Server::send_frame(const std::shared_ptr<Connection>& conn,
-                        std::vector<std::uint8_t> frame) {
-  std::scoped_lock lock(conn->write_mutex);
-  if (conn->closed.load(std::memory_order_acquire)) return;
+void Server::send_frame(Connection& conn, std::vector<std::uint8_t> frame) {
+  if (conn.closed) return;
   if (chaos_corrupt_ppm_ != 0 &&
-      conn->chaos_rng.next_below(1'000'000) < chaos_corrupt_ppm_) {
+      conn.chaos_rng.next_below(1'000'000) < chaos_corrupt_ppm_) {
     // Prefer flipping a payload byte (exercises the payload decoders);
     // header-only frames get their header flipped instead.
     const std::size_t lo =
         frame.size() > parallel::wire::kHeaderBytes ? parallel::wire::kHeaderBytes : 0;
-    const std::size_t index = lo + conn->chaos_rng.index(frame.size() - lo);
-    frame[index] ^= static_cast<std::uint8_t>(1u << conn->chaos_rng.index(8));
+    const std::size_t index = lo + conn.chaos_rng.index(frame.size() - lo);
+    frame[index] ^= static_cast<std::uint8_t>(1u << conn.chaos_rng.index(8));
     chaos_injections_.fetch_add(1);
     obs::metrics().counter("net_chaos_injections_total").add();
   }
-  if (!conn->socket.send_frame(frame).ok()) {
-    conn->closed.store(true, std::memory_order_release);
+  conn.tx.push_back(std::move(frame));
+  if (conn.tx.size() == 1) flush(conn);
+}
+
+void Server::flush(Connection& conn) {
+  while (!conn.closed && !conn.tx.empty()) {
+    const auto& front = conn.tx.front();
+    // MSG_NOSIGNAL: a vanished peer surfaces as EPIPE, not as SIGPIPE.
+    const ssize_t n = ::send(conn.socket.fd(), front.data() + conn.tx_sent,
+                             front.size() - conn.tx_sent,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) conn.closed = true;
+      return;
+    }
+    conn.tx_sent += static_cast<std::size_t>(n);
+    if (conn.tx_sent < front.size()) return;  // full: wait for POLLOUT
+    conn.tx.pop_front();
+    conn.tx_sent = 0;
   }
 }
 

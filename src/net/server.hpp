@@ -6,13 +6,17 @@
 // the cluster coordinator (cluster/coordinator.hpp) for pts_cluster, which
 // shards the same submissions across peer nodes (DESIGN.md §11).
 //
-// Threading model. One accept thread and one reader thread per connection;
-// no thread per submission. Each accepted submission hands the gateway a
-// completion callback that queues the JobResult on its connection's outbox
-// and signals the connection's eventfd (it holds the connection only as a
-// weak_ptr). The reader polls the socket and the eventfd together, and it
-// alone sends SubmitAck, JobEvent and JobResult frames, so a request's ack
-// always precedes its events and result. The gateway calls every accepted
+// Threading model. One loop thread per Server polls the listen socket, one
+// eventfd and every connection; it accepts, handles every frame inline (the
+// gateway's submit and cancel and the PeerHandler run on it) and alone
+// sends. An accepted submission's completion callback queues its result on
+// the server's inbox and writes the eventfd; it holds the inbox as a
+// weak_ptr, so one that fires inside submit() or after stop() only queues.
+// The loop ships the inbox after the ack it sent from the submit, so a
+// request's ack always precedes its events and result. Each frame goes out
+// with one non-blocking send; what the socket does not take waits on the
+// connection's tx queue until it polls writable, so a peer that stops
+// reading stalls only itself. The gateway calls every accepted
 // submission's callback exactly once, so every owed result ships and
 // drain() terminates.
 //
@@ -20,24 +24,25 @@
 // malformed frame cancels exactly the waiters it created (gateway cancel per
 // outstanding submission): a deduplicated solve shared with other
 // connections keeps running for them — the vanished peer loses only its own
-// stake. Results that arrive after the disconnect find the connection
-// closed (or gone) and are dropped, never blocked on.
+// stake. Results that arrive after the disconnect find the connection gone
+// and are dropped.
 //
-// Half-open reaping. Readers never block forever on a silent peer: accepted
-// sockets run with TCP keepalive, and a connection that stays byte-silent
-// for ServerConfig::idle_timeout_seconds with NO outstanding submissions is
-// reaped (a client blocked in wait() has outstanding work, so it is never
-// reaped while a result is owed — and cluster peer links ping well inside
-// any sane timeout). This is what keeps a dead NAT entry or a kill -9'd
-// client from pinning a reader thread and a connection slot forever.
+// Half-open reaping. Accepted sockets run with TCP keepalive, and a
+// connection that stays byte-silent for ServerConfig::idle_timeout_seconds
+// with NO outstanding submissions is reaped (a client blocked in wait() has
+// outstanding work, so it is never reaped while a result is owed — and
+// cluster peer links ping well inside any sane timeout). The loop sleeps
+// until the nearest reap deadline. This is what keeps a dead NAT entry or a
+// kill -9'd client from pinning a connection slot forever.
 //
-// Drain. drain(timeout) stops accepting, sends every connected client a
+// Drain. drain(timeout) stops accepting, has the loop send every client a
 // Goodbye frame, and waits up to the timeout for outstanding submissions to
-// resolve and ship. stop() then (or directly, for an immediate shutdown)
-// cancels whatever is still outstanding and joins every thread; it does not
-// wait for the gateway to resolve those cancels. Jobs the service journals
-// stay open across a cancel-by-shutdown, so a pts_serve restarted with the
-// same --journal re-enqueues them (DESIGN.md §9).
+// resolve and their frames to leave. stop() then (or directly, for an
+// immediate shutdown) has the loop cancel whatever is still outstanding and
+// close every connection, and joins it; it does not wait for the gateway to
+// resolve those cancels. Jobs the service journals stay open across a
+// cancel-by-shutdown, so a pts_serve restarted with the same --journal
+// re-enqueues them (DESIGN.md §9).
 //
 // Chaos. Two env knobs extend the PTS_CHAOS_* family across the client
 // boundary, exercised by tests/net/:
@@ -48,7 +53,9 @@
 //                              the peer vanished mid-conversation
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -58,7 +65,6 @@
 
 #include "parallel/wire.hpp"
 #include "service/gateway.hpp"
-#include "util/cancel.hpp"
 #include "util/status.hpp"
 
 namespace pts::net {
@@ -74,9 +80,10 @@ class PeerHandler {
   /// Handles one inbound peer frame; returned frames are sent back on the
   /// same connection, in order (an empty vector is a valid answer — e.g. a
   /// partition-chaos window swallowing a ping). A non-OK status is a
-  /// protocol error: the server drops the connection. Called from the
-  /// connection's reader thread; implementations synchronize their own
-  /// state.
+  /// protocol error: the server drops the connection. Called on the
+  /// server's loop thread, which serves every connection, so a slow handler
+  /// stalls the whole front door (PTS_CHAOS_NODE_STALL_MS does this on
+  /// purpose: a stalled node). Implementations synchronize their own state.
   [[nodiscard]] virtual Expected<std::vector<std::vector<std::uint8_t>>>
   on_peer_frame(parallel::wire::MessageType type,
                 std::span<const std::uint8_t> payload) = 0;
@@ -102,7 +109,7 @@ struct ServerConfig {
   /// Reap a connection that has been byte-silent this long with no
   /// outstanding submissions (half-open peer, dead NAT entry, vanished
   /// client). A connection that is owed a result is never reaped. 0 turns
-  /// reaping off (readers still honour stop()).
+  /// reaping off.
   double idle_timeout_seconds = 300.0;
   /// Non-null: this server answers cluster peer frames through the handler
   /// (it is a worker node's front door). Null: peer frames are protocol
@@ -124,7 +131,7 @@ struct NetStats {
 
 class Server {
  public:
-  /// Binds, listens (port() is final on return) and starts accepting.
+  /// Binds, listens (port() is final on return) and starts the loop.
   /// The gateway must outlive the Server.
   [[nodiscard]] static Expected<std::unique_ptr<Server>> start(
       service::JobGateway& gateway, ServerConfig config);
@@ -135,7 +142,6 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] std::size_t active_connections() const;
   [[nodiscard]] NetStats stats() const;
 
   /// Graceful wind-down: stops accepting, sends Goodbye to every client,
@@ -144,46 +150,59 @@ class Server {
   bool drain(double timeout_seconds);
 
   /// Stops accepting, cancels every outstanding submission, closes all
-  /// connections and joins every thread. Idempotent; the destructor calls it.
+  /// connections and joins the loop. Idempotent; the destructor calls it.
   void stop();
 
  private:
   struct Connection;
+  struct Inbox;
 
   Server(service::JobGateway& gateway, ServerConfig config, int listen_fd,
-         std::uint16_t port);
+         std::uint16_t port, std::shared_ptr<Inbox> inbox);
 
-  void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  /// Returns false on an undecodable submission (the reader drops the
-  /// connection); admission failures are answered with a non-OK ack.
-  bool handle_submit(const std::shared_ptr<Connection>& conn,
-                     std::span<const std::uint8_t> payload);
-  /// Sends every result queued on the outbox (anytime chunks, then the
-  /// terminal frame) and retires its pending entry. Returns whether any
-  /// shipped. Reader thread only.
-  bool ship_results(const std::shared_ptr<Connection>& conn);
+  // Everything below runs on the loop thread.
+  void loop();
+  void accept_connection();
+  /// Handles every whole frame the socket has; an error closes the link.
+  void read_frames(Connection& conn);
+  /// Both return false on a protocol error (an admission failure is
+  /// answered with a non-OK ack).
+  bool handle_frame(Connection& conn, const parallel::wire::Frame& frame);
+  bool handle_submit(Connection& conn, std::span<const std::uint8_t> payload);
+  /// Sends each inbox result (anytime chunks, then the terminal frame).
+  void ship_results();
+  /// Drops closed and idle connections and, once draining, says Goodbye
+  /// (once) and tells drain() whether anything is still owed. Returns the
+  /// poll timeout in ms to the nearest reap deadline (-1: none).
+  int sweep_connections();
   /// Cancels every submission the connection still has outstanding
   /// (disconnect => waiter cancel) and marks it closed.
-  void abandon_connection(const std::shared_ptr<Connection>& conn);
-  /// Sends one frame under the connection's write lock, applying the
-  /// corrupt-chaos knob. A failed send marks the connection closed.
-  void send_frame(const std::shared_ptr<Connection>& conn,
-                  std::vector<std::uint8_t> frame);
-  std::size_t outstanding_submissions() const;
+  void abandon_connection(Connection& conn);
+  /// Queues one frame (after the corrupt-chaos knob); sends it at once if
+  /// nothing is queued ahead of it.
+  void send_frame(Connection& conn, std::vector<std::uint8_t> frame);
+  /// Sends queued frames until the socket is full; a send error closes.
+  void flush(Connection& conn);
 
   service::JobGateway& gateway_;
   ServerConfig config_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  CancelSource stop_source_;  ///< fires in stop(): unblocks every reader
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stopped_{false};
   std::uint32_t chaos_corrupt_ppm_ = 0;
   std::uint32_t chaos_drop_ppm_ = 0;
+  const std::shared_ptr<Inbox> inbox_;
+  std::atomic<bool> draining_{false};
+  std::atomic<bool> stopped_{false};
 
-  mutable std::mutex connections_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  // Loop thread only.
+  std::map<std::uint64_t, Connection> connections_;
+  std::uint64_t accepted_ = 0;  ///< connection ids
+  bool goodbye_sent_ = false;
+
+  std::mutex drain_mutex_;
+  std::condition_variable drain_cv_;
+  bool drained_ = false;      ///< guarded by drain_mutex_
+  bool loop_exited_ = false;  ///< guarded by drain_mutex_
 
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_turned_away_{0};
@@ -194,7 +213,7 @@ class Server {
   std::atomic<std::uint64_t> peer_frames_{0};
   std::atomic<std::uint64_t> chaos_injections_{0};
 
-  std::thread acceptor_;  // started last, joined by stop()
+  std::thread loop_;  // started last, joined by stop()
 };
 
 }  // namespace pts::net

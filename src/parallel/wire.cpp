@@ -101,6 +101,11 @@ Expected<mkp::Instance> get_instance(Reader& r) {
   if (!r.ok()) return truncated("instance");
   mkp::Instance inst(std::move(name), std::move(profits), std::move(weights),
                      std::move(capacities));
+  // A NaN profit would stall the search forever; refuse what the solver
+  // cannot order or bound.
+  if (const auto issues = inst.validate(); !issues.empty()) {
+    return Status::invalid_argument("wire: instance " + issues.front());
+  }
   if (has_opt) inst.set_known_optimum(opt);
   return inst;
 }

@@ -251,6 +251,8 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   std::optional<parallel::ParallelConfig> preset;
   if (!waiter->instance) {
     invalid = Status::invalid_argument("null instance");
+  } else if (const auto issues = waiter->instance->validate(); !issues.empty()) {
+    invalid = Status::invalid_argument("instance " + issues.front());
   } else if (waiter->options.time_budget_seconds <= 0.0) {
     invalid = Status::invalid_argument("time_budget_seconds must be positive");
   } else if (waiter->options.deadline_seconds &&

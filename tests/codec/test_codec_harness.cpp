@@ -11,18 +11,22 @@
 //     allocates what the input cannot hold (fatal under the ASan smoke);
 //   - every sample that carries a solution is refused once one of its
 //     solutions is swapped for one whose value matches its bits but which
-//     breaks a constraint.
+//     breaks a constraint;
+//   - every sample that carries an instance is refused once one of its
+//     profits is NaN.
 //
 // A frame type added without a table entry fails TableCoversEveryHeaderType.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -459,6 +463,40 @@ TEST(CodecHarness, InfeasibleSolutionIsRefusedByEveryCarrier) {
   }
   // Assignment, report, job result, snapshot and warm-start entry.
   EXPECT_EQ(carriers.size(), 5U);
+}
+
+TEST(CodecHarness, NanProfitIsRefusedByEveryInstanceCarrier) {
+  // The sample instance's profits, as the codec lays them out: n doubles.
+  Bytes profits;
+  for (const double p : instance().profits()) {
+    put_le(profits, std::bit_cast<std::uint64_t>(p), 8);
+  }
+  const auto nan = std::bit_cast<std::uint64_t>(
+      std::numeric_limits<double>::quiet_NaN());
+
+  std::set<std::string> carriers;
+  for (const auto& c : all_cases()) {
+    const auto at =
+        std::search(c.bytes.begin(), c.bytes.end(), profits.begin(), profits.end());
+    if (at == c.bytes.end()) continue;
+    Bytes bytes = c.bytes;
+    const auto offset = static_cast<std::size_t>(at - c.bytes.begin());
+    for (int k = 0; k < 8; ++k) {
+      bytes[offset + static_cast<std::size_t>(k)] =
+          static_cast<std::uint8_t>(nan >> (8 * k));
+    }
+    const Status status = c.decode(bytes);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << c.name << " took a NaN profit";
+    // Frames surface the decoder's reason; the journal replay just stops.
+    if (c.type) {
+      EXPECT_NE(status.message().find("profit of item 0"), std::string::npos)
+          << c.name << ": " << status.to_string();
+    }
+    carriers.insert(c.name);
+  }
+  // Hello, submit job, peer replicate and the journal's kSubmitted body.
+  EXPECT_EQ(carriers.size(), 4U);
 }
 
 // The same generic sweeps, split so each protocol range keeps its suite.

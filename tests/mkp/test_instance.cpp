@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace pts::mkp {
 namespace {
@@ -113,6 +114,19 @@ TEST(Instance, ValidateFlagsNegativeWeightAndCapacity) {
   Instance inst("bad", {1, 1}, {-1, 1}, {-2});
   const auto issues = inst.validate();
   EXPECT_EQ(issues.size(), 2U);
+}
+
+TEST(Instance, ValidateFlagsNonFiniteValues) {
+  // NaN fails every ordered comparison, so each check must be written to
+  // reject it; infinities are refused too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Instance("p", {nan, 1}, {1, 1}, {2}).validate().size(), 1U);
+  EXPECT_EQ(Instance("p", {inf, 1}, {1, 1}, {2}).validate().size(), 1U);
+  EXPECT_EQ(Instance("w", {1, 1}, {nan, inf}, {2}).validate().size(), 2U);
+  EXPECT_EQ(Instance("c", {1, 1}, {1, 1}, {nan}).validate().size(), 1U);
+  EXPECT_EQ(Instance("c", {1, 1}, {1, 1}, {inf}).validate().size(), 1U);
+  EXPECT_TRUE(Instance("z", {1, 1}, {0, 1}, {0}).validate().empty());
 }
 
 TEST(Instance, EveryItemFits) {

@@ -89,6 +89,31 @@ TEST(Parser, FractionalCountThrows) {
   EXPECT_THROW(read_orlib_single(in), ParseError);
 }
 
+TEST(Parser, CountsWhoseProductWrapsThrow) {
+  // n = 3 and m = 6148914691236517888: n * m wraps to 2048 in 64 bits. A
+  // parser that sized the weight matrix from the header wrote past it at
+  // the 2049th weight; this one only grows what it reads and runs out of
+  // input (about 6 KB of weights).
+  std::string file = "3 6148914691236517888 0\n1 1 1\n";
+  for (int k = 0; k < 3000; ++k) file += "1 ";
+  std::istringstream in(file);
+  EXPECT_THROW(read_orlib_single(in), ParseError);
+}
+
+TEST(Parser, HugeProblemCountThrowsWithoutReserving) {
+  std::istringstream in("9223372036854774784\n" + std::string(kSingle));
+  EXPECT_THROW(read_orlib(in, "huge"), ParseError);
+}
+
+TEST(Parser, NonFiniteOrNonPositiveValuesThrow) {
+  for (const char* text : {"2 1 0\nnan 4\n1 1\n2\n", "2 1 0\n3 inf\n1 1\n2\n",
+                           "2 1 0\n3 0\n1 1\n2\n", "2 1 0\n3 4\n1 -1\n2\n",
+                           "2 1 0\n3 4\n1 1\nnan\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(read_orlib_single(in), ParseError) << text;
+  }
+}
+
 TEST(Parser, MissingFileThrows) {
   EXPECT_THROW(read_orlib_file("/nonexistent/path/x.txt"), ParseError);
 }

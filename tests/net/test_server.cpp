@@ -9,9 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -321,8 +326,8 @@ TEST(NetServerChaos, DropKnobVanishesTheConnection) {
 
 TEST(NetServer, IdleConnectionIsReapedAfterTimeout) {
   // A connection that never sends a byte (a half-open peer after a crash
-  // or a silent partition) must not hold its reader thread and connection
-  // slot forever: past the idle timeout the server reaps it.
+  // or a silent partition) must not hold its connection slot forever: past
+  // the idle timeout the server reaps it.
   ServerConfig net;
   net.idle_timeout_seconds = 0.3;
   Harness harness({}, net);
@@ -377,16 +382,16 @@ std::size_t count_threads() {
 }
 
 TEST(NetServer, InFlightSubmissionsAddNoThreads) {
-  // Results ship from each connection's reader thread: K submissions in
-  // flight on one connection cost the server no thread of their own.
+  // Results ship from the server's loop thread: K submissions in flight on
+  // one connection cost the server no thread of their own.
   constexpr int kInFlight = 4;
   service::ServiceConfig pool;
   pool.num_workers = 1;
   Harness harness(pool);
   Client client = harness.connect();
 
-  // A refused submission is a full round trip: the reader is up once the
-  // ack comes back.
+  // A refused submission is a full round trip: the connection is up once
+  // the ack comes back.
   auto refused = make_request(make_instance());
   refused.options.preset = "warp-speed";
   ASSERT_FALSE(client.submit(refused));
@@ -424,11 +429,14 @@ TEST(NetServer, InFlightSubmissionsAddNoThreads) {
 }
 
 /// A gateway that answers every submission with a canned result before
-/// submit() returns: inside submit() itself, or from another thread.
+/// submit() returns: inside submit() itself, or from another thread. Its
+/// anytime curve has `samples` points; the default is one more than a
+/// JobEvent carries, so the curve ships in two chunks.
 class ImmediateGateway final : public service::JobGateway {
  public:
-  explicit ImmediateGateway(bool from_other_thread)
-      : from_other_thread_(from_other_thread) {}
+  explicit ImmediateGateway(bool from_other_thread,
+                            std::size_t samples = kMaxAnytimeSamplesPerEvent + 1)
+      : from_other_thread_(from_other_thread), samples_(samples) {}
 
   Expected<service::JobTicket> submit(service::SubmitRequest request,
                                       service::JobCallback on_done) override {
@@ -438,8 +446,7 @@ class ImmediateGateway final : public service::JobGateway {
     result.id = ticket.id;
     result.instance = request.instance;
     result.best_value = 42.0;
-    // More samples than one JobEvent carries: the curve ships in chunks.
-    for (std::size_t k = 0; k <= kMaxAnytimeSamplesPerEvent; ++k) {
+    for (std::size_t k = 0; k < samples_; ++k) {
       result.anytime.push_back({.seconds = static_cast<double>(k),
                                 .value = static_cast<double>(k)});
     }
@@ -454,8 +461,10 @@ class ImmediateGateway final : public service::JobGateway {
 
  private:
   const bool from_other_thread_;
-  service::JobId submitted_ = 0;  // submit() runs on the reader thread only
+  const std::size_t samples_;
+  service::JobId submitted_ = 0;  // submit() runs on the loop thread only
 };
+
 
 /// Submits on a raw socket and checks the frame order the client sees: the
 /// ack first, then the anytime chunks, then the result.
@@ -509,6 +518,135 @@ TEST(NetServerGateway, ResultResolvedInsideSubmitFollowsTheAck) {
 
 TEST(NetServerGateway, ResultResolvedOnAnotherThreadFollowsTheAck) {
   expect_ack_before_result(/*from_other_thread=*/true);
+}
+
+std::vector<std::uint8_t> submit_frame(std::uint64_t request_id,
+                                       const mkp::Instance& inst) {
+  service::JobOptions options;
+  options.preset = "quick";
+  return encode_submit_job({request_id, "prod", 0, std::nullopt,
+                            service::WarmStartPolicy::kDisabled, true, options,
+                            inst});
+}
+
+/// One submission on a raw socket, read through to its result within
+/// `timeout_seconds` in all; returns the number of anytime samples.
+std::size_t round_trip(parallel::FrameSocket& socket, std::uint64_t request_id,
+                       const mkp::Instance& inst, double timeout_seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_seconds);
+  const auto left = [&] {
+    return std::chrono::duration<double>(deadline - std::chrono::steady_clock::now())
+        .count();
+  };
+  EXPECT_TRUE(socket.send_frame(submit_frame(request_id, inst)).ok());
+  std::size_t samples = 0;
+  for (;;) {
+    auto frame = socket.read_frame(std::max(left(), 0.0));
+    EXPECT_TRUE(frame) << frame.status().to_string();
+    if (!frame || frame->type == parallel::wire::MessageType::kJobResult) break;
+    if (frame->type == parallel::wire::MessageType::kSubmitAck) continue;
+    auto event = decode_job_event(frame->payload);
+    EXPECT_TRUE(event) << event.status().to_string();
+    if (event) samples += event->anytime.size();
+  }
+  return samples;
+}
+
+TEST(NetServer, ServerAddsOneThread) {
+  // One loop thread serves the listener and every connection, whatever
+  // their number. The gateway answers inside submit(), so it adds none.
+  constexpr int kConnections = 8;
+  ImmediateGateway gateway(/*from_other_thread=*/false);
+  const auto before = count_threads();
+  auto server = Server::start(gateway, {});
+  ASSERT_TRUE(server) << server.status().to_string();
+  const auto inst = make_instance();
+  std::vector<parallel::FrameSocket> sockets;
+  for (int k = 0; k < kConnections; ++k) {
+    auto socket = dial("127.0.0.1", (*server)->port(), 5.0);
+    ASSERT_TRUE(socket) << socket.status().to_string();
+    sockets.push_back(std::move(*socket));
+    EXPECT_EQ(round_trip(sockets.back(), 1, *inst, 10.0),
+              kMaxAnytimeSamplesPerEvent + 1);
+  }
+  EXPECT_EQ((*server)->stats().connections_accepted,
+            static_cast<std::uint64_t>(kConnections));
+  EXPECT_EQ(count_threads(), before + 1);
+}
+
+TEST(NetServer, ClientThatNeverReadsDoesNotDelayOthers) {
+  // Each result is a long anytime curve (about 1 MiB of JobEvents). One
+  // raw socket submits until far more than its socket buffers hold is owed
+  // to it, and never reads; the server must keep serving everyone else.
+  constexpr std::size_t kSamples = 10 * kMaxAnytimeSamplesPerEvent;
+  constexpr std::uint64_t kStalledSubmits = 16;
+  ImmediateGateway gateway(/*from_other_thread=*/false, kSamples);
+  auto server = Server::start(gateway, {});
+  ASSERT_TRUE(server) << server.status().to_string();
+  const auto inst = make_instance();
+
+  auto stalled = dial("127.0.0.1", (*server)->port(), 5.0);
+  ASSERT_TRUE(stalled) << stalled.status().to_string();
+  const int small = 4096;
+  ::setsockopt(stalled->fd(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  // A server that stopped reading would block these sends: time them out.
+  const timeval send_timeout{1, 0};
+  ::setsockopt(stalled->fd(), SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+               sizeof(send_timeout));
+  std::uint64_t sent = 0;
+  while (sent < kStalledSubmits &&
+         stalled->send_frame(submit_frame(sent + 1, *inst)).ok()) {
+    ++sent;
+  }
+  EXPECT_EQ(sent, kStalledSubmits);
+  const auto admitted_by = std::chrono::steady_clock::now() + 10s;
+  while ((*server)->stats().submissions < sent &&
+         std::chrono::steady_clock::now() < admitted_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ((*server)->stats().submissions, sent);
+
+  auto other = dial("127.0.0.1", (*server)->port(), 5.0);
+  ASSERT_TRUE(other) << other.status().to_string();
+  EXPECT_EQ(round_trip(*other, 1, *inst, /*timeout_seconds=*/5.0), kSamples);
+}
+
+TEST(NetServer, NanProfitSubmissionIsRefusedAndOthersAreStillServed) {
+  // An instance with a NaN profit fails the instance check in the frame
+  // decoder: the submission is a protocol error and its connection is
+  // dropped. Another connection on the same server keeps its service.
+  Harness harness;
+  Client survivor = harness.connect();
+  auto poisoned = dial("127.0.0.1", harness.server->port(), 5.0);
+  ASSERT_TRUE(poisoned) << poisoned.status().to_string();
+
+  const auto inst = make_instance();
+  std::vector<double> profits(inst->profits().begin(), inst->profits().end());
+  profits[0] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < inst->num_constraints(); ++i) {
+    const auto row = inst->weights_row(i);
+    weights.insert(weights.end(), row.begin(), row.end());
+  }
+  const mkp::Instance nan_instance(
+      "nan", std::move(profits), std::move(weights),
+      std::vector<double>(inst->capacities().begin(), inst->capacities().end()));
+  ASSERT_TRUE(poisoned->send_frame(submit_frame(1, nan_instance)).ok());
+  auto answer = poisoned->read_frame(10.0);
+  ASSERT_FALSE(answer) << "got a frame of type "
+                       << static_cast<int>(answer->type);
+  EXPECT_EQ(answer.status().code(), StatusCode::kUnavailable)
+      << answer.status().to_string();
+  EXPECT_EQ(harness.server->stats().protocol_errors, 1u);
+
+  auto good = make_request(inst, /*budget=*/8.0);
+  good.options.target_value = easy_target(*inst);
+  auto job = survivor.submit(good);
+  ASSERT_TRUE(job) << job.status().to_string();
+  auto result = survivor.wait(*job, 60.0);
+  ASSERT_TRUE(result) << result.status().to_string();
+  EXPECT_TRUE(result->status.ok()) << result->status.to_string();
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -103,6 +104,31 @@ TEST(Service, BadOptionsAreRefusedAtAdmission) {
   ASSERT_FALSE(null_handle);
   EXPECT_EQ(null_handle.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(server.stats().invalid, 2U);
+}
+
+TEST(Service, NonFiniteInstanceIsRefusedAtAdmission) {
+  // A NaN profit would make the search order items by a comparator that is
+  // not a strict weak ordering and let swap intensification cycle forever:
+  // an in-process caller gets an admission error, never a held worker.
+  SolverService server({.num_workers = 1});
+  const auto inst = small_instance(4);
+  std::vector<double> profits(inst.profits().begin(), inst.profits().end());
+  profits[3] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < inst.num_constraints(); ++i) {
+    const auto row = inst.weights_row(i);
+    weights.insert(weights.end(), row.begin(), row.end());
+  }
+  SubmitRequest request;
+  request.instance = std::make_shared<const mkp::Instance>(
+      "nan", std::move(profits), std::move(weights),
+      std::vector<double>(inst.capacities().begin(), inst.capacities().end()));
+  auto handle = server.submit(std::move(request));
+  ASSERT_FALSE(handle);
+  EXPECT_EQ(handle.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(handle.status().message().find("profit of item 3"), std::string::npos)
+      << handle.status().to_string();
+  EXPECT_EQ(server.stats().invalid, 1U);
 }
 
 TEST(Service, CancelRunningJobResolvesCancelledWithBestSoFar) {
