@@ -181,7 +181,8 @@ void Server::loop() {
   while (!stopped_.load(std::memory_order_acquire)) {
     fds.assign({{inbox_->fd, POLLIN, 0}, {listen_fd_, POLLIN, 0}});
     for (const auto& [id, conn] : connections_) {
-      const short events = conn.tx.empty() ? POLLIN : POLLIN | POLLOUT;
+      // Backpressure: a connection with unsent bytes is not read.
+      const short events = conn.tx.empty() ? POLLIN : POLLOUT;
       fds.push_back({conn.socket.fd(), events, 0});
     }
     (void)::poll(fds.data(), fds.size(), wait_ms);
@@ -192,8 +193,9 @@ void Server::loop() {
     // last: the first fds.size() - 2 entries are the polled ones, in order.
     auto conn = connections_.begin();
     for (std::size_t k = 2; k < fds.size(); ++k, ++conn) {
-      if ((fds[k].revents & POLLOUT) != 0) flush(conn->second);
-      if ((fds[k].revents & ~POLLOUT) != 0) read_frames(conn->second);
+      if (fds[k].revents == 0) continue;
+      if (fds[k].events == POLLOUT) flush(conn->second);  // a hang-up fails it
+      read_frames(conn->second);  // with what was buffered while stalled
     }
     wait_ms = sweep_connections();
   }
@@ -236,15 +238,16 @@ void Server::accept_connection() {
     return;
   }
 
-  std::uint64_t mix = ++accepted_;
-  connections_.try_emplace(accepted_, accepted_, fd,
+  const std::uint64_t id = connections_accepted_.fetch_add(1) + 1;
+  std::uint64_t mix = id;
+  connections_.try_emplace(id, id, fd,
                            splitmix64(mix) ^ static_cast<std::uint64_t>(fd));
-  connections_accepted_.fetch_add(1);
   obs::metrics().counter("net_connections_total").add();
 }
 
 void Server::read_frames(Connection& conn) {
-  while (!conn.closed && !stopped_.load(std::memory_order_acquire)) {
+  while (!conn.closed && conn.tx.empty() &&
+         !stopped_.load(std::memory_order_acquire)) {
     auto polled = conn.socket.poll_frame();
     if (!polled) {
       // kUnavailable = peer gone. kInvalidArgument is a malformed header —
@@ -271,6 +274,7 @@ void Server::read_frames(Connection& conn) {
       conn.closed = true;
       return;
     }
+    ship_results();  // what submit() resolved follows its ack out now
   }
 }
 

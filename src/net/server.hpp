@@ -15,10 +15,11 @@
 // The loop ships the inbox after the ack it sent from the submit, so a
 // request's ack always precedes its events and result. Each frame goes out
 // with one non-blocking send; what the socket does not take waits on the
-// connection's tx queue until it polls writable, so a peer that stops
-// reading stalls only itself. The gateway calls every accepted
-// submission's callback exactly once, so every owed result ships and
-// drain() terminates.
+// connection's tx queue, and until it drains the connection is polled for
+// writability only and not read: a peer that stops reading stalls only
+// itself, and what it is owed stops growing once its socket is full. The
+// gateway calls every accepted submission's callback exactly once, so
+// every owed result ships and drain() terminates.
 //
 // Disconnect semantics. A connection that hits EOF, a socket error or a
 // malformed frame cancels exactly the waiters it created (gateway cancel per
@@ -163,7 +164,7 @@ class Server {
   // Everything below runs on the loop thread.
   void loop();
   void accept_connection();
-  /// Handles every whole frame the socket has; an error closes the link.
+  /// Handles whole frames while nothing is left unsent; an error closes.
   void read_frames(Connection& conn);
   /// Both return false on a protocol error (an admission failure is
   /// answered with a non-OK ack).
@@ -196,7 +197,6 @@ class Server {
 
   // Loop thread only.
   std::map<std::uint64_t, Connection> connections_;
-  std::uint64_t accepted_ = 0;  ///< connection ids
   bool goodbye_sent_ = false;
 
   std::mutex drain_mutex_;
