@@ -25,25 +25,11 @@ constexpr double kTickSeconds = 0.02;
 
 }  // namespace
 
-/// One client-side stake in a ClusterJob: its own coordinator JobId, its own
-/// deadline, its own completion callback. Waiters outlive failovers — the
-/// job record they hang off survives resubmission untouched.
-struct Coordinator::Waiter {
-  service::JobId id = 0;
-  service::TenantId tenant;
-  Deadline deadline;  ///< unbounded when the request had none
-  bool attached_dedup = false;  ///< joined an existing job (not the first waiter)
-  service::JobCallback on_done;
-};
-
 /// One coalesced unit of remote work: at most ONE in-flight remote
 /// submission at any time, no matter how many waiters or how many failovers.
-struct Coordinator::ClusterJob {
-  std::string key;
-  service::JobId primary_id = 0;
+/// Its waiters (the table's part) outlive failovers untouched.
+struct Coordinator::ClusterJob : service::JobTable::Job {
   service::SubmitRequest canonical;  ///< deadline cleared (coordinator enforces)
-  std::uint64_t content_hash = 0;
-  std::vector<std::unique_ptr<Waiter>> waiters;
 
   bool inflight = false;
   std::size_t peer_index = 0;
@@ -81,14 +67,19 @@ struct Coordinator::Peer {
   std::uint64_t sent_seq = 0;   ///< replication records streamed so far
   std::uint64_t acked_seq = 0;  ///< replica's applied-through cursor
   std::uint64_t next_request_id = 1;
-  std::map<std::uint64_t, std::string> inflight;  ///< request id -> job key
+  std::map<std::uint64_t, service::JobId> inflight;  ///< request id -> job id
 
   double reconnect_not_before = 0.0;
   int reconnect_attempts = 0;
 };
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)),
+      table_(service::ServiceConfig{}.journal_compact_every_records,
+             [this](service::journal::RecordType type,
+                    const service::JobTable::Waiter& waiter) {
+               log_append_locked(type, waiter);
+             }) {}
 
 Expected<std::unique_ptr<Coordinator>> Coordinator::start(
     CoordinatorConfig config) {
@@ -99,52 +90,24 @@ Expected<std::unique_ptr<Coordinator>> Coordinator::start(
     return Status::invalid_argument("cluster: bad heartbeat configuration");
   }
 
-  // Replay BEFORE open_truncate: recovery reads the previous incarnation's
-  // (or a promoted replica's) log, then the resubmit below re-journals the
-  // survivors into the fresh file — compaction on every restart.
-  std::vector<service::journal::RecoveredJob> replayed;
-  if (!config.journal_path.empty()) {
-    auto recovered = service::journal::recover_jobs(config.journal_path);
-    if (!recovered) {
-      PTS_LOG_WARN("cluster: journal replay failed (starting fresh): %s",
-                   recovered.status().message().c_str());
-    } else {
-      replayed = std::move(*recovered);
-    }
-  }
-
   std::unique_ptr<Coordinator> c(new Coordinator(std::move(config)));
-  if (!c->config_.journal_path.empty()) {
-    auto journal =
-        service::journal::JobJournal::open_truncate(c->config_.journal_path);
-    if (!journal) {
-      PTS_LOG_WARN("cluster: journaling disabled: %s",
-                   journal.status().message().c_str());
-    } else {
-      c->journal_ = std::move(*journal);
-    }
-  }
   for (std::size_t i = 0; i < c->config_.peers.size(); ++i) {
     auto peer = std::make_unique<Peer>();
     peer->index = i;
     peer->addr = c->config_.peers[i];
     c->peers_.push_back(std::move(peer));
   }
-
-  // No other thread exists yet, so recovered_ needs no lock here.
-  for (auto& job : replayed) {
-    service::SubmitRequest request;
-    request.instance = std::make_shared<mkp::Instance>(std::move(job.instance));
-    request.tenant = job.tenant;
-    request.priority = job.options.priority;
-    request.warm_start = job.warm_start;
-    request.options = std::move(job.options);
-    auto handle = c->submit(std::move(request));
-    if (handle) c->recovered_.push_back(std::move(*handle));
-  }
-  if (!c->recovered_.empty()) {
-    PTS_LOG_INFO("cluster: recovered %zu unresolved job(s) from %s",
-                 c->recovered_.size(), c->config_.journal_path.c_str());
+  // The promotion path: replay the previous incarnation's (or a promoted
+  // replica's) journal and resubmit the survivors before the tick starts.
+  if (!c->config_.journal_path.empty()) {
+    c->table_.resume(
+        c->table_.open_journal(c->config_.journal_path),
+        [raw = c.get()](service::SubmitRequest request,
+                        service::JobCallback on_done, std::uint64_t) {
+          std::scoped_lock lock(raw->mutex_);
+          return raw->submit_locked(std::move(request), std::move(on_done),
+                                    service::JobOrigin::kResumed);
+        });
   }
 
   c->tick_ = std::thread([raw = c.get()] { raw->tick_loop(); });
@@ -163,10 +126,10 @@ void Coordinator::stop() {
   }
   // Resolve whatever is left kUnavailable WITHOUT striking the journal: a
   // restarted (or promoted) coordinator replays exactly these jobs.
-  while (!jobs_.empty()) {
-    fail_job_locked(jobs_.begin()->first,
+  while (!table_.jobs().empty()) {
+    table_.fail_all(*table_.jobs().begin()->second,
                     Status::unavailable("cluster: coordinator shutting down"),
-                    /*strike_journal=*/false);
+                    /*strike=*/false);
   }
 }
 
@@ -181,12 +144,19 @@ std::size_t Coordinator::alive_peers() const {
 
 CoordinatorStats Coordinator::stats() const {
   std::scoped_lock lock(mutex_);
-  return stats_;
+  CoordinatorStats out = stats_;
+  out.resolved = table_.resolved();
+  return out;
 }
 
 std::vector<service::JobHandle> Coordinator::take_recovered() {
   std::scoped_lock lock(mutex_);
-  return std::exchange(recovered_, {});
+  return table_.take_recovered();
+}
+
+std::shared_ptr<Coordinator::ClusterJob> Coordinator::job_locked(
+    service::JobId id) const {
+  return std::static_pointer_cast<ClusterJob>(table_.find(id));
 }
 
 double Coordinator::jittered_backoff_locked(double base, int attempts) {
@@ -196,199 +166,119 @@ double Coordinator::jittered_backoff_locked(double base, int attempts) {
   return factor * (0.5 + static_cast<double>(rng_.next_below(1000)) / 2000.0);
 }
 
-std::string Coordinator::make_key_locked(const service::SubmitRequest& request,
-                                         std::uint64_t content_hash) {
-  // Mirrors the service's dedup key: instance content + solve-shaped options
-  // (per-waiter urgency — priority, deadline — and machine-local paths must
-  // not fragment coalescing), plus the tenant. allow_dedup=false requests
-  // get a private nonce: they never coalesce with anything.
-  parallel::codec::Writer w;
-  w.u64(content_hash);
-  service::JobOptions shape = request.options;
-  shape.priority = 0;
-  shape.deadline_seconds.reset();
-  shape.proc.worker_path.clear();
-  service::journal::put_job_options(w, shape);
-  w.str(request.tenant);
-  w.u8(static_cast<std::uint8_t>(request.warm_start));
-  if (!request.allow_dedup) w.u64(dedup_nonce_++);
-  auto bytes = w.take();
-  return std::string(bytes.begin(), bytes.end());
-}
-
-void Coordinator::log_append_locked(ReplicateRecord record) {
-  if (journal_) (void)append(*journal_, record);
+void Coordinator::log_append_locked(service::journal::RecordType type,
+                                    const service::JobTable::Waiter& waiter) {
+  using service::journal::RecordType;
+  ReplicateRecord record;
   record.seq = next_seq_++;
+  record.job_id = waiter.id;
+  if (type == RecordType::kSubmitted) {
+    record.kind = ReplicateRecord::Kind::kSubmitted;
+    record.instance = *waiter.instance;
+    record.options = waiter.options;
+    record.tenant = waiter.tenant;
+    record.warm_start = waiter.warm_start;
+  } else if (type == RecordType::kDedup) {
+    record.kind = ReplicateRecord::Kind::kDedup;
+    record.dedup_primary = waiter.dedup_primary;
+  }  // else kResolved, the default kind
   log_.push_back(std::move(record));
   if (log_.size() > 512) compact_log_locked();
 }
 
 void Coordinator::compact_log_locked() {
-  // Drop every record belonging to a resolved job id (both sides of the
-  // pair), keeping surviving records' sequence numbers untouched: a replica
-  // cursor simply skips the gaps, and what the gaps held was a no-op for it.
-  std::map<service::JobId, bool> resolved;
+  // Drop every record of a resolved job id (both sides of the pair),
+  // keeping surviving records' sequence numbers untouched: a replica cursor
+  // skips the gaps, and what they held was a no-op for it. Except while a
+  // peer has been sent the kSubmitted but not yet the kResolved: dropping
+  // the pair then would leave that replica's copy open for good. (Sent, not
+  // acked: a node without a replica acks 0 forever and would pin it all.)
+  std::map<service::JobId, std::pair<std::uint64_t, std::uint64_t>> spans;
   for (const auto& record : log_) {
-    if (record.kind == ReplicateRecord::Kind::kResolved) {
-      resolved[record.job_id] = true;
-    }
+    auto& [first, resolved] = spans[record.job_id];
+    if (first == 0) first = record.seq;
+    if (record.kind == ReplicateRecord::Kind::kResolved) resolved = record.seq;
   }
-  if (resolved.empty()) return;
-  std::deque<ReplicateRecord> live;
-  for (auto& record : log_) {
-    if (!resolved.contains(record.job_id)) live.push_back(std::move(record));
-  }
-  log_ = std::move(live);
+  std::erase_if(log_, [&](const ReplicateRecord& record) {
+    const auto [first, resolved] = spans[record.job_id];
+    return resolved != 0 &&
+           std::none_of(peers_.begin(), peers_.end(), [&](const auto& peer) {
+             return peer->sent_seq >= first && peer->sent_seq < resolved;
+           });
+  });
 }
 
 Expected<service::JobTicket> Coordinator::submit(
     service::SubmitRequest request, service::JobCallback on_done) {
   std::scoped_lock lock(mutex_);
-  return submit_locked(std::move(request), std::move(on_done));
+  return submit_locked(std::move(request), std::move(on_done),
+                       service::JobOrigin::kFresh);
 }
 
 Expected<service::JobTicket> Coordinator::submit_locked(
-    service::SubmitRequest request, service::JobCallback on_done) {
+    service::SubmitRequest request, service::JobCallback on_done,
+    service::JobOrigin origin) {
   if (stopping_.load(std::memory_order_acquire)) {
     return Status::unavailable("cluster: coordinator is shutting down");
   }
   if (!request.instance) {
     return Status::invalid_argument("cluster: submit requires an instance");
   }
-  const std::uint64_t content_hash =
-      parallel::snapshot::instance_hash64(*request.instance);
-  std::string key = make_key_locked(request, content_hash);
-
-  auto waiter = std::make_unique<Waiter>();
-  waiter->id = next_id_++;
-  waiter->tenant = request.tenant;
-  if (request.deadline_seconds) {
-    waiter->deadline = Deadline::after_seconds(*request.deadline_seconds);
-  }
-  waiter->on_done = std::move(on_done);
-
+  auto waiter = table_.make_waiter(request, std::move(on_done), origin);
+  // Every waiter, a coalesced follower too, is journaled with its own
+  // kSubmitted (priority folded in) so a promoted coordinator can re-run it
+  // standalone.
+  waiter->options.priority = request.priority;
   service::JobTicket ticket;
   ticket.id = waiter->id;
   ticket.tenant = waiter->tenant;
-  ticket.content_hash = content_hash;
+  ticket.content_hash = parallel::snapshot::instance_hash64(*request.instance);
   ++stats_.submitted;
   obs::metrics().counter("cluster_submissions_total").add();
 
-  // Journal the waiter (priority folded into the options so recovery keeps
-  // it). Every waiter, a coalesced follower too, gets its own kSubmitted so
-  // a promoted coordinator can re-run it standalone.
-  ReplicateRecord submitted;
-  submitted.kind = ReplicateRecord::Kind::kSubmitted;
-  submitted.job_id = waiter->id;
-  submitted.instance = *request.instance;
-  submitted.options = request.options;
-  submitted.options.priority = request.priority;
-  submitted.tenant = request.tenant;
-  submitted.warm_start = request.warm_start;
-  log_append_locked(std::move(submitted));
-
-  auto it = jobs_.find(key);
-  if (it != jobs_.end()) {
-    // Coalesce: one more waiter on the in-flight (or pending) solve. The
-    // kDedup provenance link goes AFTER the follower's kSubmitted: replay
-    // only honors a link whose follower is already open.
-    ClusterJob& job = *it->second;
-    waiter->attached_dedup = true;
+  auto solve_key =
+      service::JobTable::solve_key(request.options, request.warm_start);
+  if (auto* job = request.allow_dedup ? table_.match(ticket.content_hash,
+                                                     solve_key, *request.instance)
+                                     : nullptr) {
+    // Coalesce: one more waiter on the in-flight (or pending) solve.
+    table_.attach(*job, std::move(waiter));
     ticket.deduplicated = true;
     ++stats_.dedup_hits;
-    ReplicateRecord dedup;
-    dedup.kind = ReplicateRecord::Kind::kDedup;
-    dedup.job_id = waiter->id;
-    dedup.dedup_primary = job.primary_id;
-    log_append_locked(std::move(dedup));
-
-    waiter_index_.emplace(waiter->id, key);
-    job.waiters.push_back(std::move(waiter));
     return ticket;
   }
 
-  auto job = std::make_unique<ClusterJob>();
-  job->key = key;
-  job->primary_id = waiter->id;
-  job->content_hash = content_hash;
+  auto job = std::make_shared<ClusterJob>();
+  job->instance = request.instance;
+  job->content_hash = ticket.content_hash;
+  job->solve_key = std::move(solve_key);
   job->canonical = std::move(request);
   // The coordinator enforces per-waiter deadlines itself; the remote solve
   // runs its time budget for everyone.
   job->canonical.deadline_seconds.reset();
-  waiter_index_.emplace(waiter->id, key);
-  job->waiters.push_back(std::move(waiter));
-  jobs_.emplace(std::move(key), std::move(job));
+  table_.admit(job, std::move(waiter));
   return ticket;
 }
 
 bool Coordinator::cancel(service::JobId id) {
   std::scoped_lock lock(mutex_);
-  auto index = waiter_index_.find(id);
-  if (index == waiter_index_.end()) return false;
-  auto job_it = jobs_.find(index->second);
-  if (job_it == jobs_.end()) return false;
-  ClusterJob& job = *job_it->second;
-
-  auto waiter_it =
-      std::find_if(job.waiters.begin(), job.waiters.end(),
-                   [id](const auto& w) { return w->id == id; });
-  if (waiter_it == job.waiters.end()) return false;
-
-  service::JobResult result;
-  result.status = Status::cancelled("cluster: cancelled by the caller");
-  result.instance = job.canonical.instance;
-  result.content_hash = job.content_hash;
-  resolve_waiter_locked(**waiter_it, std::move(result), /*strike_journal=*/true);
-  job.waiters.erase(waiter_it);
-
-  if (job.waiters.empty()) {
-    // Last stake gone: stop the remote solve (best-effort) or drop the
-    // pending record outright.
-    if (job.inflight) {
-      if (!job.cancel_sent && job.acked) {
-        send_to_peer_locked(*peers_[job.peer_index],
-                            net::encode_cancel_job({job.request_id}));
-        job.cancel_sent = true;
-      }
-      // The job record stays until the remote result (kCancelled) arrives —
-      // it anchors the request id.
-    } else {
-      jobs_.erase(job_it);
-    }
-  }
+  const auto job = std::static_pointer_cast<ClusterJob>(table_.job_of(id));
+  if (!job) return false;  // unknown, or already resolved
+  table_.fail(*table_.detach(*job, id), *job,
+              Status::cancelled("cluster: cancelled by the caller"));
+  release_if_abandoned_locked(*job);
   return true;
 }
 
-void Coordinator::resolve_waiter_locked(Waiter& waiter,
-                                        service::JobResult result,
-                                        bool strike_journal) {
-  result.id = waiter.id;
-  result.tenant = waiter.tenant;
-  if (waiter.attached_dedup) result.deduplicated = true;
-  waiter.on_done(std::move(result));
-  ++stats_.resolved;
-  waiter_index_.erase(waiter.id);
-  if (strike_journal) {
-    ReplicateRecord record;
-    record.kind = ReplicateRecord::Kind::kResolved;
-    record.job_id = waiter.id;
-    log_append_locked(std::move(record));
+void Coordinator::release_if_abandoned_locked(ClusterJob& job) {
+  if (!job.waiters.empty()) return;
+  if (!job.inflight) {
+    table_.retire(job);
+  } else if (!job.cancel_sent && job.acked) {
+    send_to_peer_locked(*peers_[job.peer_index],
+                        net::encode_cancel_job({job.request_id}));
+    job.cancel_sent = true;
   }
-}
-
-void Coordinator::fail_job_locked(const std::string& key, const Status& status,
-                                  bool strike_journal) {
-  auto it = jobs_.find(key);
-  if (it == jobs_.end()) return;
-  ClusterJob& job = *it->second;
-  for (auto& waiter : job.waiters) {
-    service::JobResult result;
-    result.status = status;
-    result.instance = job.canonical.instance;
-    result.content_hash = job.content_hash;
-    resolve_waiter_locked(*waiter, std::move(result), strike_journal);
-  }
-  jobs_.erase(it);
 }
 
 void Coordinator::send_to_peer_locked(Peer& peer,
@@ -413,6 +303,7 @@ void Coordinator::tick_loop() {
     replicate_locked();
     dispatch_locked();
     sweep_deadlines_locked();
+    table_.maybe_compact();
   }
 }
 
@@ -587,8 +478,8 @@ void Coordinator::replicate_locked() {
 
 void Coordinator::dispatch_locked() {
   const double now = now_seconds();
-  for (auto& [key, job_ptr] : jobs_) {
-    ClusterJob& job = *job_ptr;
+  for (const auto& [id, entry] : table_.jobs()) {
+    auto& job = static_cast<ClusterJob&>(*entry);
     if (job.inflight || job.waiters.empty() || now < job.not_before) continue;
 
     // Least-loaded alive peer: the node's own sample plus what we have sent
@@ -620,7 +511,7 @@ void Coordinator::dispatch_locked() {
     job.acked = false;
     job.peer_index = best->index;
     job.request_id = m.request_id;
-    best->inflight.emplace(m.request_id, key);
+    best->inflight.emplace(m.request_id, id);
     ++stats_.dispatched;
     obs::metrics().counter("cluster_dispatches_total").add();
     send_to_peer_locked(*best, net::encode_submit_job(m));
@@ -628,35 +519,14 @@ void Coordinator::dispatch_locked() {
 }
 
 void Coordinator::sweep_deadlines_locked() {
-  std::vector<std::string> empty_pending;
-  for (auto& [key, job_ptr] : jobs_) {
-    ClusterJob& job = *job_ptr;
-    for (auto it = job.waiters.begin(); it != job.waiters.end();) {
-      if ((*it)->deadline.expired()) {
-        service::JobResult result;
-        result.status =
-            Status::deadline_exceeded("cluster: deadline passed before the result");
-        result.instance = job.canonical.instance;
-        result.content_hash = job.content_hash;
-        resolve_waiter_locked(**it, std::move(result), /*strike_journal=*/true);
-        it = job.waiters.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (job.waiters.empty()) {
-      if (job.inflight) {
-        if (!job.cancel_sent && job.acked) {
-          send_to_peer_locked(*peers_[job.peer_index],
-                              net::encode_cancel_job({job.request_id}));
-          job.cancel_sent = true;
-        }
-      } else {
-        empty_pending.push_back(key);
-      }
-    }
+  const auto expired =
+      Status::deadline_exceeded("cluster: deadline passed before the result");
+  std::vector<service::JobId> emptied;
+  for (const auto& [id, job] : table_.jobs()) {
+    table_.expire(*job, expired);
+    if (job->waiters.empty()) emptied.push_back(id);
   }
-  for (const auto& key : empty_pending) jobs_.erase(key);
+  for (const auto id : emptied) release_if_abandoned_locked(*job_locked(id));
 }
 
 void Coordinator::on_peer_down_locked(Peer& peer) {
@@ -664,41 +534,41 @@ void Coordinator::on_peer_down_locked(Peer& peer) {
   ++stats_.nodes_lost;
   obs::metrics().counter("cluster_peer_losses_total").add();
 
-  const double now = now_seconds();
-  for (const auto& [request_id, key] : peer.inflight) {
-    auto it = jobs_.find(key);
-    if (it == jobs_.end()) continue;
-    ClusterJob& job = *it->second;
-    job.inflight = false;
-    job.acked = false;
-    job.cancel_sent = false;
-    // The survivor re-streams the whole curve from zero; keeping the dead
-    // node's prefix would hand waiters a non-monotone curve with the
-    // pre-failure samples duplicated.
-    job.anytime.clear();
-    if (job.waiters.empty()) {
-      // Everybody cancelled while it ran; the node that was running it is
-      // gone, so there is nothing left to stop or report.
-      jobs_.erase(it);
-      continue;
+  for (const auto& [request_id, id] : peer.inflight) {
+    const auto job = job_locked(id);
+    if (job && requeue_locked(*job, Status::unavailable(
+                                        "cluster: job lost to node failure "
+                                        "too many times"))) {
+      ++stats_.failovers;
+      obs::metrics().counter("cluster_failovers_total").add();
     }
-    ++job.attempts;
-    if (job.attempts > config_.max_resubmits) {
-      ++stats_.exhausted;
-      fail_job_locked(key,
-                      Status::unavailable(
-                          "cluster: job lost to node failure too many times"),
-                      /*strike_journal=*/true);
-      continue;
-    }
-    job.not_before =
-        now + jittered_backoff_locked(config_.resubmit_backoff_seconds,
-                                      job.attempts);
-    ++stats_.failovers;
-    obs::metrics().counter("cluster_failovers_total").add();
   }
   peer.inflight.clear();
   reconnect_later_locked(peer);
+}
+
+bool Coordinator::requeue_locked(ClusterJob& job, const Status& exhausted) {
+  job.inflight = false;
+  job.acked = false;
+  job.cancel_sent = false;
+  // The retry re-streams the whole curve from zero; keeping this attempt's
+  // prefix would hand waiters a non-monotone curve with samples duplicated.
+  job.anytime.clear();
+  if (job.waiters.empty()) {
+    // Everybody left while it ran; the attempt that was running it is gone,
+    // so there is nothing left to stop or report.
+    table_.retire(job);
+    return false;
+  }
+  if (++job.attempts > config_.max_resubmits) {
+    ++stats_.exhausted;
+    table_.fail_all(job, exhausted);
+    return false;
+  }
+  job.not_before = now_seconds() + jittered_backoff_locked(
+                                       config_.resubmit_backoff_seconds,
+                                       job.attempts);
+  return true;
 }
 
 void Coordinator::reconnect_later_locked(Peer& peer) {
@@ -715,37 +585,21 @@ void Coordinator::handle_result_locked(Peer& peer, std::uint64_t request_id,
                                        std::vector<std::uint8_t> payload) {
   auto inflight = peer.inflight.find(request_id);
   if (inflight == peer.inflight.end()) return;  // failover already re-owned it
-  const std::string key = inflight->second;
+  const auto job = job_locked(inflight->second);
   peer.inflight.erase(inflight);
-  auto it = jobs_.find(key);
-  if (it == jobs_.end()) return;
-  ClusterJob& job = *it->second;
+  if (!job) return;
 
-  auto decoded = net::decode_job_result(payload, *job.canonical.instance);
+  auto decoded = net::decode_job_result(payload, *job->instance);
   if (!decoded) {
-    // A corrupt result frame: treat like a lost solve — the usual retry
-    // machinery decides whether to give up. The retry re-streams the curve,
-    // so drop the samples collected from this attempt.
-    job.inflight = false;
-    job.acked = false;
-    job.anytime.clear();
-    ++job.attempts;
-    if (job.attempts > config_.max_resubmits) {
-      ++stats_.exhausted;
-      fail_job_locked(key, decoded.status(), /*strike_journal=*/true);
-    } else {
-      job.not_before =
-          now_seconds() + jittered_backoff_locked(
-                              config_.resubmit_backoff_seconds, job.attempts);
-    }
+    // A corrupt result frame: treat like a lost solve.
+    requeue_locked(*job, decoded.status());
     return;
   }
   net::JobResultFrame m = std::move(*decoded);
 
   service::JobResult base;
-  base.origin = m.origin;
   base.status = std::move(m.status);
-  base.instance = job.canonical.instance;
+  base.instance = job->instance;
   base.best = std::move(m.best);
   base.best_value = m.best_value;
   base.total_moves = m.total_moves;
@@ -757,12 +611,9 @@ void Coordinator::handle_result_locked(Peer& peer, std::uint64_t request_id,
   base.content_hash = m.content_hash;
   base.deduplicated = m.deduplicated;
   base.warm_started = m.warm_started;
-  base.anytime = std::move(job.anytime);
+  base.anytime = std::move(job->anytime);
 
-  for (auto& waiter : job.waiters) {
-    resolve_waiter_locked(*waiter, base, /*strike_journal=*/true);
-  }
-  jobs_.erase(it);
+  for (auto& waiter : table_.retire(*job)) table_.resolve(*waiter, base);
 }
 
 void Coordinator::handle_frame_locked(Peer& peer, parallel::wire::Frame frame) {
@@ -787,16 +638,15 @@ void Coordinator::handle_frame_locked(Peer& peer, parallel::wire::Frame frame) {
       if (!ack) break;
       auto inflight = peer.inflight.find(ack->request_id);
       if (inflight == peer.inflight.end()) break;
-      auto it = jobs_.find(inflight->second);
-      if (it == jobs_.end()) break;
-      ClusterJob& job = *it->second;
+      const auto entry = job_locked(inflight->second);
+      if (!entry) break;
+      ClusterJob& job = *entry;
       if (!ack->status.ok()) {
         // The node refused the submission (backpressure, draining):
         // surface the verdict to every waiter rather than retrying into
         // the same wall.
-        const std::string key = inflight->second;
         peer.inflight.erase(inflight);
-        fail_job_locked(key, ack->status, /*strike_journal=*/true);
+        table_.fail_all(job, ack->status);
         break;
       }
       job.acked = true;
@@ -806,7 +656,7 @@ void Coordinator::handle_frame_locked(Peer& peer, parallel::wire::Frame frame) {
         PTS_LOG_ERROR(
             "cluster: resubmission of job %llu acked hash %016llx, "
             "expected %016llx",
-            static_cast<unsigned long long>(job.primary_id),
+            static_cast<unsigned long long>(job.id),
             static_cast<unsigned long long>(ack->content_hash),
             static_cast<unsigned long long>(job.remote_hash));
       }
@@ -822,9 +672,9 @@ void Coordinator::handle_frame_locked(Peer& peer, parallel::wire::Frame frame) {
       if (!event) break;
       auto inflight = peer.inflight.find(event->request_id);
       if (inflight == peer.inflight.end()) break;
-      auto it = jobs_.find(inflight->second);
-      if (it == jobs_.end()) break;
-      auto& anytime = it->second->anytime;
+      const auto job = job_locked(inflight->second);
+      if (!job) break;
+      auto& anytime = job->anytime;
       anytime.insert(anytime.end(), event->anytime.begin(),
                      event->anytime.end());
       break;

@@ -9,11 +9,13 @@
 // JobId and a completion callback the coordinator calls exactly once —
 // through node death, resubmission, cancel, deadline and shutdown. It calls
 // it under its own mutex (from a submitter or the tick thread), which the
-// JobGateway contract allows. Identical submissions (instance content hash
-// + solve-shape options, the service's dedup key) coalesce into one
-// ClusterJob with many waiters: ONE remote solve, every waiter answered from
-// its result. A request with allow_dedup=false gets a private key and never
-// coalesces.
+// JobGateway contract allows. Waiters, dedup, cancel, deadlines and the
+// journal live in a service::JobTable, the same book SolverService keeps, so
+// both gateways share one dedup rule: content hash, solve-shape options,
+// then the canonical instance bytes, tenants not included. Identical
+// submissions coalesce into one ClusterJob with many waiters: ONE remote
+// solve, every waiter answered from its result. A request with
+// allow_dedup=false never attaches to an existing job.
 //
 // Threading. One thread, the tick thread, owns every peer link: it dials,
 // polls all peer sockets at once and handles each frame inline under the
@@ -36,14 +38,16 @@
 // wall-clock, never result quality.
 //
 // Replication. The coordinator journals every waiter to its own PTSJ job
-// journal (crash safety for itself) and mirrors the same records — numbered
-// by a monotone sequence — to every worker node over the peer sockets
-// (kPeerReplicate). Workers apply them to replica journals in the same
-// format, so ANY node's replica can boot a replacement coordinator: point a
-// new Coordinator's journal_path at the replica and take_recovered() hands
-// back the still-open jobs. A rejoining worker reports its applied-through
-// cursor in PeerWelcome and receives exactly the records it missed (a
-// truncated replica reports 0 and receives the full live image).
+// journal (crash safety for itself; the table compacts it at runtime) and
+// mirrors the same records — numbered by a monotone sequence — to every
+// worker node over the peer sockets (kPeerReplicate). Workers apply them to
+// replica journals in the same format, so ANY node's replica can boot a
+// replacement coordinator: point a new Coordinator's journal_path at the
+// replica and take_recovered() hands back the still-open jobs. The log drops
+// a resolved job's records once no peer sits between its kSubmitted and its
+// kResolved; a rejoining worker reports its applied-through cursor in
+// PeerWelcome and receives the surviving records past it (a truncated
+// replica reports 0 and receives the full live image).
 //
 // Shutdown resolves the remaining waiters kUnavailable WITHOUT striking
 // their journal records — the same contract as SolverService::shutdown() —
@@ -62,7 +66,7 @@
 #include "cluster/peer_protocol.hpp"
 #include "parallel/transport.hpp"
 #include "service/gateway.hpp"
-#include "service/journal.hpp"
+#include "service/job_table.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -139,7 +143,6 @@ class Coordinator final : public service::JobGateway {
   void stop();
 
  private:
-  struct Waiter;
   struct ClusterJob;
   struct Peer;
 
@@ -148,21 +151,19 @@ class Coordinator final : public service::JobGateway {
   [[nodiscard]] double now_seconds() const { return clock_.elapsed_seconds(); }
   [[nodiscard]] double jittered_backoff_locked(double base, int attempts);
 
-  /// The coalescing key: content hash + solve-shape options + tenant (or a
-  /// private nonce when dedup is off).
-  [[nodiscard]] std::string make_key_locked(const service::SubmitRequest& request,
-                                            std::uint64_t content_hash);
-
+  /// The open job with this id, or null.
+  [[nodiscard]] std::shared_ptr<ClusterJob> job_locked(service::JobId id) const;
   Expected<service::JobTicket> submit_locked(service::SubmitRequest request,
-                                             service::JobCallback on_done);
-  void log_append_locked(ReplicateRecord record);
+                                             service::JobCallback on_done,
+                                             service::JobOrigin origin);
+  /// The table's tap: mirrors each journal record into the replication log.
+  void log_append_locked(service::journal::RecordType type,
+                         const service::JobTable::Waiter& waiter);
   void compact_log_locked();
-  void resolve_waiter_locked(Waiter& waiter, service::JobResult result,
-                             bool strike_journal);
-  /// Resolves every waiter of `job` with `status` (no solution) and erases
-  /// the job. `strike_journal` false only on the shutdown path.
-  void fail_job_locked(const std::string& key, const Status& status,
-                       bool strike_journal);
+  /// A job whose last waiter left: drops it if pending, or tells its node
+  /// to stop it (the job stays until the remote result anchors the
+  /// request id).
+  void release_if_abandoned_locked(ClusterJob& job);
 
   void tick_loop();
   /// Starts a non-blocking dial to every peer due a (re)connect, outside the
@@ -183,6 +184,10 @@ class Coordinator final : public service::JobGateway {
   void dispatch_locked();
   void sweep_deadlines_locked();
   void on_peer_down_locked(Peer& peer);
+  /// The job's remote attempt is lost (node death, corrupt result): true if
+  /// it is queued for a redispatch after a backoff; false if it was dropped
+  /// (no waiters left) or failed with `exhausted` (out of resubmits).
+  bool requeue_locked(ClusterJob& job, const Status& exhausted);
   /// Closes the link and schedules the next dial after a jittered backoff.
   void reconnect_later_locked(Peer& peer);
   void handle_result_locked(Peer& peer, std::uint64_t request_id,
@@ -198,15 +203,11 @@ class Coordinator final : public service::JobGateway {
   mutable std::mutex mutex_;
   Rng rng_{0x636f6f7264ull};  // backoff jitter; guarded by mutex_
 
-  service::JobId next_id_ = 1;
   std::uint64_t next_seq_ = 1;  ///< replication sequence
-  std::map<std::string, std::unique_ptr<ClusterJob>> jobs_;  // by dedup key
-  std::map<service::JobId, std::string> waiter_index_;       // waiter -> key
-  std::uint64_t dedup_nonce_ = 1;  ///< private keys for allow_dedup=false
-
   std::deque<ReplicateRecord> log_;  ///< replication log (compacted in place)
-  std::unique_ptr<service::journal::JobJournal> journal_;
-  std::vector<service::JobHandle> recovered_;
+  /// Every open ClusterJob and waiter, dedup and the journal; its tap feeds
+  /// log_. Declared after log_, which the tap appends to.
+  service::JobTable table_;
 
   std::vector<std::unique_ptr<Peer>> peers_;
 

@@ -120,18 +120,4 @@ Expected<PeerReplicateAck> decode_peer_replicate_ack(
                                  "peer-replicate-ack");
 }
 
-Status append(service::journal::JobJournal& journal, const ReplicateRecord& record) {
-  switch (record.kind) {
-    case ReplicateRecord::Kind::kSubmitted:
-      return journal.append_submitted(record.job_id, *record.instance,
-                                      record.options, record.tenant,
-                                      record.warm_start);
-    case ReplicateRecord::Kind::kResolved:
-      return journal.append_resolved(record.job_id);
-    case ReplicateRecord::Kind::kDedup:
-      return journal.append_dedup(record.job_id, record.dedup_primary);
-  }
-  return Status::invalid_argument("cluster: unknown replicate record kind");
-}
-
 }  // namespace pts::cluster

@@ -24,10 +24,6 @@
 #include "service/job.hpp"
 #include "util/status.hpp"
 
-namespace pts::service::journal {
-class JobJournal;
-}  // namespace pts::service::journal
-
 namespace pts::cluster {
 
 /// Ceiling on records per kPeerReplicate frame: a long catch-up streams in
@@ -88,11 +84,6 @@ struct ReplicateRecord {
   // -- kDedup only. --
   service::JobId dedup_primary = 0;
 };
-
-/// Appends `record` to a job journal as the matching journal record (`seq`
-/// is not written). The coordinator's own journal and a worker's replica
-/// both go through here.
-Status append(service::journal::JobJournal& journal, const ReplicateRecord& record);
 
 /// coordinator -> worker: a batch of journal records in ascending sequence
 /// order. Fire-and-forget on the send side; the worker answers with a

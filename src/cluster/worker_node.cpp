@@ -13,6 +13,26 @@
 
 namespace pts::cluster {
 
+namespace {
+
+/// Appends `record` to the replica as the matching journal record (`seq` is
+/// not written).
+Status append(service::journal::JobJournal& journal, const ReplicateRecord& record) {
+  switch (record.kind) {
+    case ReplicateRecord::Kind::kSubmitted:
+      return journal.append_submitted(record.job_id, *record.instance,
+                                      record.options, record.tenant,
+                                      record.warm_start);
+    case ReplicateRecord::Kind::kResolved:
+      return journal.append_resolved(record.job_id);
+    case ReplicateRecord::Kind::kDedup:
+      return journal.append_dedup(record.job_id, record.dedup_primary);
+  }
+  return Status::invalid_argument("cluster: unknown replicate record kind");
+}
+
+}  // namespace
+
 WorkerNode::WorkerNode(WorkerNodeConfig config)
     : config_(std::move(config)),
       chaos_kill_ppm_(env_u32("PTS_CHAOS_NODE_KILL_PPM")),

@@ -1,5 +1,7 @@
 #include "mkp/parser.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -8,9 +10,18 @@ namespace pts::mkp {
 namespace {
 
 double next_number(std::istream& in, const char* what) {
-  double value = 0.0;
-  if (!(in >> value)) {
+  std::string token;
+  if (!(in >> token)) {
     throw ParseError(std::string("unexpected end of input while reading ") + what);
+  }
+  double value = 0.0;
+  const char* last = token.data() + token.size();
+  // from_chars takes no leading '+', which operator>> did.
+  const auto [end, error] =
+      std::from_chars(token.data() + (token.front() == '+'), last, value);
+  if (error != std::errc{} || end != last || !std::isfinite(value)) {
+    throw ParseError(std::string("expected a finite number for ") + what +
+                     ", got '" + token + "'");
   }
   return value;
 }

@@ -46,7 +46,6 @@ class JobGateway {
     });
   }
 
- protected:
   /// Runs one callback-style submission and pairs its ticket with a future
   /// that the callback fulfils.
   template <class Submit>

@@ -1,7 +1,8 @@
 #pragma once
 // Job vocabulary for the solver service: what a caller submits, what a
 // job's future resolves to, and how the pool is shaped. Pure data — the
-// scheduling machinery lives in solver_service.hpp.
+// book of open jobs lives in job_table.hpp, the scheduling machinery in
+// solver_service.hpp.
 
 #include <cstdint>
 #include <future>
@@ -104,8 +105,8 @@ struct SubmitRequest {
   int priority = 0;
   std::optional<double> deadline_seconds;
   WarmStartPolicy warm_start = WarmStartPolicy::kDisabled;
-  /// Opt out of in-flight dedup for this submission only (the config-level
-  /// ServiceConfig::dedup_in_flight switch gates the whole mechanism).
+  /// Opt out of in-flight dedup for this submission only: it never attaches
+  /// to another job's solve (a later submission may still attach to its).
   bool allow_dedup = true;
   JobOptions options;
 };
@@ -210,11 +211,6 @@ struct ServiceConfig {
   /// tenant) run with weight 1 and no quota — a config with no entries
   /// degrades exactly to the pre-tenant strict-priority scheduler.
   std::vector<TenantConfig> tenants;
-  /// Master switch for content-addressed in-flight dedup: identical
-  /// instance + identical solve-shaped options coalesce into one solve
-  /// fanned out to every submitter's future. Requests opt out individually
-  /// via SubmitRequest::allow_dedup.
-  bool dedup_in_flight = true;
   /// Non-empty: directory of the persistent warm-start store. Completed
   /// cooperative runs save their final per-slave state here, and new jobs
   /// whose WarmStartPolicy allows it are seeded from matching entries.

@@ -7,12 +7,9 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "parallel/codec.hpp"
 #include "parallel/presets.hpp"
 #include "parallel/snapshot.hpp"
-#include "parallel/wire.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace pts::service {
 
@@ -38,57 +35,13 @@ std::string tenant_metric(const TenantId& tenant, const char* suffix) {
   return name;
 }
 
-/// The dedup identity of a submission's solve shape: its options serialized
-/// with the per-caller fields (priority, deadline) neutralized, plus the
-/// warm-start policy. Two submissions coalesce only when this — and the
-/// instance bytes — match, so sharing a solve never changes what runs.
-std::vector<std::uint8_t> solve_key_bytes(const JobOptions& options,
-                                          WarmStartPolicy warm_start) {
-  JobOptions shape = options;
-  shape.priority = 0;
-  shape.deadline_seconds.reset();
-  parallel::codec::Writer w;
-  journal::put_job_options(w, shape);
-  w.u8(static_cast<std::uint8_t>(warm_start));
-  return w.take();
-}
-
 }  // namespace
 
-/// One submission's stake in a solve: its own identity, deadline, journal
-/// record and completion callback. A job starts with one waiter; dedup
-/// attaches more. on_done is called exactly once, by whichever path
-/// terminates the waiter (run fan-out, per-waiter deadline sweep, cancel,
-/// shed, shutdown).
-struct SolverService::Waiter {
-  JobId id = 0;
-  JobOrigin origin = JobOrigin::kFresh;
-  TenantId tenant;
-  std::shared_ptr<const mkp::Instance> instance;
-  /// Per-waiter copy with the caller's own priority/deadline — the journal
-  /// identity that lets a crashed follower replay as itself.
-  JobOptions options;
-  WarmStartPolicy warm_start = WarmStartPolicy::kDisabled;
-  bool journaled = false;    ///< has a kSubmitted record awaiting its strike
-  bool deduplicated = false; ///< attached to an existing job's solve
-  JobId dedup_primary = 0;   ///< the job it attached to (compaction re-link)
-  Deadline deadline;         ///< unbounded when no deadline was requested
-  double queue_seconds = 0.0;  ///< stamped at dispatch (or attach-to-running)
-  Stopwatch since_submit;
-  JobCallback on_done;
-};
-
-/// One solve, queued or running, fanned out to one or more waiters. The
-/// content address + instance bytes + solve key triple is the dedup
-/// identity; the tenant charged in the fair-queuing ledger is the primary
-/// waiter's.
-struct SolverService::Job {
-  JobId id = 0;  ///< primary (first) waiter's id; the running_ map key
-  std::shared_ptr<const mkp::Instance> instance;
-  std::vector<std::uint8_t> instance_bytes;  ///< canonical wire serialization
-  std::uint64_t content_hash = 0;            ///< FNV-1a over instance_bytes
-  std::vector<std::uint8_t> solve_key;       ///< options minus caller fields
-  JobOptions options;                        ///< the solve shape (primary's)
+/// One solve, queued or running, fanned out to one or more waiters (the
+/// table's part: identity, dedup key, waiters). The tenant charged in the
+/// fair-queuing ledger is the primary waiter's.
+struct SolverService::Job : JobTable::Job {
+  JobOptions options;               ///< the solve shape (primary's)
   parallel::ParallelConfig config;  ///< resolved at submit; budget set at dispatch
   std::size_t slots = 1;            ///< pool capacity occupied while running
   int priority = 0;                 ///< max over attached waiters
@@ -98,18 +51,14 @@ struct SolverService::Job {
   /// start sequence; it outranks every ordinary queued job and replays in
   /// ascending-rank order.
   std::uint64_t resume_rank = 0;
-  /// Stamped at dispatch (0 while queued): journal compaction re-emits the
-  /// kDispatched record for running jobs from here.
-  std::uint64_t start_sequence = 0;
-  JobId dispatch_anchor = 0;  ///< first journaled waiter; kDispatched target
   /// The most generous live waiter deadline, fixed at dispatch — the run
   /// gets the longest leash any of its waiters paid for.
   Deadline solve_deadline;
   CancelSource cancel;  ///< armed with solve_deadline at dispatch
-  std::vector<std::unique_ptr<Waiter>> waiters;
 };
 
-SolverService::SolverService(ServiceConfig config) : config_(std::move(config)) {
+SolverService::SolverService(ServiceConfig config)
+    : config_(std::move(config)), table_(config_.journal_compact_every_records) {
   PTS_CHECK_MSG(config_.num_workers >= 1, "the pool needs at least one worker");
   PTS_CHECK_MSG(config_.queue_capacity >= 1, "the queue needs at least one slot");
   free_slots_ = config_.num_workers;
@@ -128,47 +77,18 @@ SolverService::SolverService(ServiceConfig config) : config_(std::move(config)) 
         config_.warm_start_dir, config_.warm_start_tightness_tolerance);
   }
 
-  // Crash recovery: replay the previous incarnation's journal BEFORE
-  // truncating it, then re-enqueue every job whose result never went out.
-  // Resubmitting re-journals the survivors, which compacts the log.
+  // Crash recovery: re-enqueue every job whose result never went out.
   std::vector<journal::RecoveredJob> replayed;
   if (!config_.journal_path.empty()) {
-    auto jobs = journal::recover_jobs(config_.journal_path);
-    if (jobs) {
-      replayed = std::move(*jobs);
-      if (auto opened = journal::JobJournal::open_truncate(config_.journal_path)) {
-        journal_ = std::move(*opened);
-      }
-    }
-    // A file that is not a job journal (bad magic/version) is left untouched
-    // and journaling stays off — never truncate what we cannot parse.
+    replayed = table_.open_journal(config_.journal_path);
   }
-
   scheduler_ = std::thread([this] { scheduler_loop(); });
-
-  for (auto& job : replayed) {
-    SubmitRequest request;
-    request.instance =
-        std::make_shared<const mkp::Instance>(std::move(job.instance));
-    request.tenant = std::move(job.tenant);
-    request.priority = job.options.priority;
-    request.deadline_seconds = job.options.deadline_seconds;
-    request.warm_start = job.warm_start;
-    request.options = std::move(job.options);
-    // Recovered duplicates re-coalesce here: a follower's instance bytes and
-    // solve key still match its primary's, so resubmitting both in the old
-    // submission order re-attaches them.
-    auto handle = with_future([&](JobCallback on_done) {
-      return submit_full(std::move(request), std::move(on_done),
-                         JobOrigin::kResumed, job.dispatch_sequence);
-    });
-    if (!handle) {
-      PTS_LOG_WARN("service: journaled job not resumed: %s",
-                   handle.status().to_string().c_str());
-      continue;
-    }
-    recovered_.push_back(std::move(*handle));
-  }
+  table_.resume(std::move(replayed), [this](SubmitRequest request,
+                                            JobCallback on_done,
+                                            std::uint64_t resume_rank) {
+    return submit_full(std::move(request), std::move(on_done),
+                       JobOrigin::kResumed, resume_rank);
+  });
 }
 
 SolverService::~SolverService() { shutdown(); }
@@ -181,26 +101,7 @@ Expected<JobTicket> SolverService::submit(SubmitRequest request,
 
 std::vector<JobHandle> SolverService::take_recovered() {
   std::lock_guard lock(mutex_);
-  return std::move(recovered_);
-}
-
-void SolverService::journal_resolved(const Waiter& waiter) {
-  if (journal_ && waiter.journaled) (void)journal_->append_resolved(waiter.id);
-}
-
-void SolverService::resolve_waiter(Waiter& waiter, const Job& job,
-                                   Status status) {
-  JobResult result;
-  result.id = waiter.id;
-  result.origin = waiter.origin;
-  result.status = std::move(status);
-  result.instance = waiter.instance;
-  result.queue_seconds = waiter.since_submit.elapsed_seconds();
-  result.tenant = waiter.tenant;
-  result.deduplicated = waiter.deduplicated;
-  result.content_hash = job.content_hash;
-  result.start_sequence = job.start_sequence;
-  waiter.on_done(std::move(result));
+  return table_.take_recovered();
 }
 
 SolverService::TenantState& SolverService::tenant_state_locked(
@@ -224,19 +125,10 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   request.options.priority = request.priority;
   request.options.deadline_seconds = request.deadline_seconds;
 
-  auto waiter = std::make_unique<Waiter>();
-  waiter->origin = origin;
-  waiter->tenant = request.tenant;
-  waiter->instance = request.instance;
-  waiter->options = request.options;
-  waiter->warm_start = request.warm_start;
-  waiter->on_done = std::move(on_done);
-
-  JobTicket out;
-  out.tenant = request.tenant;
+  std::unique_ptr<Waiter> waiter;
   {
     std::lock_guard lock(mutex_);
-    waiter->id = next_id_++;
+    waiter = table_.make_waiter(request, std::move(on_done), origin);
     ++stats_.submitted;
     if (origin == JobOrigin::kResumed) ++stats_.resumed;
   }
@@ -244,23 +136,24 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   if (origin == JobOrigin::kResumed) {
     obs::metrics().counter("service_resumed_total").add();
   }
+  JobTicket out;
   out.id = waiter->id;
+  out.tenant = request.tenant;
 
   // Validation: every failure is a structured Status, never an abort.
   Status invalid;
   std::optional<parallel::ParallelConfig> preset;
-  if (!waiter->instance) {
+  if (!request.instance) {
     invalid = Status::invalid_argument("null instance");
-  } else if (const auto issues = waiter->instance->validate(); !issues.empty()) {
+  } else if (const auto issues = request.instance->validate(); !issues.empty()) {
     invalid = Status::invalid_argument("instance " + issues.front());
-  } else if (waiter->options.time_budget_seconds <= 0.0) {
+  } else if (request.options.time_budget_seconds <= 0.0) {
     invalid = Status::invalid_argument("time_budget_seconds must be positive");
-  } else if (waiter->options.deadline_seconds &&
-             *waiter->options.deadline_seconds < 0.0) {
+  } else if (request.deadline_seconds && *request.deadline_seconds < 0.0) {
     invalid = Status::invalid_argument("deadline_seconds must be non-negative");
   } else {
-    preset = parallel::preset_by_name(waiter->options.preset,
-                                      waiter->options.seed);
+    preset = parallel::preset_by_name(request.options.preset,
+                                      request.options.seed);
     if (!preset) {
       std::string known;
       for (const auto& name : parallel::known_preset_names()) {
@@ -268,7 +161,7 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
         known += name;
       }
       invalid = Status::invalid_argument("unknown preset '" +
-                                         waiter->options.preset +
+                                         request.options.preset +
                                          "' (known: " + known + ")");
     }
   }
@@ -282,11 +175,11 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   }
 
   auto job = std::make_shared<Job>();
-  job->instance = waiter->instance;
-  job->options = waiter->options;
-  job->priority = waiter->options.priority;
-  job->tenant = waiter->tenant;
-  job->warm_start = waiter->warm_start;
+  job->instance = request.instance;
+  job->options = request.options;
+  job->priority = request.priority;
+  job->tenant = request.tenant;
+  job->warm_start = request.warm_start;
   job->resume_rank = resume_rank;
   job->config = *preset;
   parallel::scale_budget_to_instance(job->config, *job->instance);
@@ -313,7 +206,7 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   // Shrinking the ask keeps the quota's meaning (concurrency cap) without
   // turning it into a starvation trap.
   for (const auto& tenant : config_.tenants) {
-    if (tenant.name == waiter->tenant && tenant.max_running_slots != 0) {
+    if (tenant.name == request.tenant && tenant.max_running_slots != 0) {
       job->config.num_slaves =
           std::min(job->config.num_slaves, tenant.max_running_slots);
       break;
@@ -322,18 +215,8 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   job->slots = job->config.mode == parallel::CooperationMode::kSequential
                    ? 1
                    : job->config.num_slaves;
-  if (waiter->options.deadline_seconds) {
-    waiter->deadline = Deadline::after_seconds(*waiter->options.deadline_seconds);
-  }
-
-  // Content address: hash and bytes of the canonical wire serialization.
-  {
-    parallel::codec::Writer w;
-    parallel::wire::put_instance(w, *job->instance);
-    job->instance_bytes = w.take();
-  }
   job->content_hash = parallel::snapshot::instance_hash64(*job->instance);
-  job->solve_key = solve_key_bytes(job->options, job->warm_start);
+  job->solve_key = JobTable::solve_key(job->options, job->warm_start);
   out.content_hash = job->content_hash;
 
   std::unique_lock lock(mutex_);
@@ -345,60 +228,34 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
   }
 
   // In-flight dedup: an identical solve already queued or running adopts
-  // this submission as an extra waiter instead of a second run. Running jobs
-  // only qualify when their committed deadline covers this waiter's — a
-  // shared solve must never stop earlier than a waiter paid for.
-  if (config_.dedup_in_flight && request.allow_dedup) {
-    std::shared_ptr<Job> target;
-    const auto matches = [&](const Job& other) {
-      return other.content_hash == job->content_hash &&
-             other.solve_key == job->solve_key &&
-             other.instance_bytes == job->instance_bytes;
-    };
-    for (const auto& queued : queue_) {
-      if (matches(*queued)) {
-        target = queued;
-        break;
-      }
-    }
-    if (!target) {
-      for (const auto& [id, running] : running_) {
-        if (!matches(*running)) continue;
-        if (running->cancel.token().cancel_requested()) continue;
-        const bool covered =
-            !running->solve_deadline.is_bounded() ||
+  // this submission as an extra waiter instead of a second run. A running
+  // solve only qualifies when its committed deadline covers this waiter's —
+  // a shared solve must never stop earlier than a waiter paid for.
+  const auto eligible = [&](const JobTable::Job& entry) {
+    const auto& other = static_cast<const Job&>(entry);
+    if (other.start_sequence == 0) return true;
+    return !other.cancel.token().cancel_requested() &&
+           (!other.solve_deadline.is_bounded() ||
             (waiter->deadline.is_bounded() &&
              waiter->deadline.remaining_seconds() <=
-                 running->solve_deadline.remaining_seconds());
-        if (!covered) continue;
-        target = running;
-        break;
-      }
+                 other.solve_deadline.remaining_seconds()));
+  };
+  if (auto* entry = request.allow_dedup
+                        ? table_.match(job->content_hash, job->solve_key,
+                                       *job->instance, eligible)
+                        : nullptr) {
+    auto& target = static_cast<Job&>(*entry);
+    target.priority = std::max(target.priority, request.priority);
+    if (target.start_sequence != 0) {
+      waiter->queue_seconds = waiter->since_submit.elapsed_seconds();
     }
-    if (target) {
-      waiter->deduplicated = true;
-      waiter->dedup_primary = target->id;
-      target->priority = std::max(target->priority, waiter->options.priority);
-      if (target->start_sequence != 0) {
-        waiter->queue_seconds = waiter->since_submit.elapsed_seconds();
-      }
-      if (journal_ &&
-          journal_->append_submitted(waiter->id, *job->instance,
-                                     waiter->options, waiter->tenant,
-                                     waiter->warm_start)
-              .ok()) {
-        waiter->journaled = true;
-        (void)journal_->append_dedup(waiter->id, target->id);
-        if (target->dispatch_anchor == 0) target->dispatch_anchor = waiter->id;
-      }
-      ++stats_.dedup_hits;
-      out.deduplicated = true;
-      target->waiters.push_back(std::move(waiter));
-      lock.unlock();
-      obs::metrics().counter("service_dedup_hits_total").add();
-      obs::metrics().counter(tenant_metric(out.tenant, "_dedup_hits_total")).add();
-      return out;
-    }
+    table_.attach(target, std::move(waiter));
+    ++stats_.dedup_hits;
+    out.deduplicated = true;
+    lock.unlock();
+    obs::metrics().counter("service_dedup_hits_total").add();
+    obs::metrics().counter(tenant_metric(out.tenant, "_dedup_hits_total")).add();
+    return out;
   }
 
   if (queue_.size() >= config_.queue_capacity) {
@@ -409,6 +266,7 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
     // tenant at the default weight this degrades to the pre-tenant
     // priority-only rule.
     std::shared_ptr<Job> shed;
+    std::vector<std::unique_ptr<Waiter>> lost;
     if (config_.overflow == OverflowPolicy::kShedLowest) {
       const auto rank = [this](const Job& j) {
         return std::pair(tenant_state_locked(j.tenant).weight, j.priority);
@@ -420,26 +278,25 @@ Expected<JobTicket> SolverService::submit_full(SubmitRequest request,
       if (weakest != queue_.end() && rank(**weakest) < rank(*job)) {
         shed = *weakest;
         queue_.erase(weakest);
+        lost = table_.retire(*shed);
         accept_job_locked(job, std::move(waiter));
       }
     }
     ++stats_.rejected;
     lock.unlock();
-    if (shed) {
-      obs::metrics().counter("service_shed_total").add();
-      for (auto& lost : shed->waiters) {
-        journal_resolved(*lost);
-        resolve_waiter(*lost, *shed,
-                       Status::resource_exhausted(
-                           "shed by a higher-priority submission (queue full)"));
-      }
-      wake_.notify_all();
-    } else {
+    if (!shed) {
       obs::metrics().counter("service_rejected_total").add();
       return Status::resource_exhausted(
           "queue full (capacity " + std::to_string(config_.queue_capacity) +
           ")");
     }
+    obs::metrics().counter("service_shed_total").add();
+    for (auto& waiter_lost : lost) {
+      table_.fail(*waiter_lost, *shed,
+                  Status::resource_exhausted(
+                      "shed by a higher-priority submission (queue full)"));
+    }
+    wake_.notify_all();
     return out;
   }
 
@@ -461,96 +318,61 @@ void SolverService::accept_job_locked(const std::shared_ptr<Job>& job,
       })) {
     tenant.vtime = std::max(tenant.vtime, global_vtime_);
   }
-  job->id = waiter->id;
-  job->waiters.push_back(std::move(waiter));
-  queue_.push_back(job);
   // Journaled under the lock: the job is not dispatchable until the caller
-  // unlocks, so its kSubmitted record always precedes any strike. A failed
-  // append leaves the job un-journaled but still runs it.
-  auto& accepted = *job->waiters.front();
-  if (journal_ &&
-      journal_->append_submitted(accepted.id, *job->instance, accepted.options,
-                                 accepted.tenant, accepted.warm_start)
-          .ok()) {
-    accepted.journaled = true;
-    job->dispatch_anchor = accepted.id;
-  }
+  // unlocks, so its kSubmitted record always precedes any strike.
+  table_.admit(job, std::move(waiter));
+  queue_.push_back(job);
 }
 
 bool SolverService::cancel(JobId id) {
   std::unique_lock lock(mutex_);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    auto& job = *it;
-    auto found = std::find_if(
-        job->waiters.begin(), job->waiters.end(),
-        [id](const auto& waiter) { return waiter->id == id; });
-    if (found == job->waiters.end()) continue;
-    auto waiter = std::move(*found);
-    job->waiters.erase(found);
-    const auto keep = job;  // resolve needs the job after possible erase
-    if (job->waiters.empty()) queue_.erase(it);
-    ++stats_.cancelled;
-    lock.unlock();
-    obs::metrics().counter("service_cancelled_total").add();
-    journal_resolved(*waiter);
-    resolve_waiter(*waiter, *keep,
-                   Status::cancelled("cancelled while queued"));
+  const auto job = std::static_pointer_cast<Job>(table_.job_of(id));
+  if (!job) return false;
+  const bool running = job->start_sequence != 0;
+  if (running && job->waiters.size() == 1) {
+    // Last (or only) waiter: the token does the rest — the engine notices
+    // within one inner-loop check, the master within one mailbox poll
+    // slice; the job thread then resolves the waiter as kCancelled.
+    job->cancel.request_cancel();
     return true;
   }
-  for (auto& [job_id, job] : running_) {
-    auto found = std::find_if(
-        job->waiters.begin(), job->waiters.end(),
-        [id](const auto& waiter) { return waiter->id == id; });
-    if (found == job->waiters.end()) continue;
-    if (job->waiters.size() == 1) {
-      // Last (or only) waiter: the token does the rest — the engine notices
-      // within one inner-loop check, the master within one mailbox poll
-      // slice; the job thread then resolves the waiter as kCancelled.
-      job->cancel.request_cancel();
-      return true;
-    }
-    // A shared solve loses just this waiter; the run continues for the rest.
-    auto waiter = std::move(*found);
-    job->waiters.erase(found);
-    ++stats_.cancelled;
-    const auto keep = job;
-    lock.unlock();
-    obs::metrics().counter("service_cancelled_total").add();
-    journal_resolved(*waiter);
-    resolve_waiter(*waiter, *keep,
-                   Status::cancelled("cancelled while running (detached from "
-                                     "shared solve)"));
-    return true;
+  // A queued waiter leaves at once; a shared running solve loses just this
+  // waiter and continues for the rest. Resolved under the lock: the job may
+  // stay queued, and the scheduler stamps a queued job's start sequence.
+  table_.fail(*table_.detach(*job, id), *job,
+              Status::cancelled(running ? "cancelled while running (detached "
+                                          "from shared solve)"
+                                        : "cancelled while queued"));
+  if (job->waiters.empty()) {
+    std::erase(queue_, job);
+    table_.retire(*job);
   }
-  return false;
+  ++stats_.cancelled;
+  lock.unlock();
+  obs::metrics().counter("service_cancelled_total").add();
+  return true;
 }
 
 void SolverService::shutdown() {
-  std::vector<std::shared_ptr<Job>> to_resolve;
-  std::size_t cancelled_waiters = 0;
   {
     std::lock_guard lock(mutex_);
-    if (stopping_) {
-      // Second call: scheduler already told to wind down; fall through to
-      // the join below (idempotent).
-    }
+    // A second call finds the queue empty and falls through to the join.
     stopping_ = true;
-    to_resolve.swap(queue_);
-    for (const auto& job : to_resolve) cancelled_waiters += job->waiters.size();
+    std::size_t cancelled_waiters = 0;
+    for (const auto& job : queue_) {
+      cancelled_waiters += job->waiters.size();
+      // Deliberately NOT struck from the journal: a queued job cancelled by
+      // shutdown is exactly what the next incarnation should resume.
+      table_.fail_all(*job, Status::cancelled("service shutting down"),
+                      /*strike=*/false);
+    }
+    queue_.clear();
     stats_.cancelled += cancelled_waiters;
+    obs::metrics().counter("service_cancelled_total")
+        .add(static_cast<std::uint64_t>(cancelled_waiters));
     for (auto& [id, job] : running_) job->cancel.request_cancel();
   }
   wake_.notify_all();
-  obs::metrics().counter("service_cancelled_total")
-      .add(static_cast<std::uint64_t>(cancelled_waiters));
-  for (auto& job : to_resolve) {
-    // Deliberately NOT struck from the journal: a queued job cancelled by
-    // shutdown is exactly what the next incarnation should resume.
-    for (auto& waiter : job->waiters) {
-      resolve_waiter(*waiter, *job,
-                     Status::cancelled("service shutting down"));
-    }
-  }
   if (scheduler_.joinable()) scheduler_.join();
 }
 
@@ -570,56 +392,39 @@ ServiceStats SolverService::stats() const {
 }
 
 void SolverService::sweep_queue_locked() {
-  // Queued waiters whose deadline passed before their job ever ran resolve
-  // kDeadlineExceeded; a job whose last waiter expires leaves the queue.
-  // Swap-and-pop is fine: dispatch re-scans for the best job every time.
+  // Waiters whose own deadline passed resolve kDeadlineExceeded; a queued
+  // job whose last waiter expires leaves the queue. Swap-and-pop is fine:
+  // dispatch re-scans for the best job every time.
+  std::size_t expired = 0;
   for (std::size_t k = 0; k < queue_.size();) {
-    auto& job = queue_[k];
-    for (std::size_t w = 0; w < job->waiters.size();) {
-      if (!job->waiters[w]->deadline.expired()) {
-        ++w;
-        continue;
-      }
-      auto waiter = std::move(job->waiters[w]);
-      job->waiters.erase(job->waiters.begin() + static_cast<std::ptrdiff_t>(w));
-      ++stats_.deadline_expired;
-      obs::metrics().counter("service_deadline_missed_total").add();
-      journal_resolved(*waiter);
-      resolve_waiter(*waiter, *job,
-                     Status::deadline_exceeded("deadline passed while queued"));
-    }
-    if (job->waiters.empty()) {
+    auto& job = *queue_[k];
+    expired += table_.expire(
+        job, Status::deadline_exceeded("deadline passed while queued"));
+    if (job.waiters.empty()) {
+      table_.retire(job);
       queue_[k] = queue_.back();
       queue_.pop_back();
     } else {
       ++k;
     }
   }
-  // Waiters on a RUNNING solve with a stricter deadline than the run's own:
-  // resolve them the moment their deadline passes. Only while the solve's
-  // deadline itself still stands — a never-shared job's waiter deadline IS
-  // the solve deadline (they expire together), so this never fires for it
-  // and the legacy run-resolves-the-waiter path is untouched. No waiter
+  // Waiters on a RUNNING solve with a stricter deadline than the run's own,
+  // only while the solve's deadline itself still stands — a never-shared
+  // job's waiter deadline IS the solve deadline (they expire together), so
+  // this never fires for it and the run resolves the waiter. No waiter
   // count guard: a shared solve whose most generous waiter detached leaves
   // ONE waiter under a longer solve deadline, and its own deadline must
   // still be honored.
   for (auto& [id, job] : running_) {
     if (job->solve_deadline.expired()) continue;
-    for (std::size_t w = 0; w < job->waiters.size();) {
-      if (!job->waiters[w]->deadline.expired()) {
-        ++w;
-        continue;
-      }
-      auto waiter = std::move(job->waiters[w]);
-      job->waiters.erase(job->waiters.begin() + static_cast<std::ptrdiff_t>(w));
-      ++stats_.deadline_expired;
-      obs::metrics().counter("service_deadline_missed_total").add();
-      journal_resolved(*waiter);
-      resolve_waiter(*waiter, *job,
-                     Status::deadline_exceeded("deadline passed while running"));
-    }
+    expired += table_.expire(
+        *job, Status::deadline_exceeded("deadline passed while running"));
     if (job->waiters.empty()) job->cancel.request_cancel();
   }
+  if (expired == 0) return;
+  stats_.deadline_expired += expired;
+  obs::metrics().counter("service_deadline_missed_total")
+      .add(static_cast<std::uint64_t>(expired));
 }
 
 void SolverService::dispatch_ready_locked() {
@@ -671,7 +476,6 @@ void SolverService::dispatch_ready_locked() {
     tenant.vtime += static_cast<double>(job->slots) / tenant.weight;
     global_vtime_ = std::max(global_vtime_, tenant.vtime);
     const std::uint64_t seq = next_start_sequence_++;
-    job->start_sequence = seq;
     // The solve runs on the longest leash any live waiter paid for; the
     // cancel source is armed with it here, which is equivalent to arming at
     // submit (deadlines are absolute points in time).
@@ -701,9 +505,7 @@ void SolverService::dispatch_ready_locked() {
     // Stamp the commitment before the thread exists: if we crash between
     // the append and the spawn, replay still restores this job at the front
     // in this order — exactly what the dispatch decision promised.
-    if (journal_ && job->dispatch_anchor != 0) {
-      (void)journal_->append_dispatched(job->dispatch_anchor, seq);
-    }
+    table_.dispatched(*job, seq);
     job_threads_.emplace(job->id,
                          std::thread([this, job, seq] { run_job(job, seq); }));
   }
@@ -722,50 +524,6 @@ void SolverService::reap_finished_locked(std::unique_lock<std::mutex>& lock) {
   finished_.clear();
 }
 
-void SolverService::maybe_compact_journal_locked() {
-  if (!journal_ || config_.journal_compact_every_records == 0) return;
-  const std::uint64_t appended = journal_->records_appended();
-  if (appended < config_.journal_compact_every_records) return;
-
-  // The compacted image holds one kSubmitted per open journaled waiter, one
-  // kDispatched for the anchor of each running job, and one kDedup per
-  // attached follower. Only rewrite when that at least halves the log —
-  // without the hysteresis a standing queue of N jobs would re-trigger every
-  // `journal_compact_every_records` appends for no space gain.
-  std::vector<journal::LiveJob> live;
-  const auto collect = [&](const Job& job) {
-    for (const auto& waiter : job.waiters) {
-      if (!waiter->journaled) continue;
-      journal::LiveJob entry;
-      entry.id = waiter->id;
-      entry.instance = job.instance.get();
-      entry.options = &waiter->options;
-      entry.dispatch_sequence =
-          waiter->id == job.dispatch_anchor ? job.start_sequence : 0;
-      entry.tenant = &waiter->tenant;
-      entry.warm_start = waiter->warm_start;
-      entry.dedup_primary = waiter->dedup_primary;
-      live.push_back(entry);
-    }
-  };
-  for (const auto& job : queue_) collect(*job);
-  for (const auto& [id, job] : running_) collect(*job);
-  std::uint64_t needed = 0;
-  for (const auto& entry : live) {
-    needed += 1;
-    if (entry.dispatch_sequence != 0) needed += 1;
-    if (entry.dedup_primary != 0) needed += 1;
-  }
-  if (appended < 2 * needed + 1) return;
-  // Holding the service mutex across the rewrite is the correctness
-  // argument: every append_submitted happens under this lock, so no new
-  // submission can land in the file being replaced. A concurrent
-  // append_resolved (job threads strike outside the lock) serializes on the
-  // journal's own mutex and lands in whichever file wins — both orders
-  // replay correctly (an unmatched kResolved is inert).
-  (void)journal_->compact(live);
-}
-
 void SolverService::scheduler_loop() {
   std::unique_lock lock(mutex_);
   auto& queue_depth = obs::metrics().gauge("service_queue_depth");
@@ -775,7 +533,7 @@ void SolverService::scheduler_loop() {
     reap_finished_locked(lock);
     sweep_queue_locked();
     if (!stopping_) dispatch_ready_locked();
-    maybe_compact_journal_locked();
+    table_.maybe_compact();
     queue_depth.set(static_cast<double>(queue_.size()));
     active_jobs.set(static_cast<double>(running_.size()));
     free_slots.set(static_cast<double>(free_slots_));
@@ -850,67 +608,59 @@ void SolverService::run_job(const std::shared_ptr<Job>& job,
   base.tenant = job->tenant;
   base.warm_started = warm.has_value();
 
+  // The store is written after the fan-out, but run.best moves into the
+  // results below — keep it a copy of the best for the save.
+  std::optional<mkp::Solution> warm_best;
+  const auto token = job->cancel.token();
   if (!run.status.ok()) {
     // The backend never started (e.g. proc backend with no worker binary):
     // there is no partial solution, only the supervisor's error.
     base.status = Status::unavailable("backend failed to start: " +
                                       run.status.message());
-    std::vector<std::unique_ptr<Waiter>> waiters;
-    {
-      std::lock_guard lock(mutex_);
-      free_slots_ += job->slots;
-      tenant_state_locked(job->tenant).running_slots -= job->slots;
-      running_.erase(job->id);
-      finished_.push_back(job->id);
-      waiters.swap(job->waiters);
-      stats_.backend_failures += waiters.size();
-    }
-    wake_.notify_all();
-    obs::metrics().counter("service_backend_failures_total")
-        .add(static_cast<std::uint64_t>(waiters.size()));
-    for (auto& waiter : waiters) {
-      journal_resolved(*waiter);
-      JobResult result = base;
-      result.id = waiter->id;
-      result.origin = waiter->origin;
-      result.tenant = waiter->tenant;
-      result.deduplicated = waiter->deduplicated;
-      result.queue_seconds = waiter->queue_seconds;
-      waiter->on_done(std::move(result));
-    }
-    return;
-  }
-
-  base.best_value = run.best_value;
-  // The store is written after the fan-out, but run.best moves into the
-  // results below — keep it a copy of the best for the save.
-  std::optional<mkp::Solution> warm_best;
-  if (warm_store_ && !job->config.core.enabled &&
-      !run.master.final_slaves.empty()) {
-    warm_best = run.best;
-  }
-  base.best = std::move(run.best);
-  base.total_moves = run.total_moves;
-  base.reached_target = run.reached_target;
-  base.slave_faults = run.master.slave_faults;
-  base.counters = run.master.counters;
-  base.anytime = std::move(run.master.anytime);
-
-  const auto token = job->cancel.token();
-  if (run.reached_target) {
-    base.status = Status{};
-  } else if (token.cancel_requested()) {
-    base.status = Status::cancelled("cancelled while running");
-  } else if (deadline_limited && token.deadline_expired()) {
-    base.status = Status::deadline_exceeded("deadline passed while running");
   } else {
-    base.status = Status{};
+    if (warm_store_ && !job->config.core.enabled &&
+        !run.master.final_slaves.empty()) {
+      warm_best = run.best;
+    }
+    base.best_value = run.best_value;
+    base.best = std::move(run.best);
+    base.total_moves = run.total_moves;
+    base.reached_target = run.reached_target;
+    base.slave_faults = run.master.slave_faults;
+    base.counters = run.master.counters;
+    base.anytime = std::move(run.master.anytime);
+    if (!run.reached_target && token.cancel_requested()) {
+      base.status = Status::cancelled("cancelled while running");
+    } else if (!run.reached_target && deadline_limited &&
+               token.deadline_expired()) {
+      base.status = Status::deadline_exceeded("deadline passed while running");
+    }
   }
 
   // Retire the job from the books BEFORE calling back, so "the result
   // arrived" implies "cancel(id) returns false". The scheduler may join
   // this thread before on_done runs; that is fine — the join only waits for
   // the return below, and no lock is held past this block.
+  std::uint64_t* tally = nullptr;
+  const char* metric = nullptr;
+  switch (base.status.code()) {
+    case StatusCode::kOk:
+      tally = &stats_.completed;
+      metric = "service_completed_total";
+      break;
+    case StatusCode::kCancelled:
+      tally = &stats_.cancelled;
+      metric = "service_cancelled_total";
+      break;
+    case StatusCode::kDeadlineExceeded:
+      tally = &stats_.deadline_expired;
+      metric = "service_deadline_missed_total";
+      break;
+    default:
+      tally = &stats_.backend_failures;
+      metric = "service_backend_failures_total";
+      break;
+  }
   bool strike = true;
   std::vector<std::unique_ptr<Waiter>> waiters;
   {
@@ -919,51 +669,27 @@ void SolverService::run_job(const std::shared_ptr<Job>& job,
     tenant_state_locked(job->tenant).running_slots -= job->slots;
     running_.erase(job->id);
     finished_.push_back(job->id);
-    waiters.swap(job->waiters);
+    waiters = table_.retire(*job);
     stats_.slave_faults += base.slave_faults;
-    for (std::size_t i = 0; i < waiters.size(); ++i) {
-      switch (base.status.code()) {
-        case StatusCode::kOk: ++stats_.completed; break;
-        case StatusCode::kCancelled: ++stats_.cancelled; break;
-        case StatusCode::kDeadlineExceeded: ++stats_.deadline_expired; break;
-        default: break;
-      }
-    }
+    *tally += waiters.size();
     // A run cancelled by shutdown stays open in the journal so the next
     // incarnation re-runs it from scratch (solves are idempotent).
     strike = !(stopping_ && base.status.code() == StatusCode::kCancelled);
   }
-  for (std::size_t i = 0; i < waiters.size(); ++i) {
-    switch (base.status.code()) {
-      case StatusCode::kOk:
-        obs::metrics().counter("service_completed_total").add();
-        break;
-      case StatusCode::kCancelled:
-        obs::metrics().counter("service_cancelled_total").add();
-        break;
-      case StatusCode::kDeadlineExceeded:
-        obs::metrics().counter("service_deadline_missed_total").add();
-        break;
-      default: break;
-    }
+  obs::metrics().counter(metric).add(static_cast<std::uint64_t>(waiters.size()));
+  if (run.status.ok()) {
+    obs::metrics().histogram("job_run_seconds").record(base.run_seconds);
+    obs::metrics().histogram("job_total_seconds")
+        .record((waiters.empty() ? 0.0 : waiters.front()->queue_seconds) +
+                base.run_seconds);
   }
-  obs::metrics().histogram("job_run_seconds").record(base.run_seconds);
-  obs::metrics().histogram("job_total_seconds")
-      .record((waiters.empty() ? 0.0 : waiters.front()->queue_seconds) +
-              base.run_seconds);
   wake_.notify_all();
   const bool run_completed_ok = base.status.ok();  // base moves in the fan-out
   // Fan the one run out to every waiter that stayed attached to the end.
   for (std::size_t i = 0; i < waiters.size(); ++i) {
-    auto& waiter = waiters[i];
-    if (strike) journal_resolved(*waiter);
     JobResult result = i + 1 == waiters.size() ? std::move(base) : base;
-    result.id = waiter->id;
-    result.origin = waiter->origin;
-    result.tenant = waiter->tenant;
-    result.deduplicated = waiter->deduplicated;
-    result.queue_seconds = waiter->queue_seconds;
-    waiter->on_done(std::move(result));
+    result.queue_seconds = waiters[i]->queue_seconds;
+    table_.resolve(*waiters[i], std::move(result), strike);
   }
 
   // Persist the finished run's per-slave state for future warm starts. Only

@@ -14,12 +14,14 @@
 // (under the service mutex), cancel(), a shed, or shutdown(). So `on_done`
 // may run before submit returns, on any of those threads: it must not
 // block and must not call back into the service. submit(request) is the
-// future-style form of the same path. Every submitted instance is content-addressed
-// (snapshot::instance_hash64 over its canonical wire bytes); a submission
-// whose instance bytes AND solve-shaped options match an in-flight job
-// attaches to that job as an extra *waiter* instead of enqueuing a new
-// solve — one run fans out to every waiter's future, each with its own
-// deadline semantics.
+// future-style form of the same path. Every open job and waiter lives in a
+// service::JobTable (service/job_table.hpp), the same book the cluster
+// coordinator keeps: a submission whose content hash, solve-shaped options
+// and canonical instance bytes match an in-flight job attaches to that job
+// as an extra *waiter* instead of enqueuing a new solve — one run fans out
+// to every waiter's future, each with its own deadline semantics. The
+// service adds one rule of its own: a running solve takes a new waiter only
+// if its committed deadline covers the waiter's.
 //
 // Scheduling. A scheduler thread dispatches whenever capacity frees up.
 // Jobs resumed from the journal go absolutely first, in their original
@@ -49,11 +51,11 @@
 // record (see parallel/master.cpp). The service surfaces the per-job fault
 // count in JobResult and aggregates it in ServiceStats.
 //
-// Crash safety. With ServiceConfig::journal_path set, every accepted waiter
-// is journaled at submit (with its tenant and warm-start policy), dedup
-// attachments are linked with a kDedup record, the scheduler's dispatch is
-// stamped with its global start sequence, and every terminal resolution is
-// struck — EXCEPT resolutions caused by shutdown(), which are deliberately
+// Crash safety. With ServiceConfig::journal_path set, the table journals
+// every accepted waiter at submit (with its tenant and warm-start policy),
+// links dedup attachments with a kDedup record, and strikes every terminal
+// resolution; the service stamps each dispatch with its global start
+// sequence — EXCEPT that resolutions caused by shutdown() are deliberately
 // left open so a restarted service replays them. The constructor
 // re-enqueues the survivors as JobOrigin::kResumed; take_recovered() hands
 // their futures to the caller. Recovered duplicate submissions re-coalesce
@@ -71,7 +73,7 @@
 
 #include "service/gateway.hpp"
 #include "service/job.hpp"
-#include "service/journal.hpp"
+#include "service/job_table.hpp"
 #include "service/warm_start.hpp"
 #include "util/cancel.hpp"
 #include "util/timer.hpp"
@@ -117,7 +119,7 @@ class SolverService final : public JobGateway {
   [[nodiscard]] ServiceStats stats() const;
 
  private:
-  struct Waiter;
+  using Waiter = JobTable::Waiter;
   struct Job;
 
   /// Weighted-fair-queuing ledger for one tenant.
@@ -130,36 +132,30 @@ class SolverService final : public JobGateway {
 
   Expected<JobTicket> submit_full(SubmitRequest request, JobCallback on_done,
                                   JobOrigin origin, std::uint64_t resume_rank);
-  /// Admits a fresh job into the queue: idle-tenant vtime catch-up, id
-  /// assignment from its first waiter, enqueue, and the kSubmitted journal
-  /// append. Shared by the normal accept path and shed-admission so both
-  /// produce identically-initialized jobs.
+  /// Admits a fresh job into the queue: idle-tenant vtime catch-up, then
+  /// the table (id, kSubmitted) and the queue. Shared by the normal accept
+  /// path and shed-admission so both produce identically-initialized jobs.
   void accept_job_locked(const std::shared_ptr<Job>& job,
                          std::unique_ptr<Waiter> waiter);
-  /// Strikes a journaled waiter's submission record (no-op when journaling
-  /// is off or the waiter never made it into the journal).
-  void journal_resolved(const Waiter& waiter);
   TenantState& tenant_state_locked(const TenantId& tenant);
   void scheduler_loop();
   void dispatch_ready_locked();
   void sweep_queue_locked();
-  void maybe_compact_journal_locked();
   void reap_finished_locked(std::unique_lock<std::mutex>& lock);
   void run_job(const std::shared_ptr<Job>& job, std::uint64_t start_sequence);
-  /// Resolves one waiter that never got (or never will get) a run result.
-  static void resolve_waiter(Waiter& waiter, const Job& job, Status status);
 
   ServiceConfig config_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;
 
+  /// Every open job and waiter, dedup and the journal; guarded by mutex_.
+  JobTable table_;
   std::vector<std::shared_ptr<Job>> queue_;  // unsorted; dispatch scans
   std::map<JobId, std::shared_ptr<Job>> running_;
   std::map<JobId, std::thread> job_threads_;
   std::vector<JobId> finished_;  ///< job threads done, awaiting join
 
   std::size_t free_slots_ = 0;
-  JobId next_id_ = 1;
   std::uint64_t next_start_sequence_ = 1;
   bool stopping_ = false;
   ServiceStats stats_;
@@ -168,10 +164,6 @@ class SolverService final : public JobGateway {
   /// busiest tenant so a newly active one starts level, not ahead.
   std::map<TenantId, TenantState> tenants_;
   double global_vtime_ = 0.0;
-
-  /// Null when journaling is off (empty path or the journal failed to open).
-  std::unique_ptr<journal::JobJournal> journal_;
-  std::vector<JobHandle> recovered_;  ///< replayed jobs, until take_recovered()
 
   /// Null when ServiceConfig::warm_start_dir is empty.
   std::unique_ptr<WarmStartStore> warm_store_;

@@ -29,6 +29,7 @@
 #include "cluster/worker_node.hpp"
 #include "mkp/generator.hpp"
 #include "net/client.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/wire.hpp"
 
 namespace pts::cluster {
@@ -153,6 +154,20 @@ TEST(Cluster, DedupOptOutGetsItsOwnSolve) {
   EXPECT_TRUE(first->result.get().status.ok());
   EXPECT_TRUE(second->result.get().status.ok());
   EXPECT_EQ((*coordinator)->stats().dispatched, 2u);
+}
+
+TEST(Cluster, DedupCoalescesAcrossTenants) {
+  // The service's rule: tenants are not part of the dedup key.
+  auto coordinator = Coordinator::start(fast_config({1}));  // nothing listens
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  auto first = (*coordinator)->submit(make_request(8));
+  auto other = make_request(8);
+  other.tenant = "batch";
+  auto second = (*coordinator)->submit(other);
+  ASSERT_TRUE(first && second);
+  EXPECT_TRUE(second->deduplicated);
+  (*coordinator)->stop();
+  EXPECT_EQ(second->result.get().tenant, "batch");
 }
 
 TEST(Cluster, WorkerDeathFailsJobOverToSurvivor) {
@@ -437,6 +452,98 @@ TEST(Cluster, CoordinatorJournalKeepsDedupProvenanceOnReplay) {
   EXPECT_EQ((*recovered)[0].dedup_primary, 0u);
   EXPECT_EQ((*recovered)[1].dedup_primary, (*recovered)[0].id);
 
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Cluster, LogCompactionKeepsAStrikeAReplicaWasNotSentYet) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pts_cluster_strike_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto replica = (dir / "w1.replica").string();
+  auto w1 = start_worker(replica);
+  ASSERT_TRUE(w1);
+  auto coordinator = Coordinator::start(fast_config({w1->port()}));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+  wait_for_peers(**coordinator, 1);
+  const auto applied = [&](std::uint64_t seq) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (w1->last_applied_seq() < seq &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(5ms);
+    }
+    return w1->last_applied_seq() >= seq;
+  };
+
+  // 257 coalesced waiters on one long solve keep 513 open records (257
+  // kSubmitted, 256 kDedup), past the 512 at which every append compacts.
+  std::vector<service::JobHandle> riders;
+  for (int k = 0; k < 257; ++k) {
+    auto handle = (*coordinator)->submit(make_request(61, /*budget=*/30.0));
+    ASSERT_TRUE(handle) << handle.status().to_string();
+    riders.push_back(std::move(*handle));
+  }
+  auto x = (*coordinator)->submit(make_request(62, /*budget=*/30.0));
+  ASSERT_TRUE(x) << x.status().to_string();
+  ASSERT_TRUE(applied(514));  // X's kSubmitted reached the replica
+
+  // X's kResolved (seq 515) is appended and compacted before the next tick;
+  // the replica must still receive it.
+  ASSERT_TRUE((*coordinator)->cancel(x->id));
+  EXPECT_EQ(x->result.get().status.code(), StatusCode::kCancelled);
+  std::this_thread::sleep_for(500ms);
+  EXPECT_GE(w1->last_applied_seq(), 515u);
+  auto open = service::journal::recover_jobs(replica);
+  ASSERT_TRUE(open) << open.status().to_string();
+  EXPECT_EQ(open->size(), riders.size());
+  for (const auto& job : *open) EXPECT_NE(job.id, x->id);
+
+  (*coordinator)->stop();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Cluster, CoordinatorJournalCompactsWithoutRestart) {
+  // The coordinator's own journal shrinks back to its open jobs while it
+  // runs, as Journal.ServiceCompactsPeriodicallyWithoutRestart checks for
+  // the service.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("pts_cluster_compact_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  auto config = fast_config({1});  // nothing listens: jobs stay pending
+  config.journal_path = (dir / "coord.journal").string();
+  const auto path = config.journal_path;
+  const auto compactions_before =
+      obs::metrics().counter("service_journal_compactions_total").value();
+  auto coordinator = Coordinator::start(std::move(config));
+  ASSERT_TRUE(coordinator) << coordinator.status().to_string();
+
+  auto kept = (*coordinator)->submit(make_request(70));
+  ASSERT_TRUE(kept) << kept.status().to_string();
+  std::uintmax_t peak = 0;
+  for (std::uint64_t k = 1; k <= 130; ++k) {  // 261 records in all
+    auto handle = (*coordinator)->submit(make_request(70 + k));
+    ASSERT_TRUE(handle) << handle.status().to_string();
+    peak = std::max(peak, std::filesystem::file_size(path));
+    ASSERT_TRUE((*coordinator)->cancel(handle->id));
+  }
+  // The file is replaced before the counter moves: wait for both.
+  const auto compacted = [&] {
+    return std::filesystem::file_size(path) <= peak / 4 &&
+           obs::metrics().counter("service_journal_compactions_total").value() >
+               compactions_before;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!compacted() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(compacted()) << std::filesystem::file_size(path) << " of " << peak;
+
+  (*coordinator)->stop();  // leaves `kept` open
+  auto open = service::journal::recover_jobs(path);
+  ASSERT_TRUE(open) << open.status().to_string();
+  ASSERT_EQ(open->size(), 1u);
+  EXPECT_EQ((*open)[0].id, kept->id);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }

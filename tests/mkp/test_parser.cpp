@@ -114,6 +114,27 @@ TEST(Parser, NonFiniteOrNonPositiveValuesThrow) {
   }
 }
 
+TEST(Parser, NonFiniteTokensAreNamedNotTakenForEndOfInput) {
+  for (const char* token : {"nan", "inf", "1e999"}) {
+    std::istringstream in(std::string("2 1 0\n3 ") + token + "\n1 1\n2\n");
+    try {
+      (void)read_orlib_single(in);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("expected a finite number for profit, got '") +
+                    token + "'");
+    }
+  }
+  std::istringstream truncated("2 1 0\n3");
+  try {
+    (void)read_orlib_single(truncated);
+    ADD_FAILURE() << "a truncated file was accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "unexpected end of input while reading profit");
+  }
+}
+
 TEST(Parser, MissingFileThrows) {
   EXPECT_THROW(read_orlib_file("/nonexistent/path/x.txt"), ParseError);
 }
