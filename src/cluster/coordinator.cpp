@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "net/client.hpp"
@@ -174,7 +175,7 @@ void Coordinator::log_append_locked(service::journal::RecordType type,
   record.job_id = waiter.id;
   if (type == RecordType::kSubmitted) {
     record.kind = ReplicateRecord::Kind::kSubmitted;
-    record.instance = *waiter.instance;
+    record.instance = waiter.instance;
     record.options = waiter.options;
     record.tenant = waiter.tenant;
     record.warm_start = waiter.warm_start;
@@ -183,7 +184,7 @@ void Coordinator::log_append_locked(service::journal::RecordType type,
     record.dedup_primary = waiter.dedup_primary;
   }  // else kResolved, the default kind
   log_.push_back(std::move(record));
-  if (log_.size() > 512) compact_log_locked();
+  if (log_.size() > log_compact_at_) compact_log_locked();
 }
 
 void Coordinator::compact_log_locked() {
@@ -193,7 +194,9 @@ void Coordinator::compact_log_locked() {
   // peer has been sent the kSubmitted but not yet the kResolved: dropping
   // the pair then would leave that replica's copy open for good. (Sent, not
   // acked: a node without a replica acks 0 forever and would pin it all.)
-  std::map<service::JobId, std::pair<std::uint64_t, std::uint64_t>> spans;
+  std::unordered_map<service::JobId, std::pair<std::uint64_t, std::uint64_t>>
+      spans;
+  spans.reserve(log_.size());
   for (const auto& record : log_) {
     auto& [first, resolved] = spans[record.job_id];
     if (first == 0) first = record.seq;
@@ -206,6 +209,10 @@ void Coordinator::compact_log_locked() {
              return peer->sent_seq >= first && peer->sent_seq < resolved;
            });
   });
+  // The next pass visits fewer than twice as many records as appends come
+  // before it, so compaction costs O(1) per append however many records
+  // the open jobs and the peer cursors keep.
+  log_compact_at_ = std::max(kLogCompactFloor, 2 * log_.size());
 }
 
 Expected<service::JobTicket> Coordinator::submit(

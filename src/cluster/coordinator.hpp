@@ -205,6 +205,10 @@ class Coordinator final : public service::JobGateway {
 
   std::uint64_t next_seq_ = 1;  ///< replication sequence
   std::deque<ReplicateRecord> log_;  ///< replication log (compacted in place)
+  /// log_ compacts once it holds more than this many records: twice what
+  /// survived its last compaction, and at least kLogCompactFloor.
+  static constexpr std::size_t kLogCompactFloor = 512;
+  std::size_t log_compact_at_ = kLogCompactFloor;
   /// Every open ClusterJob and waiter, dedup and the journal; its tap feeds
   /// log_. Declared after log_, which the tap appends to.
   service::JobTable table_;

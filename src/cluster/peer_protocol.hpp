@@ -15,7 +15,7 @@
 // every frame.
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,8 +76,9 @@ struct ReplicateRecord {
   std::uint64_t seq = 0;  ///< monotone replication sequence (1-based)
   Kind kind = Kind::kResolved;
   service::JobId job_id = 0;
-  // -- kSubmitted only. --
-  std::optional<mkp::Instance> instance;
+  // -- kSubmitted only. Shared, not copied: the coordinator's log holds the
+  // waiter's own instance, so the waiters of a coalesced job hold one. --
+  std::shared_ptr<const mkp::Instance> instance;
   service::JobOptions options;
   service::TenantId tenant;
   service::WarmStartPolicy warm_start = service::WarmStartPolicy::kDisabled;

@@ -56,7 +56,7 @@ int start_connect(const addrinfo& ai) {
 }
 
 /// Reads how a connect that start_connect began has ended, once its fd polls
-/// writable; on success restores blocking mode.
+/// writable; on success restores blocking mode and sets the TCP options.
 bool finish_connect(int fd) {
   int err = 0;
   socklen_t err_len = sizeof(err);
@@ -64,6 +64,7 @@ bool finish_connect(int fd) {
     return false;
   }
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+  configure_tcp_connection(fd);
   return true;
 }
 

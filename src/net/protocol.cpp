@@ -1,5 +1,9 @@
 #include "net/protocol.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <type_traits>
 
 #include "parallel/codec.hpp"
@@ -26,6 +30,12 @@ void fields(V& v, M& status) {
 namespace pts::net {
 
 using parallel::wire::MessageType;
+
+void configure_tcp_connection(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
+}
 
 template <class V, parallel::codec::Of<SubmitJob> M>
 void fields(V& v, M& m) {

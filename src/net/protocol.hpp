@@ -32,6 +32,20 @@
 
 namespace pts::net {
 
+/// Sets TCP_NODELAY and SO_KEEPALIVE on a connected TCP socket (DESIGN.md
+/// §10). Both ends of every TCP connection the front end and the cluster
+/// make pass here, from Server::accept_connection or from the connect that
+/// PendingDial::finish completes; the proc backend's AF_UNIX socketpairs
+/// never do.
+///
+/// TCP_NODELAY: every frame goes out whole in one send, so Nagle can only
+/// hold one back, and it does: a small frame written while the previous one
+/// is unacknowledged (a JobEvent, then the JobResult) waits for the peer's
+/// delayed ACK, up to 40 ms on Linux. SO_KEEPALIVE: kernel liveness probing
+/// backs up the idle reap and the heartbeats, so a peer that is gone (not
+/// merely quiet) eventually errors the fd.
+void configure_tcp_connection(int fd);
+
 /// Ceiling on anytime samples per kJobEvent frame: long runs stream their
 /// curve in chunks instead of one outsized frame.
 inline constexpr std::size_t kMaxAnytimeSamplesPerEvent = 4096;

@@ -220,10 +220,7 @@ void Server::accept_connection() {
     listen_fd_ = -1;
     return;
   }
-  // Kernel-level liveness probing backs up the application-level idle
-  // reap: a peer that is gone (not merely quiet) eventually errors the fd.
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
+  configure_tcp_connection(fd);
 
   const bool over_cap = connections_.size() >= config_.max_connections;
   if (draining_.load(std::memory_order_acquire) || over_cap) {

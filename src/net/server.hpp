@@ -28,13 +28,14 @@
 // stake. Results that arrive after the disconnect find the connection gone
 // and are dropped.
 //
-// Half-open reaping. Accepted sockets run with TCP keepalive, and a
-// connection that stays byte-silent for ServerConfig::idle_timeout_seconds
-// with NO outstanding submissions is reaped (a client blocked in wait() has
-// outstanding work, so it is never reaped while a result is owed — and
-// cluster peer links ping well inside any sane timeout). The loop sleeps
-// until the nearest reap deadline. This is what keeps a dead NAT entry or a
-// kill -9'd client from pinning a connection slot forever.
+// Half-open reaping. Accepted sockets run with TCP keepalive (and
+// TCP_NODELAY; net/protocol.hpp), and a connection that stays byte-silent for
+// ServerConfig::idle_timeout_seconds with NO outstanding submissions is
+// reaped (a client blocked in wait() has outstanding work, so it is never
+// reaped while a result is owed — and cluster peer links ping well inside
+// any sane timeout). The loop sleeps until the nearest reap deadline. This
+// is what keeps a dead NAT entry or a kill -9'd client from pinning a
+// connection slot forever.
 //
 // Drain. drain(timeout) stops accepting, has the loop send every client a
 // Goodbye frame, and waits up to the timeout for outstanding submissions to

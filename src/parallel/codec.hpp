@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -117,6 +118,13 @@ class Writer {
   const T& required(const std::optional<T>& o) {
     PTS_CHECK_MSG(o.has_value(), "encoding a required value that is absent");
     return *o;
+  }
+  /// The same for a shared member: the bytes are the value's, not the
+  /// pointer's.
+  template <class T>
+  const T& required(const std::shared_ptr<const T>& p) {
+    PTS_CHECK_MSG(p != nullptr, "encoding a required value that is absent");
+    return *p;
   }
   /// Writers always write the newest format version.
   [[nodiscard]] bool since(std::uint8_t /*version*/) const { return true; }
@@ -253,6 +261,12 @@ class Reader {
   template <class T>
   T& required(std::optional<T>& o) {
     return o.emplace(blank<T>());
+  }
+  template <class T>
+  T& required(std::shared_ptr<const T>& p) {
+    auto fresh = std::make_shared<T>(blank<T>());
+    p = fresh;
+    return *fresh;
   }
   [[nodiscard]] bool since(std::uint8_t version) const { return version_ >= version; }
   void check(bool cond, const char* what) {

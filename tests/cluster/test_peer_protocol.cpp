@@ -26,7 +26,7 @@ ReplicateRecord make_submitted(std::uint64_t seq, service::JobId id) {
   record.seq = seq;
   record.kind = ReplicateRecord::Kind::kSubmitted;
   record.job_id = id;
-  record.instance = make_instance(seq);
+  record.instance = std::make_shared<const mkp::Instance>(make_instance(seq));
   record.options.preset = "quick";
   record.options.time_budget_seconds = 0.75;
   record.options.seed = 42;
@@ -111,7 +111,7 @@ TEST(PeerProtocol, ReplicateRoundTripsAllRecordKinds) {
   EXPECT_EQ(submitted.seq, 5u);
   EXPECT_EQ(submitted.kind, ReplicateRecord::Kind::kSubmitted);
   EXPECT_EQ(submitted.job_id, 11u);
-  ASSERT_TRUE(submitted.instance.has_value());
+  ASSERT_NE(submitted.instance, nullptr);
   // Bit-exact instance: a promoted coordinator re-runs the job off this
   // image, so any drift would change the content hash and the trajectory.
   const auto reference = make_instance(5);
@@ -129,7 +129,7 @@ TEST(PeerProtocol, ReplicateRoundTripsAllRecordKinds) {
   EXPECT_EQ(decoded->records[1].kind, ReplicateRecord::Kind::kResolved);
   EXPECT_EQ(decoded->records[1].seq, 6u);
   EXPECT_EQ(decoded->records[1].job_id, 11u);
-  EXPECT_FALSE(decoded->records[1].instance.has_value());
+  EXPECT_EQ(decoded->records[1].instance, nullptr);
 
   EXPECT_EQ(decoded->records[2].kind, ReplicateRecord::Kind::kDedup);
   EXPECT_EQ(decoded->records[2].job_id, 12u);

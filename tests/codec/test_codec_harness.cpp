@@ -188,8 +188,10 @@ std::vector<Case> frame_cases() {
   result.best_value = result.best->value();
   result.tenant = "prod";
   using Kind = cluster::ReplicateRecord::Kind;
-  cluster::ReplicateRecord submitted{5, Kind::kSubmitted, 11, inst, options,
-                                     "prod", service::WarmStartPolicy::kExact};
+  cluster::ReplicateRecord submitted{5, Kind::kSubmitted, 11,
+                                     std::make_shared<const mkp::Instance>(inst),
+                                     options, "prod",
+                                     service::WarmStartPolicy::kExact};
   cluster::PeerReplicate replicate{
       {submitted, {6, Kind::kResolved, 11}, {7, Kind::kDedup, 12}}};
   replicate.records[2].dedup_primary = 11;

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -258,7 +259,7 @@ TEST(GoldenBytes, PeerFrames) {
   submitted.seq = 1;
   submitted.kind = cluster::ReplicateRecord::Kind::kSubmitted;
   submitted.job_id = 3;
-  submitted.instance = golden_instance();
+  submitted.instance = std::make_shared<const mkp::Instance>(golden_instance());
   submitted.options = golden_options();
   submitted.tenant = "t";
   submitted.warm_start = service::WarmStartPolicy::kSimilar;
